@@ -3,8 +3,10 @@
 Every tracked quantity is a :class:`Value` wrapping a 2-D array. Operations
 build a DAG; :func:`backward` replays it once in reverse topological order,
 accumulating gradients into the leaves. The op set is exactly what the
-filter model needs - dense linear algebra, a few elementwise nonlinearities,
-masked cross-entropy, and a column-normalization used by the orthogonality
+filter model needs - dense linear algebra, ``hstack`` for the weight table,
+one fused ``polynomial_filter`` (the :mod:`.polynomials` recurrence forward,
+its adjoint backward), a few elementwise nonlinearities, masked
+cross-entropy, and a column-normalization used by the orthogonality
 penalty. Gradients never flow into sparse graph operators.
 
 Randomness (initialization, dropout masks) always comes from explicitly
@@ -14,14 +16,15 @@ reproducible from integer seeds alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericalError, UsageError
 from .graph import SparseOperator
+from .polynomials import BasisKind, adjoint_basis, apply_basis, combine_terms
 
 
 def make_rng(*entropy: int) -> np.random.Generator:
@@ -169,18 +172,39 @@ def sparse_dense_matmul(op: SparseOperator, x: Value) -> Value:
     return _make(op.matrix @ x.data, (x,), backward_fn)
 
 
-def row_scale(scale: Value, x: Value) -> Value:
-    """diag(scale) @ x for a column vector of per-row multipliers."""
-    if scale.shape != (x.shape[0], 1):
-        raise UsageError(f"row_scale: scale {scale.shape} must be ({x.shape[0]}, 1)")
+def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperator) -> Value:
+    """Node-wise filter sum_k diag(table[:, k]) P_k(L_hat) x for an (N, K+1) table.
+
+    The forward runs :func:`apply_basis`; the gradient w.r.t. ``x`` runs
+    :func:`adjoint_basis`, which needs a symmetric ``op``. No gradient reaches ``op``.
+    """
+    if table.shape[0] != x.shape[0]:
+        raise UsageError(f"polynomial_filter: table {table.shape} must have {x.shape[0]} rows")
+    order = table.shape[1] - 1
+    terms = apply_basis(kind, order, op, x.data)
+    columns = table.data.T[:, :, None]
 
     def backward_fn(grad: np.ndarray) -> None:
-        if scale.requires_grad:
-            scale.accumulate((grad * x.data).sum(axis=1, keepdims=True))
+        if table.requires_grad:
+            table.accumulate(np.stack([(grad * t).sum(axis=1) for t in terms], axis=1))
         if x.requires_grad:
-            x.accumulate(grad * scale.data)
+            x.accumulate(adjoint_basis(kind, order, op, columns * grad))
 
-    return _make(scale.data * x.data, (scale, x), backward_fn)
+    return _make(combine_terms(columns, terms), (table, x), backward_fn)
+
+
+def hstack(columns: Sequence[Value]) -> Value:
+    """Values with equal row counts, concatenated side by side."""
+    if len({c.shape[0] for c in columns}) != 1:
+        raise UsageError(f"hstack: row counts differ in {[c.shape for c in columns]}")
+    bounds = np.cumsum([0] + [c.shape[1] for c in columns])
+
+    def backward_fn(grad: np.ndarray) -> None:
+        for c, lo, hi in zip(columns, bounds[:-1], bounds[1:]):
+            if c.requires_grad:
+                c.accumulate(grad[:, lo:hi])
+
+    return _make(np.hstack([c.data for c in columns]), tuple(columns), backward_fn)
 
 
 def sigmoid(x: Value) -> Value:

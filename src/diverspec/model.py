@@ -23,15 +23,7 @@ from . import autodiff as ad
 from .autodiff import Value
 from .errors import ConfigError, UsageError
 from .graph import Graph, SparseOperator
-from .polynomials import (
-    Bernstein,
-    BasisKind,
-    Jacobi,
-    Monomial,
-    bernstein_weight,
-    jacobi_first_coefficients,
-    jacobi_step_coefficients,
-)
+from .polynomials import Bernstein, BasisKind, Jacobi, Monomial
 from .spectral import SpectralDecomposition
 
 BACKBONES = ("GPR", "Bern", "Jacobi")
@@ -368,61 +360,18 @@ def lgwd_beta(
     return betas
 
 
-def _basis_terms(kind: BasisKind, order: int, a_hat: SparseOperator, h0: Value) -> list[Value]:
-    """Tape-tracked images P_k(L_hat) @ h0, mirroring the ndarray recurrences."""
-    if isinstance(kind, Monomial):
-        terms = [h0]
-        for _ in range(order):
-            terms.append(ad.sparse_dense_matmul(a_hat, terms[-1]))
-        return terms
-
-    if isinstance(kind, Jacobi):
-        terms = [h0]
-        if order >= 1:
-            cx, c0 = jacobi_first_coefficients(kind.a, kind.b)
-            terms.append(
-                ad.add(
-                    ad.scalar_mul(ad.sparse_dense_matmul(a_hat, h0), cx),
-                    ad.scalar_mul(h0, c0),
-                )
-            )
-        for k in range(2, order + 1):
-            cx, c0, c2 = jacobi_step_coefficients(k, kind.a, kind.b)
-            prev, prev2 = terms[-1], terms[-2]
-            mixed = ad.add(
-                ad.scalar_mul(ad.sparse_dense_matmul(a_hat, prev), cx),
-                ad.scalar_mul(prev, c0),
-            )
-            terms.append(ad.sub(mixed, ad.scalar_mul(prev2, c2)))
-        return terms
-
-    lap_powers = [h0]
-    for _ in range(order):
-        prev = lap_powers[-1]
-        lap_powers.append(ad.sub(prev, ad.sparse_dense_matmul(a_hat, prev)))
-    terms = []
-    for k in range(order + 1):
-        term = lap_powers[k]
-        for _ in range(order - k):
-            term = ad.add(term, ad.sparse_dense_matmul(a_hat, term))
-        terms.append(ad.scalar_mul(term, bernstein_weight(order, k)))
-    return terms
-
-
 @dataclass
 class ForwardResult:
     """Outputs of one forward pass.
 
     ``betas`` is the realized (N, K+1) per-node weight table (plain array,
-    for export/analysis); ``beta_values`` are the same columns on the tape;
-    ``positional`` is the final refined embedding (``None`` in the
-    ablation).
+    for export/analysis); ``positional`` is the final refined embedding
+    (``None`` in the ablation).
     """
 
     logits: Value
     positional: Value | None
     betas: np.ndarray
-    beta_values: list[Value]
 
 
 def forward(
@@ -446,18 +395,11 @@ def forward(
     h0, p0 = project_inputs(
         features, positional if positional is not None else np.zeros((n, 1)), params, config, train, rng
     )
-    kind = config.basis()
-    terms = _basis_terms(kind, config.K, a_hat, h0)
 
     if config.ablate_ipe:
         table = params.beta_free
         if config.backbone == "Bern":
             table = ad.relu(table)
-        # Column k of the weight table, kept on the tape via a one-hot selector.
-        selectors = np.eye(config.K + 1)
-        beta_values = [
-            ad.matmul(table, Value(selectors[:, k : k + 1])) for k in range(config.K + 1)
-        ]
         p_final = None
     else:
         p_list = [p0]
@@ -470,16 +412,12 @@ def forward(
         if not homogeneous:
             for k in gate_orders:
                 thetas[k] = node_theta(p_list[k], params.gate_w[k], params.gate_b[k], config.sigma_p)
-        beta_values = lgwd_beta(thetas, params, config, n)
+        table = ad.hstack(lgwd_beta(thetas, params, config, n))
         p_final = p_list[-1]
 
-    z = ad.row_scale(beta_values[0], terms[0])
-    for k in range(1, config.K + 1):
-        z = ad.add(z, ad.row_scale(beta_values[k], terms[k]))
+    z = ad.polynomial_filter(table, h0, config.basis(), a_hat)
     logits = ad.add(ad.matmul(z, params.w_out), params.b_out)
-
-    betas = np.hstack([bv.data for bv in beta_values])
-    return ForwardResult(logits=logits, positional=p_final, betas=betas, beta_values=beta_values)
+    return ForwardResult(logits=logits, positional=p_final, betas=table.data.copy())
 
 
 def orth_penalty(positional: Value) -> Value:

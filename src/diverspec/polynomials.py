@@ -10,6 +10,7 @@ run a filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -65,16 +66,6 @@ def jacobi_step_coefficients(k: int, a: float, b: float) -> tuple[float, float, 
     return cx, c0, c2
 
 
-def jacobi_first_coefficients(a: float, b: float) -> tuple[float, float]:
-    """Weights (cx, c0) of P_1(x) = cx * x + c0."""
-    return (a + b + 2) / 2.0, (a - b) / 2.0
-
-
-def bernstein_weight(order: int, k: int) -> float:
-    """Scalar prefactor 2^{-order} * C(order, k) of the k-th Bernstein term."""
-    return comb(order, k) / float(2**order)
-
-
 def basis_eval(kind: BasisKind, k: int, lam: np.ndarray | float) -> np.ndarray | float:
     """Evaluate the k-th basis polynomial at spectrum points ``lam``."""
     if k < 0:
@@ -86,19 +77,13 @@ def basis_eval(kind: BasisKind, k: int, lam: np.ndarray | float) -> np.ndarray |
     elif isinstance(kind, Bernstein):
         if k > kind.order:
             raise UsageError(f"Bernstein index {k} exceeds basis order {kind.order}")
-        out = bernstein_weight(kind.order, k) * (2.0 - lam_arr) ** (kind.order - k) * lam_arr**k
+        weight = comb(kind.order, k) / float(2**kind.order)
+        out = weight * (2.0 - lam_arr) ** (kind.order - k) * lam_arr**k
     else:
         x = 1.0 - lam_arr
-        prev = np.ones_like(x)
-        if k == 0:
-            out = prev
-        else:
-            cx, c0 = jacobi_first_coefficients(kind.a, kind.b)
-            cur = cx * x + c0
-            for j in range(2, k + 1):
-                cx, c0, c2 = jacobi_step_coefficients(j, kind.a, kind.b)
-                cur, prev = (cx * x + c0) * cur - c2 * prev, cur
-            out = cur
+        out, prev = np.ones_like(x), np.zeros_like(x)
+        for cx, c0, c2 in recurrence_table(kind, k):
+            out, prev = (cx * x + c0) * out - c2 * prev, out
 
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return float(out)
@@ -114,14 +99,58 @@ def _check_order(kind: BasisKind, order: int) -> None:
         )
 
 
+def recurrence_table(kind: BasisKind, order: int) -> np.ndarray:
+    """Rows (cx_k, c0_k, c2_k), k = 1..order, of the basis recurrence.
+
+    Q_0 = X and Q_k = (cx_k A_hat + c0_k) Q_{k-1} - c2_k Q_{k-2}. Monomial
+    and Bernstein run the power recurrence (1, 0, 0); Bernstein then maps
+    the powers onto its basis with :func:`bernstein_map`.
+    """
+    table = np.tile([1.0, 0.0, 0.0], (order, 1))
+    if isinstance(kind, Jacobi) and order >= 1:
+        table[0, :2] = (kind.a + kind.b + 2) / 2.0, (kind.a - kind.b) / 2.0
+        for k in range(2, order + 1):
+            table[k - 1] = jacobi_step_coefficients(k, kind.a, kind.b)
+    return table
+
+
+@lru_cache(maxsize=None)
+def bernstein_map(order: int) -> np.ndarray:
+    """(order+1, order+1) map M with P_k(L_hat) = sum_j M[k, j] A_hat^j.
+
+    Expands 2^{-order} C(order, k) (I + A_hat)^{order-k} (I - A_hat)^k; each
+    entry is an exact integer divided by 2^order. The result is read-only.
+    """
+    out = np.zeros((order + 1, order + 1))
+    for k in range(order + 1):
+        for j in range(order + 1):
+            count = sum(comb(order - k, i) * comb(k, j - i) * (-1) ** (j - i) for i in range(j + 1))
+            out[k, j] = comb(order, k) * count / 2**order
+    out.flags.writeable = False
+    return out
+
+
+def _step(a_hat: SparseOperator, row: np.ndarray, x: np.ndarray, x_prev: np.ndarray) -> np.ndarray:
+    """(cx A_hat + c0) x - c2 x_prev for a table row, skipping no-op terms."""
+    cx, c0, c2 = row
+    out = a_hat.dot(x)
+    if cx != 1.0:
+        out = cx * out
+    if c0 != 0.0:
+        out = out + c0 * x
+    if c2 != 0.0:
+        out = out - c2 * x_prev
+    return out
+
+
 def apply_basis(
     kind: BasisKind, order: int, a_hat: SparseOperator, signals: np.ndarray
 ) -> list[np.ndarray]:
     """All basis images P_k(L_hat) @ signals for k = 0..order.
 
-    Runs entirely on sparse matvec recurrences against the normalized
-    adjacency (L_hat = I - A_hat is never formed). Each output matches the
-    shape of ``signals``.
+    Runs the three-term recurrence of :func:`recurrence_table`: ``order``
+    sparse matvecs against the normalized adjacency for every basis (L_hat =
+    I - A_hat is never formed). Each output matches the shape of ``signals``.
     """
     _check_order(kind, order)
     x = np.asarray(signals, dtype=np.float64)
@@ -129,36 +158,50 @@ def apply_basis(
         raise UsageError(
             f"signals must be ({a_hat.shape[0]}, d), got shape {x.shape}"
         )
-
-    if isinstance(kind, Monomial):
-        terms = [x]
-        for _ in range(order):
-            terms.append(a_hat.dot(terms[-1]))
-        return terms
-
-    if isinstance(kind, Jacobi):
-        terms = [x]
-        if order >= 1:
-            cx, c0 = jacobi_first_coefficients(kind.a, kind.b)
-            terms.append(cx * a_hat.dot(x) + c0 * x)
-        for k in range(2, order + 1):
-            cx, c0, c2 = jacobi_step_coefficients(k, kind.a, kind.b)
-            prev, prev2 = terms[-1], terms[-2]
-            terms.append(cx * a_hat.dot(prev) + c0 * prev - c2 * prev2)
-        return terms
-
-    # Bernstein: P_k(L) X = w_k (I + A)^{order-k} (I - A)^k X.
-    lap_powers = [x]
-    for _ in range(order):
-        prev = lap_powers[-1]
-        lap_powers.append(prev - a_hat.dot(prev))
-    terms = []
-    for k in range(order + 1):
-        term = lap_powers[k]
-        for _ in range(order - k):
-            term = term + a_hat.dot(term)
-        terms.append(bernstein_weight(order, k) * term)
+    terms = [x]
+    for k, row in enumerate(recurrence_table(kind, order), start=1):
+        terms.append(_step(a_hat, row, terms[k - 1], terms[k - 2]))  # c2_1 = 0: no Q_{-1}
+    if isinstance(kind, Bernstein):
+        return list(np.tensordot(bernstein_map(order), np.stack(terms), axes=1))
     return terms
+
+
+def adjoint_basis(
+    kind: BasisKind, order: int, a_hat: SparseOperator, signals: np.ndarray
+) -> np.ndarray:
+    """sum_k P_k(L_hat) @ signals[k], the adjoint of :func:`apply_basis`.
+
+    ``signals`` is (order+1, N, d). Clenshaw summation over the same
+    recurrence table takes ``order`` matvecs and stores no basis image. Each
+    P_k(L_hat) is its own transpose only because A_hat is symmetric, so an
+    operator not flagged symmetric is rejected.
+    """
+    _check_order(kind, order)
+    if not a_hat.symmetric:
+        raise UsageError("adjoint_basis needs a symmetric operator")
+    ys = np.asarray(signals, dtype=np.float64)
+    if ys.ndim != 3 or ys.shape[:2] != (order + 1, a_hat.shape[0]):
+        raise UsageError(
+            f"signals must be ({order + 1}, {a_hat.shape[0]}, d), got shape {ys.shape}"
+        )
+    if isinstance(kind, Bernstein):
+        ys = np.tensordot(bernstein_map(order).T, ys, axes=1)
+    # Clenshaw: b_k = Y_k + (cx_{k+1} A_hat + c0_{k+1}) b_{k+1} - c2_{k+2} b_{k+2},
+    # so row k takes the c2 of row k + 1; c2_1 = 0 rolls into the last row.
+    table = recurrence_table(kind, order)
+    table[:, 2] = np.roll(table[:, 2], -1)
+    acc = acc_next = ys[order]
+    for k in range(order - 1, -1, -1):
+        acc, acc_next = ys[k] + _step(a_hat, table[k], acc, acc_next), acc
+    return acc
+
+
+def combine_terms(weights: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+    """sum_k weights[k] * terms[k], accumulated in order k = 0..K."""
+    out = weights[0] * terms[0]
+    for weight, term in zip(weights[1:], terms[1:]):
+        out = out + weight * term
+    return out
 
 
 def homogeneous_filter(
@@ -171,11 +214,7 @@ def homogeneous_filter(
             "shared coefficients must be 1-D; use diverse_filter for a "
             f"per-node table (got shape {coefficients.shape})"
         )
-    terms = apply_basis(kind, len(coefficients) - 1, a_hat, signals)
-    out = coefficients[0] * terms[0]
-    for k in range(1, len(terms)):
-        out = out + coefficients[k] * terms[k]
-    return out
+    return combine_terms(coefficients, apply_basis(kind, len(coefficients) - 1, a_hat, signals))
 
 
 def diverse_filter(
@@ -192,10 +231,7 @@ def diverse_filter(
             f"weights must be ({a_hat.shape[0]}, order + 1), got {weights.shape}"
         )
     terms = apply_basis(kind, weights.shape[1] - 1, a_hat, signals)
-    out = weights[:, 0:1] * terms[0]
-    for k in range(1, len(terms)):
-        out = out + weights[:, k : k + 1] * terms[k]
-    return out
+    return combine_terms(weights.T[:, :, None], terms)
 
 
 def chebyshev_nodes(count: int, lo: float, hi: float) -> np.ndarray:

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, make_rng, zero_grad
 from .errors import ConfigError, DataError, NumericalError
 from .graph import Graph, normalized_operators
 from .model import (
     DsfConfig,
     DsfParams,
-    ForwardResult,
     accuracy,
     forward,
     init_params,
@@ -133,9 +131,10 @@ def train_once(
 
     The best-so-far parameters are snapshotted in memory (ties keep the
     earlier epoch) and restored before computing the test accuracy. A
-    non-finite loss aborts with :class:`NumericalError`. ``init_hook``, when
-    given, may edit the freshly initialized parameters in place (e.g. pin a
-    group of weights) before the first epoch.
+    non-finite loss or gradient aborts with :class:`NumericalError` before
+    the optimizer step. ``init_hook``, when given, may edit the freshly
+    initialized parameters in place (e.g. pin a group of weights) before the
+    first epoch.
     """
     a_hat, l_hat = normalized_operators(graph)
     decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
@@ -173,6 +172,9 @@ def train_once(
             raise NumericalError(f"training diverged at epoch {epoch} (non-finite loss)")
         zero_grad(param_dict)
         backward(loss)
+        for name, p in param_dict.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}")
         adam_step(param_dict, optimizer)
 
         eval_result = forward(a_hat, graph.features, positional, params, config, homogeneous=homogeneous)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from diverspec import Bernstein, Jacobi, Monomial, normalized_operators
 from diverspec import autodiff as ad
 from diverspec.errors import NumericalError, UsageError
 from diverspec.graph import SparseOperator
+from tests.conftest import connected_random_graph
 
 
 def numeric_grad(build, arrays, index, h=1e-5):
@@ -84,9 +86,37 @@ def test_sparse_dense_matmul_gradients():
     check_gradients(lambda v: ad.frobenius_sq(ad.sparse_dense_matmul(op, v)), x)
 
 
-def test_row_scale_gradients():
-    scale, x = rng_arrays((4, 1), (4, 3), seed=1)
-    check_gradients(lambda s, v: ad.frobenius_sq(ad.row_scale(s, v)), scale, x)
+@pytest.mark.parametrize(
+    "kind", [Monomial(), Bernstein(4), Jacobi(1.5, -0.5)], ids=["gpr", "bern", "jacobi"]
+)
+def test_polynomial_filter_gradients(kind):
+    op, _ = normalized_operators(connected_random_graph(6, 0.3, seed=2))
+    table, x, weight = rng_arrays((6, 5), (6, 3), (6, 3), seed=1)
+    check_gradients(
+        lambda t, v: ad.frobenius_sq(
+            ad.hadamard(ad.polynomial_filter(t, v, kind, op), ad.Value(weight))
+        ),
+        table,
+        x,
+    )
+
+
+def test_polynomial_filter_rejects_row_mismatch():
+    op = SparseOperator(sparse.csr_array(np.eye(3)))
+    with pytest.raises(UsageError):
+        ad.polynomial_filter(ad.Value(np.ones((2, 3))), ad.Value(np.ones((3, 1))), Monomial(), op)
+
+
+def test_hstack_gradients_and_values():
+    a, b, c = rng_arrays((4, 1), (4, 2), (4, 1), seed=5)
+    out = ad.hstack([ad.Value(a), ad.Value(b), ad.Value(c)])
+    assert np.array_equal(out.data, np.hstack([a, b, c]))
+    weight = ad.Value(rng_arrays((4, 4), seed=6)[0])
+    check_gradients(
+        lambda x, y, z: ad.frobenius_sq(ad.hadamard(ad.hstack([x, y, z]), weight)), a, b, c
+    )
+    with pytest.raises(UsageError):
+        ad.hstack([ad.Value(a), ad.Value(np.ones((3, 1)))])
 
 
 def test_activation_gradients():

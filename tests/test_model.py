@@ -412,7 +412,7 @@ def test_total_loss_uniform_logits_closed_form():
     logits = Value(np.zeros((10, 5)))
     from diverspec.model import ForwardResult
 
-    result = ForwardResult(logits=logits, positional=None, betas=np.zeros((10, 4)), beta_values=[])
+    result = ForwardResult(logits=logits, positional=None, betas=np.zeros((10, 4)))
     targets = np.eye(5)[np.random.default_rng(0).integers(0, 5, 10)]
     loss = total_loss(result, targets, np.ones(10, dtype=bool), cfg)
     assert abs(loss.data[0, 0] - np.log(5.0)) < 1e-12
@@ -436,9 +436,7 @@ def test_total_loss_requires_nonempty_mask():
     cfg = config()
     from diverspec.model import ForwardResult
 
-    result = ForwardResult(
-        logits=Value(np.zeros((3, 2))), positional=None, betas=np.zeros((3, 4)), beta_values=[]
-    )
+    result = ForwardResult(logits=Value(np.zeros((3, 2))), positional=None, betas=np.zeros((3, 4)))
     with pytest.raises(DataError):
         total_loss(result, np.eye(2)[[0, 1, 0]], np.zeros(3, dtype=bool), cfg)
 
@@ -487,6 +485,7 @@ def test_gradients_match_finite_differences_across_variants():
         config(mode="I", eta2=0.4),
         config(backbone="Bern"),
         config(backbone="Jacobi"),
+        config(backbone="Jacobi", jacobi_a=1.5, jacobi_b=-0.5),
         config(ablate_ipe=True),
     ]
     for cfg in variants:

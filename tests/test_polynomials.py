@@ -21,6 +21,8 @@ from diverspec import (
     rescale_coefficients,
 )
 from diverspec.errors import UsageError
+from diverspec.graph import SparseOperator
+from diverspec.polynomials import adjoint_basis, bernstein_map
 from tests.conftest import connected_random_graph, toy_graph
 
 GRID = np.linspace(0.0, 2.0, 21)
@@ -97,6 +99,47 @@ def test_apply_basis_shape_mismatch(c3):
     a_hat, _ = normalized_operators(c3)
     with pytest.raises(UsageError):
         apply_basis(Monomial(), 2, a_hat, np.ones((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "kind", [Monomial(), Bernstein(5), Jacobi(1.5, -0.5)], ids=["gpr", "bern", "jacobi"]
+)
+def test_adjoint_basis_matches_dense_oracle(kind):
+    rng = np.random.default_rng(12)
+    g = connected_random_graph(25, edge_prob=0.15, seed=6)
+    a_hat, l_hat = normalized_operators(g)
+    dec = eigendecompose(l_hat)
+    ys = rng.standard_normal((6, g.num_nodes, 3))
+    # Dense P_k(L_hat) = U diag(P_k(lambda)) U^T from the closed-form basis.
+    dense = [
+        dec.eigenvectors @ (basis_eval(kind, k, dec.eigenvalues)[:, None] * dec.eigenvectors.T)
+        for k in range(6)
+    ]
+    expected = sum(p_k @ y for p_k, y in zip(dense, ys))
+    assert np.abs(adjoint_basis(kind, 5, a_hat, ys) - expected).max() < 1e-10
+    # Adjoint identity: sum_k <P_k x, Y_k> = <x, adjoint_basis(Y)>.
+    x = rng.standard_normal((g.num_nodes, 3))
+    lhs = sum(np.sum(t * y) for t, y in zip(apply_basis(kind, 5, a_hat, x), ys))
+    assert abs(lhs - np.sum(x * adjoint_basis(kind, 5, a_hat, ys))) < 1e-10
+
+
+def test_adjoint_basis_rejects_asymmetric_operator(c3):
+    a_hat, _ = normalized_operators(c3)
+    skewed = SparseOperator(a_hat.matrix, symmetric=False)
+    with pytest.raises(UsageError):
+        adjoint_basis(Monomial(), 2, skewed, np.ones((3, 3, 1)))
+
+
+def test_adjoint_basis_shape_mismatch(c3):
+    a_hat, _ = normalized_operators(c3)
+    with pytest.raises(UsageError):
+        adjoint_basis(Monomial(), 2, a_hat, np.ones((2, 3, 1)))
+
+
+def test_bernstein_map_entries():
+    # Order 2: P_0 = (I + A)^2 / 4, P_1 = (I - A^2) / 2, P_2 = (I - A)^2 / 4.
+    expected = [[0.25, 0.5, 0.25], [0.5, 0.0, -0.5], [0.25, -0.5, 0.25]]
+    assert np.array_equal(bernstein_map(2), expected)
 
 
 def spectral_route(kind, coeffs, graph, x):

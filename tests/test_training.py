@@ -14,6 +14,7 @@ from diverspec import (
     train_once,
     two_block_graph,
 )
+from diverspec import training
 from diverspec.errors import ConfigError, DataError, NumericalError
 from diverspec.model import accuracy
 from diverspec.datasets import random_graph
@@ -146,6 +147,27 @@ def test_train_once_aborts_on_divergence():
 
     with pytest.raises(NumericalError):
         train_once(g, cfg, tc, split, (0, 0, 0), init_hook=blow_up)
+
+
+def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
+    g = two_block_graph(5, seed=11)
+    split = make_splits(g, "dense", 1, seed=0)[0]
+    captured = []
+    real_backward = training.backward
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        captured[0][0].gamma[2].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    with pytest.raises(NumericalError, match="gamma_2 at epoch 1"):
+        train_once(
+            g, small_config(), TrainConfig(epochs=3, patience=3), split, (0, 0, 0),
+            init_hook=lambda params: captured.append((params, params.snapshot())),
+        )
+    params, initial = captured[0]
+    final = params.snapshot()
+    assert all(np.array_equal(final[name], initial[name]) for name in initial)  # no Adam step
 
 
 def test_aggregate_closed_forms():
