@@ -13,6 +13,7 @@ from diverspec import (
     TrainConfig,
     centroid_curves,
     cluster_weights,
+    graph_inputs,
     make_splits,
     train_once,
     two_block_graph,
@@ -27,7 +28,8 @@ def main() -> None:
     )
     train_cfg = TrainConfig(lr=0.05, weight_decay=5e-4, epochs=80, patience=80)
     split = make_splits(graph, "dense", 1, seed=0)[0]
-    record = train_once(graph, model_cfg, train_cfg, split, seed_entropy=(0, 0, 0))
+    inputs = graph_inputs(graph, model_cfg)
+    record = train_once(graph, inputs, model_cfg, train_cfg, split, seed_entropy=(0, 0, 0))
     print(f"trained to test acc {record.test_acc:.3f} (stopped at epoch {record.epochs_run})")
 
     clustering = cluster_weights(record.betas, k=3, seed=0)

@@ -173,13 +173,9 @@ def random_graph(
 ) -> Graph:
     """Erdos-Renyi graph with random labels and standard-normal features."""
     rng = make_rng(seed, num_nodes)
-    pairs = np.array([(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)])
-    if pairs.size:
-        edges = pairs[rng.random(pairs.shape[0]) < edge_prob]
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    pairs = np.stack(np.triu_indices(num_nodes, 1), axis=1)
     return build_graph(
-        edges,
+        pairs[rng.random(pairs.shape[0]) < edge_prob],
         num_nodes,
         rng.normal(size=(num_nodes, num_features)),
         rng.integers(0, num_classes, size=num_nodes),
@@ -205,16 +201,10 @@ def two_block_graph(
     n = 2 * block_size
     rng = make_rng(seed, n)
     labels = np.repeat([0, 1], block_size)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = labels[i] == labels[j]
-            if heterophilous:
-                prob = p_out if same else p_in
-            else:
-                prob = p_in if same else p_out
-            if rng.random() < prob:
-                edges.append((i, j))
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+    prob = np.where(same != heterophilous, p_in, p_out)
+    edges = pairs[rng.random(pairs.shape[0]) < prob]
     features = rng.normal(size=(n, num_features)) * 0.5
     features[:, 0] += np.where(labels == 0, 1.0, -1.0)
     return build_graph(edges, n, features, labels, 2)

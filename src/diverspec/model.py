@@ -147,18 +147,6 @@ class DsfParams:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.as_dict().items()}
 
-    def load_snapshot(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.as_dict()
-        if set(arrays) != set(params):
-            missing = set(params) ^ set(arrays)
-            raise UsageError(f"snapshot does not match parameter set: {sorted(missing)}")
-        for name, p in params.items():
-            if arrays[name].shape != p.data.shape:
-                raise UsageError(
-                    f"snapshot entry {name} has shape {arrays[name].shape}, expected {p.data.shape}"
-                )
-            p.data = arrays[name].copy()
-
 
 def shared_coefficients(config: DsfConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Initial values of the shared per-order coefficients gamma.
@@ -269,7 +257,7 @@ def init_positional(
 
 def project_inputs(
     features: np.ndarray,
-    positional: np.ndarray,
+    positional: np.ndarray | None,
     params: DsfParams,
     config: DsfConfig,
     train: bool = False,
@@ -392,9 +380,7 @@ def forward(
     from the trainable ``beta_free`` parameter.
     """
     n = features.shape[0]
-    h0, p0 = project_inputs(
-        features, positional if positional is not None else np.zeros((n, 1)), params, config, train, rng
-    )
+    h0, p0 = project_inputs(features, positional, params, config, train, rng)
 
     if config.ablate_ipe:
         table = params.beta_free
@@ -403,9 +389,8 @@ def forward(
         p_final = None
     else:
         p_list = [p0]
-        eta2 = 0.0 if config.mode == "R" else config.eta2
         for _ in range(config.K):
-            p_list.append(ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, eta2))
+            p_list.append(ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, config.eta2))
 
         thetas = [None] * (config.K + 1)
         gate_orders = range(1, config.K + 1) if config.backbone == "Jacobi" else range(config.K + 1)

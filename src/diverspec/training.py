@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import AdamState, adam_step, backward, make_rng, zero_grad
 from .errors import ConfigError, DataError, NumericalError
-from .graph import Graph, normalized_operators
+from .graph import Graph, SparseOperator, normalized_operators
 from .model import (
     DsfConfig,
     DsfParams,
@@ -118,8 +118,22 @@ class RunResult:
     betas: np.ndarray | None = None
 
 
+def graph_inputs(graph: Graph, config: DsfConfig) -> tuple[SparseOperator, np.ndarray | None]:
+    """``(a_hat, positional)``, the model inputs that depend only on the graph.
+
+    ``positional`` is ``None`` in the no-refinement ablation; the dense
+    eigendecomposition is built only for LapPE and dropped after use.
+    """
+    a_hat, l_hat = normalized_operators(graph)
+    if config.ablate_ipe:
+        return a_hat, None
+    decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
+    return a_hat, init_positional(graph, config, decomposition)
+
+
 def train_once(
     graph: Graph,
+    inputs: tuple[SparseOperator, np.ndarray | None],
     config: DsfConfig,
     train_config: TrainConfig,
     split: Split,
@@ -129,17 +143,16 @@ def train_once(
 ) -> RunResult:
     """Train one model on one split with early stopping on validation accuracy.
 
-    The best-so-far parameters are snapshotted in memory (ties keep the
-    earlier epoch) and restored before computing the test accuracy. A
-    non-finite loss or gradient aborts with :class:`NumericalError` before
-    the optimizer step. ``init_hook``, when given, may edit the freshly
-    initialized parameters in place (e.g. pin a group of weights) before the
-    first epoch.
+    ``inputs`` must be ``graph_inputs(graph, config)`` for this same graph
+    and config. The best-so-far parameters are snapshotted in memory (ties
+    keep the earlier epoch) together with the logits and beta table of the
+    eval pass that selected them; the test accuracy and betas come from that
+    pass. A non-finite loss or gradient aborts with :class:`NumericalError`
+    before the optimizer step. ``init_hook``, when given, may edit the
+    freshly initialized parameters in place (e.g. pin a group of weights)
+    before the first epoch.
     """
-    a_hat, l_hat = normalized_operators(graph)
-    decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
-    positional = None if config.ablate_ipe else init_positional(graph, config, decomposition)
-
+    a_hat, positional = inputs
     params = init_params(
         config,
         num_features=graph.num_features,
@@ -159,6 +172,7 @@ def train_once(
     best_val = -np.inf
     best_epoch = 0
     best_snapshot = params.snapshot()
+    best_logits = best_betas = None
     val_history: list[float] = []
     epoch = 0
 
@@ -184,19 +198,18 @@ def train_once(
             best_val = val_acc
             best_epoch = epoch
             best_snapshot = params.snapshot()
+            best_logits, best_betas = eval_result.logits.data, eval_result.betas
         elif epoch - best_epoch >= train_config.patience:
             break
 
-    params.load_snapshot(best_snapshot)
-    final = forward(a_hat, graph.features, positional, params, config, homogeneous=homogeneous)
     return RunResult(
-        test_acc=accuracy(final.logits.data, graph.labels, test_mask),
+        test_acc=accuracy(best_logits, graph.labels, test_mask),
         best_val_acc=float(best_val),
         best_epoch=best_epoch,
         epochs_run=epoch,
         val_history=val_history,
         params=best_snapshot,
-        betas=final.betas,
+        betas=best_betas,
     )
 
 
@@ -236,17 +249,19 @@ def run_grid(
     """Train every (run, split) cell with seeds derived from the base seed.
 
     Cell (r, s) trains under the entropy tuple (base_seed, r, s), so any
-    cell can be reproduced in isolation.
+    cell can be reproduced in isolation. The graph inputs are built once,
+    by :func:`graph_inputs`, and shared by every cell.
     """
     if runs < 1:
         raise ConfigError(f"need at least one run, got {runs}")
+    inputs = graph_inputs(graph, config)
     cells = []
     accs = []
     last: RunResult | None = None
     for run_idx in range(runs):
         for split_idx, split in enumerate(splits):
             record = train_once(
-                graph, config, train_config, split,
+                graph, inputs, config, train_config, split,
                 seed_entropy=(base_seed, run_idx, split_idx),
                 homogeneous=homogeneous,
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -141,3 +142,38 @@ def test_two_block_graph_mixing_patterns():
     assert edge_homophily(hetero) < 0.3
     assert homo.num_nodes == hetero.num_nodes == 40
     assert homo.labels.tolist() == [0] * 20 + [1] * 20
+
+
+# SHA-256 of (edges int64, features float64, labels int64) bytes, recorded
+# from the original pair-by-pair builders: any change to the pair order or
+# to the random stream shows up here.
+BUILDER_DIGESTS = [
+    (random_graph, dict(num_nodes=1, edge_prob=0.5, seed=0),
+     "f72d01b86e5bca4e0bf97751ddf0d9c9deeb5986aedcd6bda9d9ff3988c33055"),
+    (random_graph, dict(num_nodes=57, edge_prob=0.1, seed=3),
+     "64f051cd9d50afb5d6e8f0f3e8adcad20ca50b4d55248d601c1757ed49cc0ecf"),
+    (random_graph, dict(num_nodes=200, edge_prob=0.05, num_classes=4, num_features=5, seed=7),
+     "4c99272d5302f891e08dfb5684480a295ded980b30d18d5815311a89bfd92fcf"),
+    (two_block_graph, dict(block_size=1, seed=0),
+     "818797f4684f875c11c5faf40f075b26b9d1c06e7a971671cee0112b6f9b31ca"),
+    (two_block_graph, dict(block_size=20, seed=11, heterophilous=True),
+     "063a8d2ca76271522860aaace451763ad244bf94a8f1e5a4264febe23d5b6cc4"),
+    (two_block_graph, dict(block_size=50, p_in=0.3, p_out=0.05, num_features=3, seed=4),
+     "6f5377f078e459c36afd67062a31497f80b2916e4a7ae767a46d8c5d93b9eb58"),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, kwargs, expected",
+    BUILDER_DIGESTS,
+    ids=[
+        f"{b.__name__}-{k['seed']}-{k.get('num_nodes', k.get('block_size'))}"
+        for b, k, _ in BUILDER_DIGESTS
+    ],
+)
+def test_synthetic_builders_are_pinned(builder, kwargs, expected):
+    g = builder(**kwargs)
+    digest = hashlib.sha256()
+    for array, dtype in ((g.edges, np.int64), (g.features, np.float64), (g.labels, np.int64)):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    assert digest.hexdigest() == expected

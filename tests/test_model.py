@@ -10,6 +10,7 @@ from diverspec import (
     apply_basis,
     eigendecompose,
     forward,
+    graph_inputs,
     homogeneous_filter,
     init_params,
     init_positional,
@@ -41,13 +42,7 @@ def config(**overrides) -> DsfConfig:
 
 
 def build_model(graph, cfg, seed=0):
-    a_hat, _ = normalized_operators(graph)
-    decomposition = (
-        eigendecompose(normalized_operators(graph)[1])
-        if cfg.pe_init == "LapPE"
-        else None
-    )
-    positional = None if cfg.ablate_ipe else init_positional(graph, cfg, decomposition)
+    a_hat, positional = graph_inputs(graph, cfg)
     params = init_params(
         cfg,
         num_features=graph.num_features,

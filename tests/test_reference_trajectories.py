@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diverspec import DsfConfig, TrainConfig, make_splits, train_once, two_block_graph
+from diverspec import (
+    DsfConfig,
+    TrainConfig,
+    graph_inputs,
+    make_splits,
+    train_once,
+    two_block_graph,
+)
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "reference_trajectories.json.gz"
 ATOL = 1e-10
@@ -52,7 +59,8 @@ def run_variant(name: str):
     graph = two_block_graph(block_size=20, seed=11, heterophilous=True)
     split = make_splits(graph, "dense", 1, seed=5)[0]
     return train_once(
-        graph, cfg, TrainConfig(epochs=20, patience=20), split, seed_entropy=(23, 0, 0)
+        graph, graph_inputs(graph, cfg), cfg, TrainConfig(epochs=20, patience=20), split,
+        seed_entropy=(23, 0, 0),
     )
 
 

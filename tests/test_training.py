@@ -9,6 +9,7 @@ from diverspec import (
     DsfConfig,
     TrainConfig,
     aggregate,
+    graph_inputs,
     make_splits,
     run_grid,
     train_once,
@@ -16,7 +17,8 @@ from diverspec import (
 )
 from diverspec import training
 from diverspec.errors import ConfigError, DataError, NumericalError
-from diverspec.model import accuracy
+from diverspec.autodiff import make_rng
+from diverspec.model import accuracy, forward, init_params
 from diverspec.datasets import random_graph
 from tests.conftest import toy_graph
 
@@ -72,8 +74,8 @@ def test_train_once_is_deterministic():
     split = make_splits(g, "dense", 1, seed=0)[0]
     cfg = small_config()
     tc = TrainConfig(epochs=25, patience=10)
-    a = train_once(g, cfg, tc, split, (11, 0, 0))
-    b = train_once(g, cfg, tc, split, (11, 0, 0))
+    a = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (11, 0, 0))
+    b = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (11, 0, 0))
     assert a.test_acc == b.test_acc
     assert a.best_epoch == b.best_epoch
     assert a.val_history == b.val_history
@@ -86,8 +88,8 @@ def test_train_once_different_seed_changes_trajectory():
     split = make_splits(g, "dense", 1, seed=0)[0]
     cfg = small_config()
     tc = TrainConfig(epochs=10, patience=10)
-    a = train_once(g, cfg, tc, split, (11, 0, 0))
-    b = train_once(g, cfg, tc, split, (12, 0, 0))
+    a = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (11, 0, 0))
+    b = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (12, 0, 0))
     assert not np.array_equal(a.params["w_in"], b.params["w_in"])
 
 
@@ -96,7 +98,7 @@ def test_train_once_early_stopping_bounds_epochs():
     split = make_splits(g, "dense", 1, seed=1)[0]
     cfg = small_config()
     tc = TrainConfig(epochs=400, patience=15)
-    result = train_once(g, cfg, tc, split, (0, 0, 0))
+    result = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (0, 0, 0))
     assert result.epochs_run <= result.best_epoch + tc.patience
     assert result.epochs_run <= tc.epochs
 
@@ -106,7 +108,7 @@ def test_train_once_reports_accuracy_at_best_validation_epoch():
     split = make_splits(g, "dense", 1, seed=2)[0]
     cfg = small_config()
     tc = TrainConfig(epochs=60, patience=60)
-    result = train_once(g, cfg, tc, split, (1, 0, 0))
+    result = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (1, 0, 0))
     history = np.array(result.val_history)
     assert result.best_val_acc == history.max()
     assert result.best_epoch == int(np.argmax(history)) + 1  # ties keep the earliest
@@ -123,7 +125,7 @@ def test_train_once_frozen_gamma_is_a_constant_predictor():
             gamma.data[...] = 0.0
             gamma.requires_grad = False
 
-    result = train_once(g, cfg, tc, split, (2, 0, 0), init_hook=pin_gamma)
+    result = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (2, 0, 0), init_hook=pin_gamma)
     predicted = int(np.argmax(result.params["b_out"]))
     expected = float(np.mean(g.labels[split.test] == predicted))
     assert result.test_acc == expected
@@ -146,7 +148,7 @@ def test_train_once_aborts_on_divergence():
         params.w_out.data[...] = np.tile([[1e308, -1e308]], (cfg.d, 1))
 
     with pytest.raises(NumericalError):
-        train_once(g, cfg, tc, split, (0, 0, 0), init_hook=blow_up)
+        train_once(g, graph_inputs(g, cfg), cfg, tc, split, (0, 0, 0), init_hook=blow_up)
 
 
 def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
@@ -160,14 +162,62 @@ def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
         captured[0][0].gamma[2].grad[0, 0] = np.nan
 
     monkeypatch.setattr(training, "backward", poisoned_backward)
+    cfg = small_config()
     with pytest.raises(NumericalError, match="gamma_2 at epoch 1"):
         train_once(
-            g, small_config(), TrainConfig(epochs=3, patience=3), split, (0, 0, 0),
+            g, graph_inputs(g, cfg), cfg, TrainConfig(epochs=3, patience=3), split, (0, 0, 0),
             init_hook=lambda params: captured.append((params, params.snapshot())),
         )
     params, initial = captured[0]
     final = params.snapshot()
     assert all(np.array_equal(final[name], initial[name]) for name in initial)  # no Adam step
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"backbone": "Bern"}, {"ablate_ipe": True}],
+    ids=["gpr", "bern", "no-ipe"],
+)
+def test_train_once_returns_its_best_eval_pass(overrides):
+    g = two_block_graph(10, seed=12)
+    split = make_splits(g, "dense", 1, seed=7)[0]
+    cfg = small_config(**overrides)
+    a_hat, positional = inputs = graph_inputs(g, cfg)
+    result = train_once(g, inputs, cfg, TrainConfig(epochs=15, patience=5), split, (3, 0, 0))
+    params = init_params(cfg, g.num_features, g.num_classes, make_rng(99), g.num_nodes)
+    for name, value in params.as_dict().items():
+        value.data = result.params[name].copy()
+    replay = forward(a_hat, g.features, positional, params, cfg)
+    _, _, test_mask = split.masks(g.num_nodes)
+    assert result.test_acc == accuracy(replay.logits.data, g.labels, test_mask)
+    assert np.array_equal(result.betas, replay.betas)
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [({}, (1, 0, 1)), ({"pe_init": "LapPE"}, (1, 1, 1)), ({"ablate_ipe": True}, (1, 0, 0))],
+    ids=["rwpe", "lappe", "no-ipe"],
+)
+def test_run_grid_builds_graph_inputs_once(monkeypatch, overrides, expected):
+    calls = {}
+
+    def counting(name):
+        real = getattr(training, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    names = ("normalized_operators", "eigendecompose", "init_positional")
+    for name in names:
+        monkeypatch.setattr(training, name, counting(name))
+    g = two_block_graph(10, seed=13)
+    splits = make_splits(g, "dense", 2, seed=8)
+    grid = run_grid(g, small_config(**overrides), TrainConfig(epochs=3, patience=3), 2, splits, 4)
+    assert len(grid.cells) == 4
+    assert tuple(calls.get(name, 0) for name in names) == expected
 
 
 def test_aggregate_closed_forms():
