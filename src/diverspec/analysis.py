@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .graph import Graph, local_label_homophily
+from .graph import Graph, induced_edge_sums
 from .polynomials import BasisKind, filter_response
 from .autodiff import make_rng
 
@@ -111,18 +111,14 @@ def centroid_curves(
 def homophily_histogram(graph: Graph, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Per-node local label homophily over k-hop induced edges.
 
-    Nodes where the quantity is undefined (empty induced edge set) are
+    One blockwise :func:`~diverspec.graph.induced_edge_sums` pass, no per-node
+    BFS. Nodes where the quantity is undefined (empty induced edge set) are
     dropped; returns (node_ids, values) of the defined remainder.
     """
-    ids = []
-    values = []
-    for node in range(graph.num_nodes):
-        h = local_label_homophily(graph, node, k)
-        if h is None:
-            continue
-        ids.append(node)
-        values.append(h)
-    return np.asarray(ids, dtype=np.int64), np.asarray(values, dtype=np.float64)
+    same = graph.labels[graph.edges[:, 0]] == graph.labels[graph.edges[:, 1]]
+    counts, same_counts = induced_edge_sums(graph, k, same.astype(np.float64))
+    ids = np.flatnonzero(counts)
+    return ids, same_counts[ids] / counts[ids]
 
 
 def pca_2d(weights: np.ndarray) -> np.ndarray:

@@ -78,14 +78,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         if band not in HISTOGRAM_BANDS:
             raise UsageError(f"unknown band {band!r}; choose from {','.join(HISTOGRAM_BANDS)}")
 
+    # Everything that can reject the input runs before the first write.
+    ratio = edge_homophily(graph)
     ids, values = homophily_histogram(graph, k=args.k_hops)
+    _, l_hat = normalized_operators(graph)
+    decomposition = eigendecompose(l_hat, dense_limit=args.dense_limit)
     _write_text(
         out / "homophily.csv",
         _csv_lines("node_id,value", zip(ids, (_fmt(v) for v in values))),
     )
-
-    _, l_hat = normalized_operators(graph)
-    decomposition = eigendecompose(l_hat, dense_limit=args.dense_limit)
     for band in bands:
         hist = frequency_histogram(graph, decomposition, band, k=args.k_hops)
         _write_text(
@@ -109,7 +110,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "num_classes": graph.num_classes,
-            "edge_homophily": edge_homophily(graph),
+            "edge_homophily": ratio,
             "settings": settings,
         },
     )
@@ -359,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("--seed must be nonnegative")
+        if getattr(args, "k_hops", 0) < 0:
+            raise UsageError("--k-hops must be nonnegative")
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,8 @@ from scipy import sparse
 
 from .errors import DataError
 
+_REACH_BLOCK = 512  # reach-matrix columns induced_edge_sums holds densely at once
+
 
 @dataclass(frozen=True)
 class SparseOperator:
@@ -71,13 +73,15 @@ class Graph:
     @cached_property
     def adjacency(self) -> sparse.csr_array:
         """Unweighted adjacency with both edge directions materialized."""
-        n = self.num_nodes
-        if self.num_edges == 0:
-            return sparse.csr_array((n, n), dtype=np.float64)
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(rows.shape[0], dtype=np.float64)
-        return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+        return edge_matrix(self, np.ones(self.num_edges))
+
+
+def edge_matrix(graph: Graph, values: np.ndarray) -> sparse.csr_array:
+    """Symmetric (N, N) matrix with ``values[e]`` at both orientations of edge e."""
+    p, q = graph.edges[:, 0], graph.edges[:, 1]
+    rows, cols = np.concatenate([p, q]), np.concatenate([q, p])
+    data = np.concatenate([values, values])
+    return sparse.csr_array((data, (rows, cols)), shape=(graph.num_nodes,) * 2)
 
 
 def build_graph(
@@ -154,16 +158,8 @@ def normalized_operators(graph: Graph) -> tuple[SparseOperator, SparseOperator]:
     nonzero = deg > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(deg[nonzero])
 
-    if graph.num_edges:
-        rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-        cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-        vals = inv_sqrt[rows] * inv_sqrt[cols]
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
-
-    a_hat = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    p, q = graph.edges[:, 0], graph.edges[:, 1]
+    a_hat = edge_matrix(graph, inv_sqrt[p] * inv_sqrt[q])
 
     idx = np.arange(n)
     identity = sparse.csr_array((np.ones(n), (idx, idx)), shape=(n, n))
@@ -215,6 +211,28 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         induced = graph.edges
     return nodes, induced
+
+
+def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
+
+    ``values`` has one entry per canonical edge. The k-hop reach matrix R
+    (identity times ``A + I``, k times, kept 0/1) is built densely
+    ``_REACH_BLOCK`` columns of R^T at a time, so memory is O(N * block); for
+    the symmetric edge matrix W, ``rowsum((R @ W) * R)`` counts each induced edge twice.
+    """
+    if k < 0:
+        raise DataError(f"hop count must be nonnegative, got {k}")
+    n, adjacency, weights = graph.num_nodes, graph.adjacency, edge_matrix(graph, values)
+    counts, sums = np.zeros(n), np.zeros(n)
+    for start in range(0, n, _REACH_BLOCK):
+        reach = np.eye(n, min(_REACH_BLOCK, n - start), -start)
+        for _ in range(k):
+            reach = ((adjacency @ reach + reach) > 0).astype(np.float64)
+        nodes = slice(start, start + reach.shape[1])
+        counts[nodes] = np.einsum("ij,ij->j", adjacency @ reach, reach)
+        sums[nodes] = np.einsum("ij,ij->j", weights @ reach, reach)
+    return (counts / 2).astype(np.int64), sums / 2
 
 
 def local_label_homophily(graph: Graph, node: int, k: int) -> float | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .graph import Graph, SparseOperator, k_hop
+from .graph import Graph, SparseOperator, induced_edge_sums, k_hop
 
 HISTOGRAM_BANDS = ("low", "mid", "high")
 
@@ -148,22 +148,20 @@ def frequency_histogram(
     band: str,
     k: int = 2,
 ) -> FrequencyHistogram:
-    """Local-frequency histogram for the eigenvector selected by ``band``."""
+    """Local-frequency histogram for the eigenvector selected by ``band``.
+
+    One blockwise :func:`~diverspec.graph.induced_edge_sums` pass, no per-node
+    BFS; equals :func:`local_graph_frequency` up to float summation order.
+    """
     index = band_eigen_index(graph.num_nodes, band)
     vector = decomposition.eigenvectors[:, index]
     lam = float(decomposition.eigenvalues[index])
 
-    ids = []
-    values = []
-    for node in range(graph.num_nodes):
-        _, induced = k_hop(graph, node, k)
-        if induced.shape[0] == 0:
-            continue
-        ids.append(node)
-        values.append(float(np.sum(_edge_summands(graph, vector, induced))))
+    counts, sums = induced_edge_sums(graph, k, _edge_summands(graph, vector, graph.edges))
+    ids = np.flatnonzero(counts)
     return FrequencyHistogram(
-        node_ids=np.asarray(ids, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
+        node_ids=ids,
+        values=sums[ids],
         eigen_index=index + 1,
         lambda_global=lam,
         k=k,

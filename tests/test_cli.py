@@ -136,6 +136,31 @@ def test_diagnose_rejects_unknown_band(dataset_dir, tmp_path, capsys):
     assert "unknown band" in capsys.readouterr().err
 
 
+def test_diagnose_negative_k_hops_is_a_usage_error(tmp_path, capsys):
+    # The dataset path does not exist: the flag is rejected before it is read.
+    out = tmp_path / "diag"
+    code = main([
+        "diagnose", "--data", str(tmp_path / "nowhere"), "--out", str(out), "--k-hops", "-1",
+    ])
+    assert code == 1
+    assert "--k-hops" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edges, extra, code",
+    [([], [], 2), ([(0, 1), (2, 3)], ["--dense-limit", "3"], 1)],
+    ids=["edgeless", "over-dense-limit"],
+)
+def test_diagnose_rejected_input_writes_nothing(tmp_path, capsys, edges, extra, code):
+    data = tmp_path / "graph4"
+    save_dataset(toy_graph(edges, [0, 1, 0, 1]), "graph4", data)
+    out = tmp_path / "diag"
+    assert main(["diagnose", "--data", str(data), "--out", str(out), *extra]) == code
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_diagnose_missing_dataset_is_a_data_error(tmp_path, capsys):
     code = main(["diagnose", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
     assert code == 2

@@ -1,0 +1,87 @@
+"""Blockwise induced-edge sums against the per-node BFS oracles.
+
+``induced_edge_sums`` gives both diagnose histograms their per-node sums
+without a BFS per node; these tests hold it, and the histograms built on it,
+to ``k_hop``, ``local_label_homophily`` and ``local_graph_frequency`` node by
+node.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diverspec import (
+    eigendecompose,
+    frequency_histogram,
+    homophily_histogram,
+    k_hop,
+    local_graph_frequency,
+    local_label_homophily,
+    normalized_operators,
+    random_graph,
+)
+from diverspec.errors import DataError
+from diverspec.graph import _REACH_BLOCK, edge_matrix, induced_edge_sums
+from diverspec.spectral import HISTOGRAM_BANDS
+from tests.conftest import toy_graph
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1-12 nodes; empty or self-loop-only edge lists give edgeless graphs."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return toy_graph(edges, labels, num_classes=3)
+
+
+def assert_histograms_match_oracles(graph, k):
+    induced = {node: k_hop(graph, node, k)[1] for node in range(graph.num_nodes)}
+    defined = np.array([node for node, e in induced.items() if e.shape[0]], dtype=np.int64)
+
+    values = np.arange(1.0, graph.num_edges + 1.0)
+    counts, sums = induced_edge_sums(graph, k, values)
+    key = np.array([graph.num_nodes, 1])
+    for node, edges in induced.items():
+        inside = np.isin(graph.edges @ key, edges @ key)
+        assert counts[node] == edges.shape[0]
+        assert sums[node] == values[inside].sum()
+
+    ids, homophily = homophily_histogram(graph, k)
+    np.testing.assert_array_equal(ids, defined)
+    for node, h in zip(ids, homophily):
+        assert h == local_label_homophily(graph, int(node), k)
+
+    decomposition = eigendecompose(normalized_operators(graph)[1])
+    for band in HISTOGRAM_BANDS:
+        hist = frequency_histogram(graph, decomposition, band, k)
+        np.testing.assert_array_equal(hist.node_ids, defined)
+        vector = decomposition.eigenvectors[:, hist.eigen_index - 1]
+        expected = [local_graph_frequency(graph, vector, int(node), k) for node in defined]
+        np.testing.assert_allclose(hist.values, expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=small_graphs(), k=st.integers(0, 3))
+def test_histograms_match_per_node_oracles(graph, k):
+    assert_histograms_match_oracles(graph, k)
+
+
+def test_histograms_match_oracles_across_reach_blocks():
+    graph = random_graph(2 * _REACH_BLOCK + 76, 4.0 / 1100, seed=11)
+    assert (graph.degrees == 0).any()
+    assert_histograms_match_oracles(graph, k=2)
+
+
+def test_induced_edge_sums_rejects_negative_hops(p3):
+    with pytest.raises(DataError, match="nonnegative"):
+        induced_edge_sums(p3, -1, np.ones(p3.num_edges))
+
+
+def test_edge_matrix_places_each_value_at_both_orientations(p3):
+    matrix = edge_matrix(p3, np.array([2.0, 5.0])).toarray()
+    np.testing.assert_array_equal(matrix, [[0.0, 2.0, 0.0], [2.0, 0.0, 5.0], [0.0, 5.0, 0.0]])
