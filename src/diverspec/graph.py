@@ -7,6 +7,7 @@ filtering, homophily diagnostics) works off this one representation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,7 +16,7 @@ from scipy import sparse
 
 from .errors import DataError
 
-_REACH_BLOCK = 512  # reach-matrix columns induced_edge_sums holds densely at once
+_REACH_BLOCK = 512  # identity columns a blockwise sweep holds densely at once
 
 
 @dataclass(frozen=True)
@@ -213,23 +214,32 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, induced
 
 
+def identity_blocks(n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(nodes, block)`` with ``block`` the dense (N, b) identity columns ``nodes``.
+
+    The slices tile ``0..n-1`` in order, ``_REACH_BLOCK`` columns at a time,
+    so a sweep over them holds O(N * block) floats, not N^2.
+    """
+    for start in range(0, n, _REACH_BLOCK):
+        width = min(_REACH_BLOCK, n - start)
+        yield slice(start, start + width), np.eye(n, width, -start)
+
+
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
 
     ``values`` has one entry per canonical edge. The k-hop reach matrix R
-    (identity times ``A + I``, k times, kept 0/1) is built densely
-    ``_REACH_BLOCK`` columns of R^T at a time, so memory is O(N * block); for
+    (identity times ``A + I``, k times, kept 0/1) is built densely over
+    :func:`identity_blocks` as columns of R^T, so memory is O(N * block); for
     the symmetric edge matrix W, ``rowsum((R @ W) * R)`` counts each induced edge twice.
     """
     if k < 0:
         raise DataError(f"hop count must be nonnegative, got {k}")
     n, adjacency, weights = graph.num_nodes, graph.adjacency, edge_matrix(graph, values)
     counts, sums = np.zeros(n), np.zeros(n)
-    for start in range(0, n, _REACH_BLOCK):
-        reach = np.eye(n, min(_REACH_BLOCK, n - start), -start)
+    for nodes, reach in identity_blocks(n):
         for _ in range(k):
             reach = ((adjacency @ reach + reach) > 0).astype(np.float64)
-        nodes = slice(start, start + reach.shape[1])
         counts[nodes] = np.einsum("ij,ij->j", adjacency @ reach, reach)
         sums[nodes] = np.einsum("ij,ij->j", weights @ reach, reach)
     return (counts / 2).astype(np.int64), sums / 2

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value
 from .errors import ConfigError, UsageError
-from .graph import Graph, SparseOperator
+from .graph import SparseOperator, identity_blocks
 from .polynomials import Bernstein, BasisKind, Jacobi, Monomial
 from .spectral import SpectralDecomposition
 
@@ -217,18 +217,25 @@ def init_params(
 
 
 def init_positional(
-    graph: Graph,
+    a_hat: SparseOperator,
     config: DsfConfig,
     decomposition: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Raw (N, f_p) positional features before the latent projection.
 
-    LapPE stacks the first ``f_p`` sign-fixed Laplacian eigenvectors
-    (optionally skipping the constant one); RWPE stacks return probabilities
-    diag((A D^{-1})^m) for m = 1..f_p. Isolated nodes get zero rows under
-    RWPE (the random walk has nowhere to go).
+    ``a_hat`` is the symmetric normalized adjacency from
+    :func:`~diverspec.graph.normalized_operators`. LapPE stacks the first
+    ``f_p`` sign-fixed Laplacian eigenvectors (optionally skipping the
+    constant one); RWPE stacks return probabilities diag((A D^{-1})^m) for
+    m = 1..f_p. A similarity transform keeps the diagonal, so these equal
+    diag(Â^m), and isolated nodes (zero rows of Â) get exact zero rows.
+    With Q_j = Â^j E for a block E of identity columns,
+    diag(Â^m) = colsum(Q_floor(m/2) * Q_ceil(m/2)): each block costs
+    ceil(f_p / 2) sparse-times-dense products and holds two (N, block)
+    arrays, so memory is O(N * block) rather than the N^2 fill-in of
+    explicit matrix powers.
     """
-    n = graph.num_nodes
+    n = a_hat.shape[0]
     if config.f_p > n:
         raise ConfigError(
             f"positional width f_p={config.f_p} exceeds the node count {n}"
@@ -243,16 +250,16 @@ def init_positional(
             )
         return decomposition.eigenvectors[:, start : start + config.f_p].copy()
 
-    deg = graph.degrees.astype(np.float64)
-    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    walk = graph.adjacency.copy()
-    walk.data = walk.data * inv_deg[walk.indices]  # column-scale: A @ D^{-1}
-    power = walk.copy()
-    columns = [power.diagonal()]
-    for _ in range(config.f_p - 1):
-        power = (power @ walk).tocsr()
-        columns.append(power.diagonal())
-    return np.stack(columns, axis=1)
+    positional = np.empty((n, config.f_p))
+    for nodes, low in identity_blocks(n):
+        high = a_hat.dot(low)  # Q_0 = E and Q_1
+        for m in range(1, config.f_p + 1):
+            if m % 2 == 0:
+                low = high  # Q_{m/2} twice
+            elif m > 1:
+                high = a_hat.dot(low)  # Q_{(m-1)/2} and Q_{(m+1)/2}
+            positional[nodes, m - 1] = np.einsum("ij,ij->j", low, high)
+    return positional
 
 
 def project_inputs(

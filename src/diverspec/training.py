@@ -123,12 +123,28 @@ def graph_inputs(graph: Graph, config: DsfConfig) -> tuple[SparseOperator, np.nd
 
     ``positional`` is ``None`` in the no-refinement ablation; the dense
     eigendecomposition is built only for LapPE and dropped after use.
+
+    Raises :class:`ConfigError` when every positional row is equal (RWPE on a
+    vertex-transitive graph: cycle, complete graph, hypercube) under mode R
+    with ``lambda_orth > 0`` and ``dropout_p == 0``: the orthogonality penalty
+    would then meet only constant columns and abort the first epoch.
     """
     a_hat, l_hat = normalized_operators(graph)
     if config.ablate_ipe:
         return a_hat, None
     decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
-    return a_hat, init_positional(graph, config, decomposition)
+    positional = init_positional(a_hat, config, decomposition)
+    if (
+        config.mode == "R"
+        and config.lambda_orth > 0.0
+        and config.dropout_p == 0.0
+        and np.ptp(positional, axis=0).max() <= 1e-12
+    ):
+        raise ConfigError(
+            "every positional row is equal, so the mode R orthogonality penalty has "
+            "only constant columns; set dropout_p > 0 or lambda_orth = 0"
+        )
+    return a_hat, positional
 
 
 def train_once(

@@ -287,6 +287,23 @@ def test_train_negative_seed_is_rejected(dataset_dir, config_path, tmp_path, cap
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_train_rejects_equal_positional_rows_up_front(tmp_path, capsys):
+    # On a cycle every RWPE row is equal: mode R with the orthogonality
+    # penalty and no dropout would meet only zero-variance columns.
+    data = tmp_path / "c30"
+    cycle = toy_graph([(i, (i + 1) % 30) for i in range(30)], [i % 3 for i in range(30)])
+    save_dataset(cycle, "c30", data)
+    argv = ["train", "--data", str(data), "--runs", "1", "--splits", "1"]
+    for dropout, code in (("0", 1), ("0.5", 0)):
+        conf = tmp_path / f"dropout-{dropout}.conf"
+        text = CONFIG_TEXT.replace("dropout_p = 0.1", f"dropout_p = {dropout}")
+        conf.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out-{dropout}"
+        assert main(argv + ["--config", str(conf), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "set dropout_p > 0 or lambda_orth = 0" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_a_usage_failure(capsys):
     assert main(["train", "--frobnicate"]) == 1
     assert capsys.readouterr().err.startswith("error:")

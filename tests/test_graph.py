@@ -13,6 +13,7 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
+from diverspec.graph import _REACH_BLOCK, identity_blocks
 from tests.conftest import toy_graph
 
 
@@ -126,3 +127,13 @@ def test_graph_is_immutable(p3):
     with pytest.raises(AttributeError):
         p3.num_nodes = 5
     assert not p3.edges.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2 * _REACH_BLOCK - 1, 2 * _REACH_BLOCK, 2 * _REACH_BLOCK + 1])
+def test_identity_blocks_tile_the_identity_once(n):
+    blocks = list(identity_blocks(n))
+    assert len(blocks) == -(-n // _REACH_BLOCK)
+    assert all(block.shape == (n, _REACH_BLOCK) for _, block in blocks[:-1])
+    nodes = np.concatenate([np.arange(n)[piece] for piece, _ in blocks])
+    np.testing.assert_array_equal(nodes, np.arange(n))
+    np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), np.eye(n))

@@ -96,29 +96,29 @@ def test_config_with_mode_round_trip():
 
 def test_rwpe_on_k2(k2):
     cfg = config(f_p=2)
-    x_p = init_positional(k2, cfg)
+    x_p = init_positional(normalized_operators(k2)[0], cfg)
     assert np.allclose(x_p, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_rwpe_on_edgeless_graph():
     g = toy_graph([], labels=[0, 1, 1])
-    x_p = init_positional(g, config(f_p=3))
+    x_p = init_positional(normalized_operators(g)[0], config(f_p=3))
     assert np.all(x_p == 0.0)
 
 
 def test_lappe_on_k2(k2):
     cfg = config(f_p=2, pe_init="LapPE")
     dec = eigendecompose(normalized_operators(k2)[1])
-    x_p = init_positional(k2, cfg, dec)
+    x_p = init_positional(normalized_operators(k2)[0], cfg, dec)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(x_p, [[s, s], [s, -s]])
 
 
 def test_lappe_skip_first_drops_constant_eigenvector(c3):
     dec = eigendecompose(normalized_operators(c3)[1])
-    keep = init_positional(c3, config(f_p=2, pe_init="LapPE"), dec)
+    keep = init_positional(normalized_operators(c3)[0], config(f_p=2, pe_init="LapPE"), dec)
     skip = init_positional(
-        c3, config(f_p=2, pe_init="LapPE", lappe_skip_first=True), dec
+        normalized_operators(c3)[0], config(f_p=2, pe_init="LapPE", lappe_skip_first=True), dec
     )
     assert np.allclose(keep, dec.eigenvectors[:, :2])
     assert np.allclose(skip, dec.eigenvectors[:, 1:3])
@@ -126,7 +126,7 @@ def test_lappe_skip_first_drops_constant_eigenvector(c3):
 
 def test_positional_width_cannot_exceed_node_count(k2):
     with pytest.raises(ConfigError):
-        init_positional(k2, config(f_p=3))
+        init_positional(normalized_operators(k2)[0], config(f_p=3))
 
 
 # --- projection, IPE, gating -------------------------------------------------

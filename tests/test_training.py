@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,21 @@ def test_run_grid_builds_graph_inputs_once(monkeypatch, overrides, expected):
     grid = run_grid(g, small_config(**overrides), TrainConfig(epochs=3, patience=3), 2, splits, 4)
     assert len(grid.cells) == 4
     assert tuple(calls.get(name, 0) for name in names) == expected
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(30, [(i, (i + 1) % 30) for i in range(30)]), (20, list(combinations(range(20), 2)))],
+    ids=["c30", "k20"],
+)
+def test_graph_inputs_rejects_equal_positional_rows_in_mode_r(n, edges):
+    g = toy_graph(edges, [i % 3 for i in range(n)])
+    degenerate = dict(mode="R", lambda_orth=0.1, dropout_p=0.0)
+    with pytest.raises(ConfigError, match="dropout_p > 0 or lambda_orth = 0"):
+        graph_inputs(g, small_config(**degenerate))
+    for escape in ({"dropout_p": 0.5}, {"lambda_orth": 0.0}, {"mode": "I"}):
+        _, positional = graph_inputs(g, small_config(**{**degenerate, **escape}))
+        assert np.ptp(positional, axis=0).max() <= 1e-12
 
 
 def test_aggregate_closed_forms():
