@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .graph import Graph, induced_edge_sums
+from .graph import Graph
 from .polynomials import BasisKind, filter_response
 from .autodiff import make_rng
+from .spectral import local_histograms
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,11 @@ def centroid_curves(
 def homophily_histogram(graph: Graph, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Per-node local label homophily over k-hop induced edges.
 
-    One blockwise :func:`~diverspec.graph.induced_edge_sums` pass, no per-node
-    BFS. Nodes where the quantity is undefined (empty induced edge set) are
-    dropped; returns (node_ids, values) of the defined remainder.
+    Nodes where the quantity is undefined (empty induced edge set) are
+    dropped; returns (node_ids, values) of the defined remainder, from
+    :func:`~diverspec.spectral.local_histograms`.
     """
-    same = graph.labels[graph.edges[:, 0]] == graph.labels[graph.edges[:, 1]]
-    counts, same_counts = induced_edge_sums(graph, k, same.astype(np.float64))
-    ids = np.flatnonzero(counts)
-    return ids, same_counts[ids] / counts[ids]
+    return local_histograms(graph, k)[:2]
 
 
 def pca_2d(weights: np.ndarray) -> np.ndarray:

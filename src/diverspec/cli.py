@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import centroid_curves, cluster_weights, homophily_histogram
+from .analysis import centroid_curves, cluster_weights
 from .autodiff import make_rng
 from .config import config_hash, load_config, resolved_dict
 from .datasets import load_dataset
@@ -32,7 +32,7 @@ from .errors import ConfigError, DataError, DiverspecError, NumericalError, Usag
 from .graph import edge_homophily
 from .model import DsfConfig
 from .polynomials import Bernstein, Jacobi, Monomial, filter_response, rescale_coefficients
-from .spectral import HISTOGRAM_BANDS, eigendecompose, frequency_histogram
+from .spectral import HISTOGRAM_BANDS, band_eigen_index, eigendecompose, local_histograms
 from .graph import normalized_operators
 from .training import make_splits, run_grid
 
@@ -80,15 +80,19 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)
-    ids, values = homophily_histogram(graph, k=args.k_hops)
     _, l_hat = normalized_operators(graph)
-    decomposition = eigendecompose(l_hat, dense_limit=args.dense_limit)
+    decomposition = eigendecompose(
+        l_hat,
+        dense_limit=args.dense_limit,
+        indices=[band_eigen_index(graph.num_nodes, band) for band in bands],
+    )
+    ids, values, histograms = local_histograms(graph, args.k_hops, decomposition, bands)
     _write_text(
         out / "homophily.csv",
         _csv_lines("node_id,value", zip(ids, (_fmt(v) for v in values))),
     )
     for band in bands:
-        hist = frequency_histogram(graph, decomposition, band, k=args.k_hops)
+        hist = histograms[band]
         _write_text(
             out / f"frequency_{band}.csv",
             _csv_lines("node_id,value", zip(hist.node_ids, (_fmt(v) for v in hist.values))),

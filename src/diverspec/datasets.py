@@ -13,7 +13,9 @@ malformed input with file names and line numbers.
 
 from __future__ import annotations
 
+import io
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,11 @@ from .autodiff import make_rng
 from .graph import Graph, build_graph
 
 META_KEYS = ("name", "num_nodes", "num_features", "num_classes")
+# Bytes of a nodes.tsv whose features ``np.loadtxt`` parses exactly as
+# ``float`` does: decimals, inf/nan spellings, spaces and the two separators.
+# Other whitespace (\x1c-\x1f, lone \r) and ``_`` digit grouping parse
+# differently, so such files take the per-line path.
+_PLAIN_NODE_BYTES = b"0123456789+-.eEinfatyINFATY \t\n,"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -87,51 +94,108 @@ def load_dataset(directory: str | Path) -> Graph:
             )
             edges.append((src, dst))
 
+    features, labels = _read_nodes(nodes_path, n, num_features, num_classes)
+    return build_graph(edges, n, features, labels, num_classes)
+
+
+def _read_nodes(
+    nodes_path: Path, n: int, num_features: int, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels from ``nodes.tsv``, read once.
+
+    Plain files are parsed in bulk. Anything the bulk parse does not accept
+    goes through :func:`_parse_node_lines`, which raises the first problem
+    in line order.
+    """
+    raw = nodes_path.read_bytes()
+    if raw.translate(None, _PLAIN_NODE_BYTES):
+        # The same lines as iterating the file opened with newline="".
+        lines = io.StringIO(raw.decode("utf-8"), newline="")
+    else:
+        lines = raw.decode("ascii").split("\n")
+        del raw  # one file-sized buffer fewer while parsing
+        parsed = _parse_plain_nodes(lines, n, num_features, num_classes)
+        if parsed is not None:
+            return parsed
+    return _parse_node_lines(nodes_path, lines, n, num_features, num_classes)
+
+
+def _parse_plain_nodes(
+    lines: list[str], n: int, num_features: int, num_classes: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One ``np.loadtxt`` over the feature fields; ``None`` on any problem."""
+    try:
+        rows = [line.split("\t") for line in lines if line]
+        ids = np.array([int(node) for node, _, _ in rows], dtype=np.int64)
+        labels = np.array([int(label) for _, label, _ in rows], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    texts = [feats for _, _, feats in rows]
+    if not (
+        np.array_equal(np.sort(ids), np.arange(n))
+        and ((labels >= 0) & (labels < num_classes)).all()
+        and all(feats and feats.count(",") + 1 == num_features for feats in texts)
+    ):
+        return None
+    try:
+        features = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if features.shape != (n, num_features):
+        return None
+    if (np.diff(ids) < 0).any():
+        order = np.argsort(ids)
+        features, labels = features[order], labels[order]
+    return features, labels
+
+
+def _parse_node_lines(
+    nodes_path: Path, lines: Iterable[str], n: int, num_features: int, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line parse of ``nodes.tsv`` that names the file and line of each problem."""
     labels = np.full(n, -1, dtype=np.int64)
     features = np.zeros((n, num_features))
     seen = np.zeros(n, dtype=bool)
-    with open(nodes_path, encoding="utf-8", newline="") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            _require(
-                len(parts) == 3,
-                f"{nodes_path} line {lineno}: expected 'id<TAB>label<TAB>features', got {line!r}",
-            )
-            try:
-                node = int(parts[0])
-                label = int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{nodes_path} line {lineno}: id and label must be integers"
-                ) from None
-            _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
-            _require(not seen[node], f"{nodes_path} line {lineno}: duplicate id {node}")
-            _require(
-                0 <= label < num_classes,
-                f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
-            )
-            fields = parts[2].split(",") if parts[2] else []
-            _require(
-                len(fields) == num_features,
-                f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
-            )
-            try:
-                features[node] = [float(f) for f in fields]
-            except ValueError:
-                raise DataError(
-                    f"{nodes_path} line {lineno}: features must be decimal numbers"
-                ) from None
-            seen[node] = True
-            labels[node] = label
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        _require(
+            len(parts) == 3,
+            f"{nodes_path} line {lineno}: expected 'id<TAB>label<TAB>features', got {line!r}",
+        )
+        try:
+            node = int(parts[0])
+            label = int(parts[1])
+        except ValueError:
+            raise DataError(
+                f"{nodes_path} line {lineno}: id and label must be integers"
+            ) from None
+        _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
+        _require(not seen[node], f"{nodes_path} line {lineno}: duplicate id {node}")
+        _require(
+            0 <= label < num_classes,
+            f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
+        )
+        fields = parts[2].split(",") if parts[2] else []
+        _require(
+            len(fields) == num_features,
+            f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
+        )
+        try:
+            features[node] = [float(f) for f in fields]
+        except ValueError:
+            raise DataError(
+                f"{nodes_path} line {lineno}: features must be decimal numbers"
+            ) from None
+        seen[node] = True
+        labels[node] = label
 
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise DataError(f"{nodes_path}: no row for node {missing}")
-
-    return build_graph(edges, n, features, labels, num_classes)
+    return features, labels
 
 
 def save_dataset(graph: Graph, name: str, directory: str | Path) -> None:

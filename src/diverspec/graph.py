@@ -228,21 +228,27 @@ def identity_blocks(n: int) -> Iterator[tuple[slice, np.ndarray]]:
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
 
-    ``values`` has one entry per canonical edge. The k-hop reach matrix R
-    (identity times ``A + I``, k times, kept 0/1) is built densely over
+    ``values`` is (E,) or (E, c), one entry or row per canonical edge, and the
+    sums come back (N,) or (N, c). The k-hop reach matrix R (identity times
+    ``A + I``, k times, kept 0/1) is built once for all columns, densely over
     :func:`identity_blocks` as columns of R^T, so memory is O(N * block); for
-    the symmetric edge matrix W, ``rowsum((R @ W) * R)`` counts each induced edge twice.
+    the symmetric edge matrix W of a column, ``rowsum((R @ W) * R)`` counts
+    each induced edge twice.
     """
     if k < 0:
         raise DataError(f"hop count must be nonnegative, got {k}")
-    n, adjacency, weights = graph.num_nodes, graph.adjacency, edge_matrix(graph, values)
-    counts, sums = np.zeros(n), np.zeros(n)
+    values = np.asarray(values, dtype=np.float64)
+    columns = values[:, None] if values.ndim == 1 else values
+    n, adjacency = graph.num_nodes, graph.adjacency
+    weights = [edge_matrix(graph, column) for column in columns.T]
+    counts, sums = np.zeros(n), np.zeros((n, len(weights)))
     for nodes, reach in identity_blocks(n):
         for _ in range(k):
             reach = ((adjacency @ reach + reach) > 0).astype(np.float64)
         counts[nodes] = np.einsum("ij,ij->j", adjacency @ reach, reach)
-        sums[nodes] = np.einsum("ij,ij->j", weights @ reach, reach)
-    return (counts / 2).astype(np.int64), sums / 2
+        for column, w in enumerate(weights):
+            sums[nodes, column] = np.einsum("ij,ij->j", w @ reach, reach)
+    return (counts / 2).astype(np.int64), (sums / 2).reshape(n, *values.shape[1:])
 
 
 def local_label_homophily(graph: Graph, node: int, k: int) -> float | None:

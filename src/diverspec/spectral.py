@@ -8,6 +8,7 @@ fraction of the global eigenvalue.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,14 @@ from .errors import DataError, UsageError
 from .graph import Graph, SparseOperator, induced_edge_sums, k_hop
 
 HISTOGRAM_BANDS = ("low", "mid", "high")
+# A computed eigenvector is fixed only to about eps * ||L|| / gap, where gap is
+# the distance to the nearest other eigenvalue (the spectrum lies in [0, 2]).
+# At or below this gap, inverse iteration on the tridiagonal and the full eigh
+# may return different vectors of a near-degenerate cluster; a repeated
+# eigenvalue (gap ~ 1e-16) makes the pick arbitrary. The band path then
+# returns the full eigh columns instead. On the benchmark's Chameleon-shaped
+# graphs the band gaps are 6e-5 or more, where the two agree to about 1e-14.
+_BAND_GAP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -24,15 +33,27 @@ class SpectralDecomposition:
 
     ``eigenvectors[:, n]`` is the unit eigenvector for ``eigenvalues[n]``,
     sign-fixed so its largest-magnitude entry (lowest index on ties) is
-    positive.
+    positive. ``indices`` is ``None`` when every pair is present; otherwise
+    column n holds the pair at ascending position ``indices[n]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    indices: tuple[int, ...] | None = None
 
     @property
     def num_nodes(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvectors.shape[0])
+
+    def pair(self, index: int) -> tuple[float, np.ndarray]:
+        """Eigenvalue and eigenvector at 0-based ascending position ``index``."""
+        if self.indices is None:
+            column = index
+        elif index in self.indices:
+            column = self.indices.index(index)
+        else:
+            raise UsageError(f"eigenpair {index} is not in this decomposition")
+        return float(self.eigenvalues[column]), self.eigenvectors[:, column]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -43,12 +64,21 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose(l_hat: SparseOperator, dense_limit: int = 20000) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of the normalized Laplacian.
+def eigendecompose(
+    l_hat: SparseOperator,
+    dense_limit: int = 20000,
+    indices: Iterable[int] | None = None,
+) -> SpectralDecomposition:
+    """Symmetric eigendecomposition of the normalized Laplacian.
 
-    Densifies and calls LAPACK (tridiagonalization + QR), so the operator
-    size is capped at ``dense_limit``. Raises :class:`UsageError` for a
-    non-symmetric operator or one over the cap.
+    Densifies the operator, so its size is capped at ``dense_limit``. With
+    ``indices=None`` every pair comes from ``np.linalg.eigh`` (LAPACK
+    ``syevd``: tridiagonalization, then divide and conquer). Otherwise only
+    the pairs at those 0-based ascending positions are computed, by
+    :func:`_selected_pairs`; if one of them lies within ``_BAND_GAP`` of a
+    neighbouring eigenvalue, the full ``eigh`` columns are returned instead.
+    Raises :class:`UsageError` for a non-symmetric operator, one over the
+    cap, or an index outside ``[0, N)``.
     """
     if not l_hat.symmetric:
         raise UsageError("eigendecompose requires a symmetric operator")
@@ -57,8 +87,57 @@ def eigendecompose(l_hat: SparseOperator, dense_limit: int = 20000) -> SpectralD
         raise UsageError(
             f"operator has {n} nodes, over the dense eigensolver cap {dense_limit}"
         )
-    values, vectors = np.linalg.eigh(l_hat.dense())
-    return SpectralDecomposition(eigenvalues=values, eigenvectors=_fix_signs(vectors))
+    if indices is None:
+        values, vectors = np.linalg.eigh(l_hat.dense())
+        return SpectralDecomposition(eigenvalues=values, eigenvectors=_fix_signs(vectors))
+
+    indices = tuple(sorted({int(i) for i in indices}))
+    if indices and not 0 <= indices[0] <= indices[-1] < n:
+        raise UsageError(f"eigenpair indices {indices} outside [0, {n})")
+    pairs = _selected_pairs(l_hat.dense(), indices)
+    if pairs is None:
+        values, vectors = np.linalg.eigh(l_hat.dense())
+        pairs = values[list(indices)], vectors[:, list(indices)]
+    return SpectralDecomposition(pairs[0], _fix_signs(pairs[1]), indices)
+
+
+def _selected_pairs(
+    matrix: np.ndarray, indices: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenpairs at ``indices`` from one tridiagonal reduction, overwriting ``matrix``.
+
+    ``dsytrd`` reduces the symmetric matrix to T = Q^T A Q in place (the
+    transpose is the Fortran-ordered view of the same symmetric array).
+    Each index gets bisection and inverse iteration on T together with its
+    neighbours, whose eigenvalues give the gap. Only the selected vectors
+    are carried back through the Householder reflectors of Q. Returns
+    ``None`` when a gap is at or below ``_BAND_GAP``.
+    """
+    # Imported here: scipy.linalg adds about 6 MB and 0.4 s to every command,
+    # and only this path needs it.
+    from scipy.linalg import eigh_tridiagonal, lapack
+
+    n = matrix.shape[0]
+    if not indices:
+        return np.empty(0), np.empty((n, 0))
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    packed, diag, off, tau, _ = lapack.dsytrd(
+        matrix.T, lower=1, lwork=int(lwork), overwrite_a=1
+    )
+    values, vectors = np.empty(len(indices)), np.empty((n, len(indices)))
+    for column, index in enumerate(indices):
+        lo, hi = max(index - 1, 0), min(index + 1, n - 1)
+        window, window_vectors = eigh_tridiagonal(diag, off, select="i", select_range=(lo, hi))
+        if np.diff(window).min(initial=np.inf) <= _BAND_GAP:
+            return None
+        values[column], vectors[:, column] = window[index - lo], window_vectors[:, index - lo]
+    # Q = H_0 H_1 ... H_{n-2}; H_r = I - tau_r v v^T with v[r + 1] = 1 and
+    # v[r + 2:] stored below the subdiagonal in column r.
+    packed[np.arange(1, n), np.arange(n - 1)] = 1.0
+    for r in range(n - 2, -1, -1):
+        v = packed[r + 1 :, r]
+        vectors[r + 1 :] -= np.outer(tau[r] * v, v @ vectors[r + 1 :])
+    return values, vectors
 
 
 def _edge_summands(graph: Graph, vector: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -142,27 +221,49 @@ class FrequencyHistogram:
     k: int
 
 
+def local_histograms(
+    graph: Graph,
+    k: int,
+    decomposition: SpectralDecomposition | None = None,
+    bands: tuple[str, ...] | list[str] = (),
+) -> tuple[np.ndarray, np.ndarray, dict[str, FrequencyHistogram]]:
+    """Local homophily and every band's local-frequency histogram from one reach sweep.
+
+    One blockwise :func:`~diverspec.graph.induced_edge_sums` pass over an
+    (E, 1 + len(bands)) value matrix: same-label indicators, then each band
+    eigenvector's per-edge terms, with no per-node BFS. Returns
+    ``(node_ids, homophily, {band: FrequencyHistogram})``; every histogram
+    covers ``node_ids``, the nodes with a nonempty k-hop induced edge set.
+    The values equal :func:`~diverspec.graph.local_label_homophily` and
+    :func:`local_graph_frequency` up to float summation order.
+    """
+    same = graph.labels[graph.edges[:, 0]] == graph.labels[graph.edges[:, 1]]
+    columns, pairs = [same.astype(np.float64)], {}
+    for band in bands:
+        index = band_eigen_index(graph.num_nodes, band)
+        lam, vector = decomposition.pair(index)
+        pairs[band] = index, lam, len(columns)
+        columns.append(_edge_summands(graph, vector, graph.edges))
+    counts, sums = induced_edge_sums(graph, k, np.stack(columns, axis=1))
+    ids = np.flatnonzero(counts)
+    histograms = {
+        band: FrequencyHistogram(
+            node_ids=ids,
+            values=sums[ids, column],
+            eigen_index=index + 1,
+            lambda_global=lam,
+            k=k,
+        )
+        for band, (index, lam, column) in pairs.items()
+    }
+    return ids, sums[ids, 0] / counts[ids], histograms
+
+
 def frequency_histogram(
     graph: Graph,
     decomposition: SpectralDecomposition,
     band: str,
     k: int = 2,
 ) -> FrequencyHistogram:
-    """Local-frequency histogram for the eigenvector selected by ``band``.
-
-    One blockwise :func:`~diverspec.graph.induced_edge_sums` pass, no per-node
-    BFS; equals :func:`local_graph_frequency` up to float summation order.
-    """
-    index = band_eigen_index(graph.num_nodes, band)
-    vector = decomposition.eigenvectors[:, index]
-    lam = float(decomposition.eigenvalues[index])
-
-    counts, sums = induced_edge_sums(graph, k, _edge_summands(graph, vector, graph.edges))
-    ids = np.flatnonzero(counts)
-    return FrequencyHistogram(
-        node_ids=ids,
-        values=sums[ids],
-        eigen_index=index + 1,
-        lambda_global=lam,
-        k=k,
-    )
+    """Local-frequency histogram of the ``band`` eigenvector; see :func:`local_histograms`."""
+    return local_histograms(graph, k, decomposition, (band,))[2][band]

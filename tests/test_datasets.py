@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diverspec import load_dataset, random_graph, save_dataset, two_block_graph
+from diverspec import datasets, load_dataset, random_graph, save_dataset, two_block_graph
 from diverspec.errors import DataError
 from tests.conftest import toy_graph
 
@@ -177,3 +180,86 @@ def test_synthetic_builders_are_pinned(builder, kwargs, expected):
     for array, dtype in ((g.edges, np.int64), (g.features, np.float64), (g.labels, np.int64)):
         digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
     assert digest.hexdigest() == expected
+
+
+# --- bulk nodes.tsv parse against the per-line checker ----------------------
+
+
+def per_line_nodes(path):
+    """The per-line checker's reading of ``nodes.tsv``: (features, labels) or its error."""
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    with open(path / "nodes.tsv", encoding="utf-8", newline="") as handle:
+        try:
+            return datasets._parse_node_lines(
+                path / "nodes.tsv", handle, meta["num_nodes"], meta["num_features"],
+                meta["num_classes"],
+            )
+        except DataError as exc:
+            return str(exc)
+
+
+def assert_loader_matches_per_line_checker(path):
+    expected = per_line_nodes(path)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == expected
+    else:
+        graph = load_dataset(path)
+        features, labels = expected
+        np.testing.assert_array_equal(graph.features.view(np.int64), features.view(np.int64))
+        np.testing.assert_array_equal(graph.labels, labels)
+
+
+def edit_feature(lines, row, column, token):
+    head, label, feats = lines[row].split("\t")
+    fields = feats.split(",")
+    fields[column] = token
+    lines[row] = f"{head}\t{label}\t{','.join(fields)}"
+
+
+NODE_EDITS = {
+    "non-numeric": lambda lines: edit_feature(lines, 3, 1, "abc"),
+    "hash": lambda lines: edit_feature(lines, 2, 0, "#1"),
+    "empty-field": lambda lines: edit_feature(lines, 5, 2, ""),
+    "underscore": lambda lines: edit_feature(lines, 1, 1, "1_0"),
+    "file-separator": lambda lines: edit_feature(lines, 1, 1, "\x1c1"),
+    "field-count": lambda lines: lines.__setitem__(4, lines[4] + ",1.0"),
+    "out-of-order": lambda lines: lines.reverse(),
+    "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+}
+
+
+@pytest.mark.parametrize("edit", NODE_EDITS.values(), ids=NODE_EDITS.keys())
+def test_loader_matches_the_per_line_checker(dataset_dir, edit):
+    path, _ = dataset_dir
+    lines = (path / "nodes.tsv").read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    (path / "nodes.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    assert_loader_matches_per_line_checker(path)
+
+
+def _no_per_line_parse(*args, **kwargs):
+    raise AssertionError("a plain nodes.tsv fell back to the per-line parse")
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_save_load_round_trip_is_bit_identical(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 6))
+    f = data.draw(st.integers(1, 5))
+    features = np.array(data.draw(st.lists(finite_floats, min_size=n * f, max_size=n * f)))
+    graph = toy_graph([(0, n - 1)], labels=[0] * n, features=features.reshape(n, f))
+    path = tmp_path_factory.mktemp("round-trip")
+    save_dataset(graph, "round-trip", path)
+    with mock.patch.object(datasets, "_parse_node_lines", _no_per_line_parse):
+        loaded = load_dataset(path)
+    np.testing.assert_array_equal(
+        loaded.features.view(np.int64), graph.features.view(np.int64)
+    )

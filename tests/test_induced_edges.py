@@ -1,9 +1,9 @@
 """Blockwise induced-edge sums against the per-node BFS oracles.
 
 ``induced_edge_sums`` gives both diagnose histograms their per-node sums
-without a BFS per node; these tests hold it, and the histograms built on it,
-to ``k_hop``, ``local_label_homophily`` and ``local_graph_frequency`` node by
-node.
+without a BFS per node, every value column in one sweep; these tests hold it,
+and the histograms built on it, to ``k_hop``, ``local_label_homophily`` and
+``local_graph_frequency`` node by node.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from diverspec import (
 )
 from diverspec.errors import DataError
 from diverspec.graph import _REACH_BLOCK, edge_matrix, induced_edge_sums
-from diverspec.spectral import HISTOGRAM_BANDS
+from diverspec.spectral import HISTOGRAM_BANDS, band_eigen_index, local_histograms
 from tests.conftest import toy_graph
 
 
@@ -51,16 +51,33 @@ def assert_histograms_match_oracles(graph, k):
         assert counts[node] == edges.shape[0]
         assert sums[node] == values[inside].sum()
 
+    # One sweep over an (E, 3) matrix equals one call per column, bit for bit;
+    # an edgeless graph gives a (0, 3) matrix.
+    matrix = np.stack([values, values[::-1], values % 3 == 0], axis=1)
+    matrix_counts, matrix_sums = induced_edge_sums(graph, k, matrix)
+    np.testing.assert_array_equal(matrix_counts, counts)
+    assert matrix_sums.shape == (graph.num_nodes, 3)
+    for column in range(3):
+        _, column_sums = induced_edge_sums(graph, k, matrix[:, column])
+        np.testing.assert_array_equal(matrix_sums[:, column], column_sums)
+
     ids, homophily = homophily_histogram(graph, k)
     np.testing.assert_array_equal(ids, defined)
     for node, h in zip(ids, homophily):
         assert h == local_label_homophily(graph, int(node), k)
 
-    decomposition = eigendecompose(normalized_operators(graph)[1])
+    indices = [band_eigen_index(graph.num_nodes, band) for band in HISTOGRAM_BANDS]
+    decomposition = eigendecompose(normalized_operators(graph)[1], indices=indices)
+    swept_ids, swept_homophily, swept = local_histograms(
+        graph, k, decomposition, HISTOGRAM_BANDS
+    )
+    np.testing.assert_array_equal(swept_ids, ids)
+    np.testing.assert_array_equal(swept_homophily, homophily)
     for band in HISTOGRAM_BANDS:
         hist = frequency_histogram(graph, decomposition, band, k)
+        np.testing.assert_array_equal(swept[band].values, hist.values)
         np.testing.assert_array_equal(hist.node_ids, defined)
-        vector = decomposition.eigenvectors[:, hist.eigen_index - 1]
+        _, vector = decomposition.pair(hist.eigen_index - 1)
         expected = [local_graph_frequency(graph, vector, int(node), k) for node in defined]
         np.testing.assert_allclose(hist.values, expected, rtol=0.0, atol=1e-12)
 

@@ -19,6 +19,7 @@ from diverspec import (
 )
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
+from diverspec.spectral import HISTOGRAM_BANDS
 from tests.conftest import connected_random_graph, toy_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -165,3 +166,90 @@ def test_frequency_histogram_high_band_metadata():
     assert hist.eigen_index == 12
     assert hist.k == 1
     assert abs(hist.lambda_global - dec.eigenvalues[-1]) < 1e-12
+
+
+# --- band path: selected eigenpairs from one tridiagonal reduction ----------
+
+
+def cycle_graph(n: int):
+    return toy_graph([(i, (i + 1) % n) for i in range(n)], labels=[0] * n)
+
+
+def _no_full_eigh(*args, **kwargs):
+    raise AssertionError("the band path fell back to the full eigh")
+
+
+def test_band_path_matches_full_eigh_on_gapped_indices(monkeypatch):
+    g = connected_random_graph(80, edge_prob=0.08, seed=4)
+    _, l_hat = normalized_operators(g)
+    full = eigendecompose(l_hat)
+    wanted = (0, 17, 40, 79)
+    padded = np.concatenate([[-np.inf], full.eigenvalues, [np.inf]])
+    assert min(np.diff(padded)[i : i + 2].min() for i in wanted) > 1e-3
+
+    monkeypatch.setattr(np.linalg, "eigh", _no_full_eigh)
+    band = eigendecompose(l_hat, indices=[40, 0, 79, 17, 17])
+    assert band.indices == wanted
+    np.testing.assert_allclose(
+        band.eigenvalues, full.eigenvalues[list(wanted)], rtol=0.0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        band.eigenvectors, full.eigenvectors[:, list(wanted)], rtol=0.0, atol=1e-10
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle_graph(10), toy_graph([(0, i) for i in range(1, 6)], labels=[1, 0, 0, 0, 0, 0])],
+    ids=["cycle10", "star6"],
+)
+def test_band_path_returns_full_eigh_columns_for_a_repeated_eigenvalue(graph):
+    _, l_hat = normalized_operators(graph)
+    full = eigendecompose(l_hat)
+    mid = band_eigen_index(graph.num_nodes, "mid")
+    assert np.diff(full.eigenvalues)[mid - 1 : mid + 1].min() < 1e-12
+
+    band = eigendecompose(
+        l_hat, indices=[band_eigen_index(graph.num_nodes, b) for b in HISTOGRAM_BANDS]
+    )
+    chosen = list(band.indices)
+    np.testing.assert_array_equal(band.eigenvalues, full.eigenvalues[chosen])
+    np.testing.assert_array_equal(band.eigenvectors, full.eigenvectors[:, chosen])
+
+
+@pytest.mark.parametrize(
+    "edges, n", [([], 1), ([(0, 1)], 2), ([], 2)], ids=["one-node", "k2", "two-isolated"]
+)
+def test_band_path_on_one_and_two_nodes(edges, n):
+    _, l_hat = normalized_operators(toy_graph(edges, labels=[0] * n))
+    full = eigendecompose(l_hat)
+    band = eigendecompose(l_hat, indices=range(n))
+    assert band.indices == tuple(range(n))
+    np.testing.assert_allclose(band.eigenvalues, full.eigenvalues, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(band.eigenvectors, full.eigenvectors, rtol=0.0, atol=1e-10)
+
+
+def test_band_path_errors_match_the_full_path(p3):
+    asymmetric = SparseOperator(sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]])), False)
+    _, l_hat = normalized_operators(p3)
+    for operator, limit in ((asymmetric, 20000), (l_hat, 2)):
+        messages = []
+        for indices in (None, [0]):
+            with pytest.raises(UsageError) as info:
+                eigendecompose(operator, dense_limit=limit, indices=indices)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    with pytest.raises(UsageError, match="outside"):
+        eigendecompose(l_hat, indices=[3])
+
+
+def test_partial_decomposition_pair_lookup(p3):
+    _, l_hat = normalized_operators(p3)
+    full = eigendecompose(l_hat)
+    band = eigendecompose(l_hat, indices=[2, 0])
+    assert band.num_nodes == 3
+    lam, vector = band.pair(2)
+    assert abs(lam - full.eigenvalues[2]) < 1e-12
+    np.testing.assert_allclose(vector, full.eigenvectors[:, 2], rtol=0.0, atol=1e-10)
+    with pytest.raises(UsageError, match="not in this decomposition"):
+        band.pair(1)
