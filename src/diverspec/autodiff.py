@@ -3,11 +3,11 @@
 Every tracked quantity is a :class:`Value` wrapping a 2-D array. Operations
 build a DAG; :func:`backward` replays it once in reverse topological order,
 accumulating gradients into the leaves. The op set is exactly what the
-filter model needs - dense linear algebra, ``hstack`` for the weight table,
-one fused ``polynomial_filter`` (the :mod:`.polynomials` recurrence forward,
-its adjoint backward), a few elementwise nonlinearities, masked
-cross-entropy, and a column-normalization used by the orthogonality
-penalty. Gradients never flow into sparse graph operators.
+filter model needs - dense linear algebra, ``column_dots`` and
+``prefix_product`` for the gate table, one fused ``polynomial_filter`` (the
+:mod:`.polynomials` recurrence forward, its adjoint backward), a few
+elementwise nonlinearities, masked cross-entropy, and a column-normalization
+used by the orthogonality penalty. Gradients never flow into sparse graph operators.
 
 Randomness (initialization, dropout masks) always comes from explicitly
 passed generators built on a counter-based Philox stream, so every run is
@@ -67,8 +67,9 @@ class Value:
 
     def accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad.copy()  # ops such as ``add`` hand one array to several parents
+        else:
+            self.grad += grad
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -193,18 +194,41 @@ def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperato
     return _make(combine_terms(columns, terms), (table, x), backward_fn)
 
 
-def hstack(columns: Sequence[Value]) -> Value:
-    """Values with equal row counts, concatenated side by side."""
-    if len({c.shape[0] for c in columns}) != 1:
-        raise UsageError(f"hstack: row counts differ in {[c.shape for c in columns]}")
-    bounds = np.cumsum([0] + [c.shape[1] for c in columns])
+def column_dots(states: Sequence[Value], w: Value) -> Value:
+    """The (N, G) table whose column k is ``states[k] @ w[:, k]`` for G states."""
+    shapes = {s.shape for s in states}
+    if len(states) != w.shape[1] or shapes != {(states[0].shape[0], w.shape[0])}:
+        raise UsageError(f"column_dots: states {sorted(shapes)} do not pair with w {w.shape}")
 
     def backward_fn(grad: np.ndarray) -> None:
-        for c, lo, hi in zip(columns, bounds[:-1], bounds[1:]):
-            if c.requires_grad:
-                c.accumulate(grad[:, lo:hi])
+        if w.requires_grad:
+            w.accumulate(np.stack([s.data.T @ grad[:, k] for k, s in enumerate(states)], axis=1))
+        for k, s in enumerate(states):
+            if s.requires_grad:
+                s.accumulate(np.outer(grad[:, k], w.data[:, k]))
 
-    return _make(np.hstack([c.data for c in columns]), tuple(columns), backward_fn)
+    out = np.stack([s.data @ w.data[:, k] for k, s in enumerate(states)], axis=1)
+    return _make(out, (*states, w), backward_fn)
+
+
+def prefix_product(x: Value) -> Value:
+    """(N, K+1) running products ``prod_{s<k} x[:, s]`` of an (N, K) value's columns.
+
+    Column 0 is the empty product 1. The backward never divides: an entry may be 0.
+    """
+    out = np.ones((x.shape[0], x.shape[1] + 1))
+    np.cumprod(x.data, axis=1, out=out[:, 1:])
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            # suffix[:, s] = sum_{k>s} grad[:, k] * prod_{s<j<k} x[:, j]
+            suffix = np.empty_like(x.data)
+            suffix[:, -1] = grad[:, -1]
+            for s in range(x.shape[1] - 2, -1, -1):
+                suffix[:, s] = grad[:, s + 1] + x.data[:, s + 1] * suffix[:, s + 1]
+            x.accumulate(out[:, :-1] * suffix)
+
+    return _make(out, (x,), backward_fn)
 
 
 def sigmoid(x: Value) -> Value:
@@ -391,7 +415,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Value], state: AdamState) -> None:
-    """One Adam update with bias correction over every parameter with a grad.
+    """One in-place Adam update with bias correction over every parameter with a grad.
 
     Weight decay is the additive-L2 convention: decay * param joins the
     gradient before the moment updates. Parameters whose grad is ``None``
@@ -405,10 +429,13 @@ def adam_step(params: dict[str, Value], state: AdamState) -> None:
         g = p.grad
         if state.weight_decay:
             g = g + state.weight_decay * p.data
-        m, v = state.moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.moments[name] = (m, v)
+        if name not in state.moments:
+            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = state.moments[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Atomic write of text chunks: temp file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,11 +61,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)  # never one big string
+    _write_text(path, itertools.chain(chunks, ["\n"]))
 
 
-def _csv_lines(header: str, rows) -> str:
-    return "".join([header + "\n"] + [",".join(str(c) for c in row) + "\n" for row in rows])
+def _csv_lines(header: str, rows) -> list[str]:
+    return [header + "\n"] + [",".join(str(c) for c in row) + "\n" for row in rows]
 
 
 def _fmt(x: float) -> str:
@@ -171,14 +174,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
     )
 
-    checkpoint = {
-        "config_hash": digest,
-        "params": {
-            name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
-            for name, arr in grid.last_run.params.items()
-        },
+    params = {
+        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        for name, arr in grid.last_run.params.items()
     }
-    _write_json(out / f"checkpoint-{variant}.json", checkpoint)
+    _write_json(out / f"checkpoint-{variant}.json", {"config_hash": digest, "params": params})
 
     betas = grid.last_run.betas
     header = "node_id," + ",".join(f"beta_{k}" for k in range(betas.shape[1]))

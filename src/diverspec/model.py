@@ -7,14 +7,14 @@ coefficients. Every node therefore runs its own spectral filter while
 parameter count stays within a constant factor of the shared backbone.
 
 Two variants are exposed: mode "I" couples position refinement to a learned
-node-similarity correction; mode "R" drops that correction (its weight is
-pinned to zero, and the similarity term is never even computed) and instead
+node-similarity correction; mode "R" drops that correction (eta2 is pinned
+to zero, so neither the similarity term nor its weight exists) and instead
 regularizes positional columns toward orthogonality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -108,11 +108,13 @@ class DsfConfig:
 
 @dataclass
 class DsfParams:
-    """All trainable parameters as named autodiff leaves.
+    """All trainable parameters as named autodiff leaves, one tensor per group.
 
-    Per-order structures (gate heads, shared coefficients) hold exactly
-    K + 1 entries. In the no-refinement ablation the positional pipeline is
-    replaced by ``beta_free``, a directly trained (N, K+1) weight table.
+    ``gate_w`` (d, G) and ``gate_b`` (1, G) hold one gate head per gated order:
+    G = K + 1, or K for Jacobi, whose order 0 has no gate. ``gamma`` is
+    (1, K+1). ``w_ipe`` exists only when ``eta2 != 0``. In the no-refinement
+    ablation ``beta_free``, a trained (N, K+1) table, replaces the positional
+    pipeline.
     """
 
     w_in: Value
@@ -122,27 +124,14 @@ class DsfParams:
     w_pos: Value | None = None
     b_pos: Value | None = None
     w_ipe: Value | None = None
-    gate_w: list[Value] = field(default_factory=list)
-    gate_b: list[Value] = field(default_factory=list)
-    gamma: list[Value] = field(default_factory=list)
+    gate_w: Value | None = None
+    gate_b: Value | None = None
+    gamma: Value | None = None
     beta_free: Value | None = None
 
     def as_dict(self) -> dict[str, Value]:
-        out: dict[str, Value] = {"w_in": self.w_in, "b_in": self.b_in}
-        if self.w_pos is not None:
-            out["w_pos"] = self.w_pos
-            out["b_pos"] = self.b_pos
-            out["w_ipe"] = self.w_ipe
-        for k, (w, b) in enumerate(zip(self.gate_w, self.gate_b)):
-            out[f"gate_w_{k}"] = w
-            out[f"gate_b_{k}"] = b
-        for k, g in enumerate(self.gamma):
-            out[f"gamma_{k}"] = g
-        if self.beta_free is not None:
-            out["beta_free"] = self.beta_free
-        out["w_out"] = self.w_out
-        out["b_out"] = self.b_out
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value for name, value in values if value is not None}
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.as_dict().items()}
@@ -202,17 +191,19 @@ def init_params(
     if config.ablate_ipe:
         if num_nodes is None:
             raise UsageError("the no-refinement ablation needs num_nodes for its weight table")
-        params.beta_free = Value(
-            np.tile(gamma, (num_nodes, 1)), requires_grad=True
-        )
+        params.beta_free = Value(np.tile(gamma, (num_nodes, 1)), requires_grad=True)
         return params
 
     params.w_pos = mat(config.f_p, config.d)
     params.b_pos = zeros(1, config.d)
-    params.w_ipe = mat(config.d, config.d)
-    params.gate_w = [mat(config.d, 1) for _ in range(config.K + 1)]
-    params.gate_b = [zeros(1, 1) for _ in range(config.K + 1)]
-    params.gamma = [Value(np.array([[g]]), requires_grad=True) for g in gamma]
+    if config.eta2 != 0.0:
+        params.w_ipe = mat(config.d, config.d)
+    gates = config.K if config.backbone == "Jacobi" else config.K + 1
+    # Row k of a (G, d) draw is gate k's (d, 1) Glorot column, drawn in order.
+    gate_w = ad.glorot_uniform(gates, config.d, rng, fan_in=config.d, fan_out=1).T
+    params.gate_w = Value(gate_w, requires_grad=True)
+    params.gate_b = zeros(1, gates)
+    params.gamma = Value(gamma[None, :], requires_grad=True)
     return params
 
 
@@ -314,45 +305,26 @@ def ipe_step(
     )
 
 
-def node_theta(p_k: Value, gate_w: Value, gate_b: Value, sigma_p: str) -> Value:
-    """Per-node gate for one order: sigma_p(P^(k) w + b), an (N, 1) column."""
-    pre = ad.add(ad.matmul(p_k, gate_w), gate_b)
+def node_theta(states: Sequence[Value], gate_w: Value, gate_b: Value, sigma_p: str) -> Value:
+    """The (N, G) gate table: column k is sigma_p(P^(k) w_k + b_k) for ``states[k]``."""
+    pre = ad.add(ad.column_dots(states, gate_w), gate_b)
     return ad.sigmoid(pre) if sigma_p == "Sigmoid" else ad.tanh(pre)
 
 
-def lgwd_beta(
-    thetas: Sequence[Value | None],
-    params: DsfParams,
-    config: DsfConfig,
-    num_nodes: int,
-) -> list[Value]:
-    """Node-wise filter weights from gates and shared coefficients.
+def lgwd_beta(thetas: Value, params: DsfParams, config: DsfConfig) -> Value:
+    """The (N, K+1) node-wise filter weights from gates and shared coefficients.
 
-    GPR: beta_k = gamma_k * theta_k. Bern: the same with gamma rectified, so
-    Sigmoid gates keep every weight nonnegative. Jacobi: beta follows the
-    coefficient-decomposition discipline beta_k = gamma_k * prod_{s<=k}
-    rho_s with rho the gates of orders 1..k (order 0 is the bare gamma_0).
+    ``thetas`` is the (N, G) gate table of :func:`node_theta`, or all ones for
+    the homogeneous baseline. GPR: beta_k = gamma_k * theta_k. Bern: the
+    same with gamma rectified, so Sigmoid gates keep every weight
+    nonnegative. Jacobi: beta follows the coefficient-decomposition
+    discipline beta_k = gamma_k * prod_{s<=k} rho_s with rho the K gates of
+    orders 1..k (order 0 is the bare gamma_0).
     """
-    ones = Value(np.ones((num_nodes, 1)))
-    betas: list[Value] = []
+    gamma = ad.relu(params.gamma) if config.backbone == "Bern" else params.gamma
     if config.backbone == "Jacobi":
-        cumulative: Value | None = None
-        for k in range(config.K + 1):
-            if k == 0:
-                betas.append(ad.hadamard(params.gamma[0], ones))
-                continue
-            gate = thetas[k] if thetas[k] is not None else ones
-            cumulative = gate if cumulative is None else ad.hadamard(cumulative, gate)
-            betas.append(ad.hadamard(params.gamma[k], cumulative))
-        return betas
-
-    for k in range(config.K + 1):
-        gamma = params.gamma[k]
-        if config.backbone == "Bern":
-            gamma = ad.relu(gamma)
-        gate = thetas[k] if thetas[k] is not None else ones
-        betas.append(ad.hadamard(gamma, gate))
-    return betas
+        thetas = ad.prefix_product(thetas)
+    return ad.hadamard(gamma, thetas)
 
 
 @dataclass
@@ -386,7 +358,6 @@ def forward(
     ablation config (``ablate_ipe``) instead reads the weight table directly
     from the trainable ``beta_free`` parameter.
     """
-    n = features.shape[0]
     h0, p0 = project_inputs(features, positional, params, config, train, rng)
 
     if config.ablate_ipe:
@@ -399,12 +370,12 @@ def forward(
         for _ in range(config.K):
             p_list.append(ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, config.eta2))
 
-        thetas = [None] * (config.K + 1)
-        gate_orders = range(1, config.K + 1) if config.backbone == "Jacobi" else range(config.K + 1)
-        if not homogeneous:
-            for k in gate_orders:
-                thetas[k] = node_theta(p_list[k], params.gate_w[k], params.gate_b[k], config.sigma_p)
-        table = ad.hstack(lgwd_beta(thetas, params, config, n))
+        states = p_list[1:] if config.backbone == "Jacobi" else p_list
+        if homogeneous:
+            thetas = Value(np.ones((features.shape[0], len(states))))
+        else:
+            thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p)
+        table = lgwd_beta(thetas, params, config)
         p_final = p_list[-1]
 
     z = ad.polynomial_filter(table, h0, config.basis(), a_hat)

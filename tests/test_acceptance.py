@@ -179,7 +179,7 @@ def test_criterion_04_homogeneous_reduction():
         a_hat, positional, params = build_model(g, cfg, seed=40)
         result = forward(a_hat, g.features, positional, params, cfg, homogeneous=True)
 
-        gamma = np.array([gv.data[0, 0] for gv in params.gamma])
+        gamma = params.gamma.data[0]
         if backbone == "Bern":
             gamma = np.maximum(gamma, 0.0)
         h0 = np.maximum(g.features @ params.w_in.data + params.b_in.data, 0.0)
@@ -215,8 +215,8 @@ def test_criterion_06_structural_invariants():
     g = two_block_graph(6, seed=5)
     cfg = config(K=5, backbone="Bern")
     a_hat, positional, params = build_model(g, cfg, seed=11)
-    for k, gamma in enumerate(params.gamma):
-        gamma.data[...] = (-1.0) ** k * (k + 0.5)
+    k = np.arange(params.gamma.shape[1])
+    params.gamma.data[0] = (-1.0) ** k * (k + 0.5)
     assert forward(a_hat, g.features, positional, params, cfg).betas.min() >= 0.0
 
     # eta1 = 1 makes the positional state independent of the wiring.

@@ -107,16 +107,30 @@ def test_polynomial_filter_rejects_row_mismatch():
         ad.polynomial_filter(ad.Value(np.ones((2, 3))), ad.Value(np.ones((3, 1))), Monomial(), op)
 
 
-def test_hstack_gradients_and_values():
-    a, b, c = rng_arrays((4, 1), (4, 2), (4, 1), seed=5)
-    out = ad.hstack([ad.Value(a), ad.Value(b), ad.Value(c)])
-    assert np.array_equal(out.data, np.hstack([a, b, c]))
-    weight = ad.Value(rng_arrays((4, 4), seed=6)[0])
+def test_column_dots_values_and_gradients():
+    s0, s1, s2, w = rng_arrays((4, 3), (4, 3), (4, 3), (3, 3), seed=5)
+    out = ad.column_dots([ad.Value(s0), ad.Value(s1), ad.Value(s2)], ad.Value(w))
+    expected = np.stack([s0 @ w[:, 0], s1 @ w[:, 1], s2 @ w[:, 2]], axis=1)
+    assert np.abs(out.data - expected).max() < 1e-12
+    weight = ad.Value(rng_arrays((4, 3), seed=6)[0])
     check_gradients(
-        lambda x, y, z: ad.frobenius_sq(ad.hadamard(ad.hstack([x, y, z]), weight)), a, b, c
+        lambda a, b, c, v: ad.frobenius_sq(ad.hadamard(ad.column_dots([a, b, c], v), weight)),
+        s0, s1, s2, w,
     )
     with pytest.raises(UsageError):
-        ad.hstack([ad.Value(a), ad.Value(np.ones((3, 1)))])
+        ad.column_dots([ad.Value(s0), ad.Value(s1)], ad.Value(w))
+    with pytest.raises(UsageError):
+        ad.column_dots([ad.Value(s0), ad.Value(s1), ad.Value(s2[:3])], ad.Value(w))
+
+
+def test_prefix_product_values_and_gradients_through_an_exact_zero():
+    (x,) = rng_arrays((3, 4), seed=7)
+    x[1, 2] = 0.0  # a division-based backward loses every gradient through this entry
+    out = ad.prefix_product(ad.Value(x))
+    assert np.array_equal(out.data[:, 0], np.ones(3))
+    assert np.array_equal(out.data[:, 1:], np.cumprod(x, axis=1))
+    weight = ad.Value(rng_arrays((3, 5), seed=8)[0])
+    check_gradients(lambda v: ad.frobenius_sq(ad.hadamard(ad.prefix_product(v), weight)), x)
 
 
 def test_activation_gradients():
@@ -231,6 +245,12 @@ def test_gradient_accumulates_over_reuse():
     y = ad.add(ad.hadamard(x, x), ad.scalar_mul(x, 4.0))  # x^2 + 4x
     ad.backward(y)
     assert x.grad[0, 0] == 2 * 3.0 + 4.0
+
+    # add hands one array to both parents; x's second accumulation must not reach z
+    x = ad.Value(np.array([[3.0]]), requires_grad=True)
+    z = ad.Value(np.array([[5.0]]), requires_grad=True)
+    ad.backward(ad.add(ad.add(x, z), x))
+    assert (x.grad[0, 0], z.grad[0, 0]) == (2.0, 1.0)
 
 
 def test_detached_leaf_gets_no_gradient():

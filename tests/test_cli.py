@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from diverspec.analysis import homophily_histogram
-from diverspec.cli import main
+from diverspec.cli import _write_json, main
 from diverspec.datasets import load_dataset, save_dataset, two_block_graph
 from diverspec.graph import edge_homophily, local_label_homophily
 
@@ -199,14 +199,26 @@ def test_train_checkpoint_holds_every_parameter(train_dir):
     metrics = json.loads((train_dir / "metrics-dsf.json").read_text())
     assert checkpoint["config_hash"] == metrics["config_hash"]
     params = checkpoint["params"]
-    per_order = [f"{stem}_{k}" for stem in ("gate_w", "gate_b", "gamma") for k in range(4)]
-    expected = {"w_in", "b_in", "w_pos", "b_pos", "w_ipe", "w_out", "b_out", *per_order}
+    expected = {"w_in", "b_in", "w_pos", "b_pos", "gate_w", "gate_b", "gamma", "w_out", "b_out"}
     assert set(params) == expected
     for entry in params.values():
         assert len(entry["data"]) == int(np.prod(entry["shape"]))
-    assert params["gamma_0"]["shape"] == [1, 1]
+    assert params["gamma"]["shape"] == [1, 4]
+    assert params["gate_w"]["shape"] == [8, 4]  # d x (K + 1)
     assert params["w_pos"]["shape"] == [4, 8]  # f_p -> d
     assert params["w_out"]["shape"] == [8, 2]
+
+
+def test_json_outputs_are_streamed_atomically(tmp_path):
+    obj = {"b": [0.1, 1e-05, -2.5e16], "a": {"data": np.linspace(0, 1, 6).tolist()}}
+    path = tmp_path / "out" / "doc.json"
+    _write_json(path, obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # A value JSON cannot encode fails mid-stream: the old file stays, no temp file is left.
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": [1.0] * 1000, "z": object()})
+    assert json.loads(path.read_text(encoding="utf-8")) == obj
+    assert [p.name for p in path.parent.iterdir()] == ["doc.json"]
 
 
 def test_train_beta_table_shape(train_dir):

@@ -192,8 +192,8 @@ def test_node_theta_zero_parameters_hit_codomain_centers():
     p = Value(np.random.default_rng(0).standard_normal((4, 3)))
     w = Value(np.zeros((3, 1)))
     b = Value(np.zeros((1, 1)))
-    assert np.all(node_theta(p, w, b, "Sigmoid").data == 0.5)
-    assert np.all(node_theta(p, w, b, "Tanh").data == 0.0)
+    assert np.all(node_theta([p], w, b, "Sigmoid").data == 0.5)
+    assert np.all(node_theta([p], w, b, "Tanh").data == 0.0)
 
 
 def test_node_theta_depends_only_on_position_row():
@@ -201,7 +201,7 @@ def test_node_theta_depends_only_on_position_row():
     rng = np.random.default_rng(1)
     w = Value(rng.standard_normal((2, 1)))
     b = Value(rng.standard_normal((1, 1)))
-    theta = node_theta(p, w, b, "Tanh").data
+    theta = node_theta([p], w, b, "Tanh").data
     assert theta[0, 0] == theta[2, 0]
     assert theta[0, 0] != theta[1, 0]
 
@@ -209,29 +209,28 @@ def test_node_theta_depends_only_on_position_row():
 def test_lgwd_beta_zero_gamma_zeroes_order():
     cfg = config(K=2)
     params = init_params(cfg, 3, 2, make_rng(2), num_nodes=4)
-    params.gamma[1].data[...] = 0.0
-    thetas = [Value(np.full((4, 1), 0.7))] * 3
-    betas = lgwd_beta(thetas, params, cfg, 4)
-    assert np.all(betas[1].data == 0.0)
+    params.gamma.data[0, 1] = 0.0
+    thetas = Value(np.full((4, 3), 0.7))
+    betas = lgwd_beta(thetas, params, cfg).data
+    assert np.all(betas[:, 1] == 0.0)
 
 
 def test_lgwd_beta_bern_rectifies_negative_gamma():
     cfg = config(K=2, backbone="Bern")
     params = init_params(cfg, 3, 2, make_rng(3), num_nodes=4)
-    params.gamma[2].data[...] = -1.0
-    thetas = [Value(np.full((4, 1), 0.3))] * 3
-    betas = lgwd_beta(thetas, params, cfg, 4)
-    assert np.all(betas[2].data == 0.0)
-    assert np.all(betas[0].data >= 0.0)
+    params.gamma.data[0, 2] = -1.0
+    thetas = Value(np.full((4, 3), 0.3))
+    betas = lgwd_beta(thetas, params, cfg).data
+    assert np.all(betas[:, 2] == 0.0)
+    assert np.all(betas[:, 0] >= 0.0)
 
 
 def test_lgwd_beta_jacobi_cumulative_products():
     cfg = config(K=3, backbone="Jacobi")
     params = init_params(cfg, 3, 2, make_rng(4), num_nodes=2)
-    for k, v in enumerate((1.0, 2.0, 3.0, 4.0)):
-        params.gamma[k].data[...] = v
-    rho = [None] + [Value(np.full((2, 1), r)) for r in (0.5, 0.25, 2.0)]
-    betas = [b.data[0, 0] for b in lgwd_beta(rho, params, cfg, 2)]
+    params.gamma.data[0] = (1.0, 2.0, 3.0, 4.0)
+    rho = Value(np.tile([0.5, 0.25, 2.0], (2, 1)))
+    betas = list(lgwd_beta(rho, params, cfg).data[0])
     assert betas == [1.0, 2.0 * 0.5, 3.0 * 0.5 * 0.25, 4.0 * 0.5 * 0.25 * 2.0]
 
 
@@ -242,8 +241,7 @@ def test_forward_zero_gamma_gives_constant_head():
     g = two_block_graph(6, seed=0)
     cfg = config()
     a_hat, positional, params = build_model(g, cfg)
-    for gamma in params.gamma:
-        gamma.data[...] = 0.0
+    params.gamma.data[...] = 0.0
     params.b_out.data[...] = np.array([[0.3, -0.2]])
     result = forward(a_hat, g.features, positional, params, cfg)
     assert np.allclose(result.logits.data, np.tile([[0.3, -0.2]], (12, 1)))
@@ -256,7 +254,7 @@ def test_forward_homogeneous_matches_backbone_filter(backbone):
     a_hat, positional, params = build_model(g, cfg, seed=5)
     result = forward(a_hat, g.features, positional, params, cfg, homogeneous=True)
 
-    gamma = np.array([gv.data[0, 0] for gv in params.gamma])
+    gamma = params.gamma.data[0]
     if backbone == "Bern":
         gamma = np.maximum(gamma, 0.0)
     h0 = np.maximum(g.features @ params.w_in.data + params.b_in.data, 0.0)
@@ -302,8 +300,8 @@ def test_forward_bern_weights_are_nonnegative():
     g = two_block_graph(6, seed=5)
     cfg = config(K=5, backbone="Bern")
     a_hat, positional, params = build_model(g, cfg, seed=11)
-    for k, gamma in enumerate(params.gamma):
-        gamma.data[...] = (-1.0) ** k * (k + 0.5)  # force negatives
+    k = np.arange(params.gamma.shape[1])
+    params.gamma.data[0] = (-1.0) ** k * (k + 0.5)  # force negatives
     result = forward(a_hat, g.features, positional, params, cfg)
     assert result.betas.min() >= 0.0
 
@@ -314,7 +312,7 @@ def test_forward_theta_ranges_respect_gate_codomain():
         cfg = config(K=3, backbone=backbone)
         a_hat, positional, params = build_model(g, cfg, seed=13)
         result = forward(a_hat, g.features, positional, params, cfg)
-        gamma = np.array([gv.data[0, 0] for gv in params.gamma])
+        gamma = params.gamma.data[0]
         if backbone == "Bern":
             gamma = np.maximum(gamma, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,6 +373,30 @@ def test_forward_ablation_reads_free_weight_table():
     result = forward(a_hat, g.features, None, params, cfg)
     assert np.array_equal(result.betas, params.beta_free.data)
     assert result.positional is None
+
+
+@pytest.mark.parametrize(
+    "overrides, count",
+    [
+        ({"mode": "R", "lambda_orth": 0.05}, 9),
+        ({"eta2": 0.4}, 10),
+        ({}, 9),
+        ({"mode": "R", "backbone": "Bern"}, 9),
+        ({"mode": "R", "backbone": "Jacobi"}, 9),
+        ({"backbone": "Jacobi", "eta2": 0.4}, 10),
+        ({"ablate_ipe": True}, 5),
+    ],
+    ids=["gpr-r", "gpr-i", "gpr-i-eta2-0", "bern-r", "jacobi-r", "jacobi-i", "no-ipe"],
+)
+def test_every_parameter_receives_a_gradient(overrides, count):
+    g = two_block_graph(6, seed=14)
+    cfg = config(dropout_p=0.3, **overrides)
+    a_hat, positional, params = build_model(g, cfg, seed=31)
+    result = forward(a_hat, g.features, positional, params, cfg, train=True, rng=make_rng(1))
+    targets = one_hot(g.labels, g.num_classes)
+    ad.backward(total_loss(result, targets, np.ones(g.num_nodes, dtype=bool), cfg))
+    assert [name for name, value in params.as_dict().items() if value.grad is None] == []
+    assert len(params.as_dict()) == count
 
 
 # --- regularizer and loss -----------------------------------------------------

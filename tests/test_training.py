@@ -123,9 +123,8 @@ def test_train_once_frozen_gamma_is_a_constant_predictor():
     tc = TrainConfig(epochs=30, patience=30)
 
     def pin_gamma(params):
-        for gamma in params.gamma:
-            gamma.data[...] = 0.0
-            gamma.requires_grad = False
+        params.gamma.data[...] = 0.0
+        params.gamma.requires_grad = False
 
     result = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (2, 0, 0), init_hook=pin_gamma)
     predicted = int(np.argmax(result.params["b_out"]))
@@ -161,11 +160,11 @@ def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
 
     def poisoned_backward(loss):
         real_backward(loss)
-        captured[0][0].gamma[2].grad[0, 0] = np.nan
+        captured[0][0].gamma.grad[0, 2] = np.nan
 
     monkeypatch.setattr(training, "backward", poisoned_backward)
     cfg = small_config()
-    with pytest.raises(NumericalError, match="gamma_2 at epoch 1"):
+    with pytest.raises(NumericalError, match="gamma at epoch 1"):
         train_once(
             g, graph_inputs(g, cfg), cfg, TrainConfig(epochs=3, patience=3), split, (0, 0, 0),
             init_hook=lambda params: captured.append((params, params.snapshot())),
