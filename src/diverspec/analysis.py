@@ -47,14 +47,17 @@ def cluster_weights(
 
     Deterministic given the seed. Converges when assignments stop changing
     (or at ``max_iter``). An emptied cluster is reseeded to the point
-    farthest from its assigned centroid.
+    farthest from its assigned centroid. ``k`` may not exceed the number of
+    distinct rows (one for a shared-coefficient baseline table): the extra
+    clusters could only stay empty.
     """
     points = np.asarray(weights, dtype=np.float64)
     if points.ndim != 2:
         raise UsageError(f"weights must be 2-D, got shape {points.shape}")
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise UsageError(f"cluster count must lie in [1, {n}], got {k}")
+    distinct = len(np.unique(points, axis=0))
+    if not 1 <= k <= distinct:
+        raise UsageError(f"cluster count must lie in [1, {distinct}] (distinct weight rows), got {k}")
 
     rng = make_rng(seed)
     centroids = np.empty((k, points.shape[1]))

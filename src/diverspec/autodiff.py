@@ -174,20 +174,21 @@ def sparse_dense_matmul(op: SparseOperator, x: Value) -> Value:
 
 
 def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperator) -> Value:
-    """Node-wise filter sum_k diag(table[:, k]) P_k(L_hat) x for an (N, K+1) table.
+    """Node-wise filter sum_k diag(table[:, k]) P_k(L_hat) x for an (N, K+1) or (1, K+1) table.
 
     The forward runs :func:`apply_basis`; the gradient w.r.t. ``x`` runs
     :func:`adjoint_basis`, which needs a symmetric ``op``. No gradient reaches ``op``.
     """
-    if table.shape[0] != x.shape[0]:
-        raise UsageError(f"polynomial_filter: table {table.shape} must have {x.shape[0]} rows")
+    if table.shape[0] not in (1, x.shape[0]):
+        raise UsageError(f"polynomial_filter: table {table.shape} must have 1 or {x.shape[0]} rows")
     order = table.shape[1] - 1
     terms = apply_basis(kind, order, op, x.data)
     columns = table.data.T[:, :, None]
 
     def backward_fn(grad: np.ndarray) -> None:
         if table.requires_grad:
-            table.accumulate(np.stack([(grad * t).sum(axis=1) for t in terms], axis=1))
+            per_node = np.stack([(grad * t).sum(axis=1) for t in terms], axis=1)
+            table.accumulate(_unbroadcast(per_node, table.shape))
         if x.requires_grad:
             x.accumulate(adjoint_basis(kind, order, op, columns * grad))
 

@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config's variant (R pins eta2 to 0)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--baseline", action="store_true",
-                       help="pin every gate to 1 (shared-coefficient backbone)")
+                       help="train the shared-coefficient backbone: one trained "
+                            "coefficient row, no positions and no gates")
     group.add_argument("--no-ipe", action="store_true", dest="no_ipe",
                        help="ablation: train free per-node weights instead of refined positions")
     p.set_defaults(func=cmd_train)

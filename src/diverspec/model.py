@@ -110,24 +110,23 @@ class DsfConfig:
 class DsfParams:
     """All trainable parameters as named autodiff leaves, one tensor per group.
 
-    ``gate_w`` (d, G) and ``gate_b`` (1, G) hold one gate head per gated order:
-    G = K + 1, or K for Jacobi, whose order 0 has no gate. ``gamma`` is
-    (1, K+1). ``w_ipe`` exists only when ``eta2 != 0``. In the no-refinement
-    ablation ``beta_free``, a trained (N, K+1) table, replaces the positional
-    pipeline.
+    ``gamma`` is (1, K+1), or (N, K+1) in the no-refinement ablation; the
+    baseline and the ablation hold only it and the input/output layers. Gated
+    DSF adds ``w_pos``/``b_pos``, ``gate_w`` (d, G) and ``gate_b`` (1, G), one
+    gate head per gated order: G = K + 1, or K for Jacobi, whose order 0 has
+    no gate. ``w_ipe`` exists only when ``eta2 != 0``.
     """
 
     w_in: Value
     b_in: Value
     w_out: Value
     b_out: Value
+    gamma: Value
     w_pos: Value | None = None
     b_pos: Value | None = None
     w_ipe: Value | None = None
     gate_w: Value | None = None
     gate_b: Value | None = None
-    gamma: Value | None = None
-    beta_free: Value | None = None
 
     def as_dict(self) -> dict[str, Value]:
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
@@ -162,16 +161,25 @@ def shared_coefficients(config: DsfConfig, rng: np.random.Generator | None = Non
     return rng.uniform(-0.5, 0.5, size=count)
 
 
+def direct_table(config: DsfConfig, homogeneous: bool) -> bool:
+    """Whether the weight table is ``gamma`` itself: the baseline or the ablation, not both."""
+    if homogeneous and config.ablate_ipe:
+        raise ConfigError("the baseline and the no-refinement ablation exclude each other")
+    return homogeneous or config.ablate_ipe
+
+
 def init_params(
     config: DsfConfig,
     num_features: int,
     num_classes: int,
     rng: np.random.Generator,
     num_nodes: int | None = None,
+    homogeneous: bool = False,
 ) -> DsfParams:
     """Glorot-uniform weights, zero biases, backbone-specific gammas.
 
-    ``num_nodes`` is only needed for the ablation's free weight table.
+    The baseline (``homogeneous``) and the ablation get no positional or gate
+    tensors; ``num_nodes`` is only needed for the ablation's (N, K+1) ``gamma``.
     """
 
     def mat(rows: int, cols: int) -> Value:
@@ -180,18 +188,17 @@ def init_params(
     def zeros(rows: int, cols: int) -> Value:
         return Value(np.zeros((rows, cols)), requires_grad=True)
 
+    if config.ablate_ipe and num_nodes is None:
+        raise UsageError("the no-refinement ablation needs num_nodes for its weight table")
+    rows = num_nodes if config.ablate_ipe else 1
     params = DsfParams(
         w_in=mat(num_features, config.d),
         b_in=zeros(1, config.d),
         w_out=mat(config.d, num_classes),
         b_out=zeros(1, num_classes),
+        gamma=Value(np.tile(shared_coefficients(config, rng), (rows, 1)), requires_grad=True),
     )
-    gamma = shared_coefficients(config, rng)
-
-    if config.ablate_ipe:
-        if num_nodes is None:
-            raise UsageError("the no-refinement ablation needs num_nodes for its weight table")
-        params.beta_free = Value(np.tile(gamma, (num_nodes, 1)), requires_grad=True)
+    if direct_table(config, homogeneous):
         return params
 
     params.w_pos = mat(config.f_p, config.d)
@@ -203,7 +210,6 @@ def init_params(
     gate_w = ad.glorot_uniform(gates, config.d, rng, fan_in=config.d, fan_out=1).T
     params.gate_w = Value(gate_w, requires_grad=True)
     params.gate_b = zeros(1, gates)
-    params.gamma = Value(gamma[None, :], requires_grad=True)
     return params
 
 
@@ -264,12 +270,12 @@ def project_inputs(
     """Latent feature and positional embeddings (both dropped out at train).
 
     Returns ``(h0, p0)``: ReLU-projected features and Tanh-projected
-    positions. ``p0`` is ``None`` in the ablation, which has no positional
-    pipeline.
+    positions. ``p0`` is ``None`` when ``positional`` is: the baseline and the
+    ablation have no positional pipeline.
     """
     h0 = ad.relu(ad.add(ad.matmul(Value(features), params.w_in), params.b_in))
     h0 = ad.dropout(h0, config.dropout_p, train, rng)
-    if params.w_pos is None:
+    if positional is None:
         return h0, None
     p0 = ad.tanh(ad.add(ad.matmul(Value(positional), params.w_pos), params.b_pos))
     p0 = ad.dropout(p0, config.dropout_p, train, rng)
@@ -314,9 +320,9 @@ def node_theta(states: Sequence[Value], gate_w: Value, gate_b: Value, sigma_p: s
 def lgwd_beta(thetas: Value, params: DsfParams, config: DsfConfig) -> Value:
     """The (N, K+1) node-wise filter weights from gates and shared coefficients.
 
-    ``thetas`` is the (N, G) gate table of :func:`node_theta`, or all ones for
-    the homogeneous baseline. GPR: beta_k = gamma_k * theta_k. Bern: the
-    same with gamma rectified, so Sigmoid gates keep every weight
+    ``thetas`` is the (N, G) gate table of :func:`node_theta` and ``gamma``
+    the shared (1, K+1) row. GPR: beta_k = gamma_k * theta_k. Bern: the same
+    with gamma rectified, so Sigmoid gates keep every weight
     nonnegative. Jacobi: beta follows the coefficient-decomposition
     discipline beta_k = gamma_k * prod_{s<=k} rho_s with rho the K gates of
     orders 1..k (order 0 is the bare gamma_0).
@@ -333,7 +339,7 @@ class ForwardResult:
 
     ``betas`` is the realized (N, K+1) per-node weight table (plain array,
     for export/analysis); ``positional`` is the final refined embedding
-    (``None`` in the ablation).
+    (``None`` in the baseline and the ablation).
     """
 
     logits: Value
@@ -353,17 +359,15 @@ def forward(
 ) -> ForwardResult:
     """Full model pass: project, refine positions, gate, filter, classify.
 
-    ``homogeneous=True`` pins every gate to 1, which collapses the model to
-    its shared-coefficient backbone (the baseline for ablations). The
-    ablation config (``ablate_ipe``) instead reads the weight table directly
-    from the trainable ``beta_free`` parameter.
+    The shared-coefficient baseline (``homogeneous=True``) and the ablation
+    (``ablate_ipe``) filter with ``gamma`` itself (rectified for Bern) and
+    ignore positions, gates and any other tensors in ``params``.
     """
-    h0, p0 = project_inputs(features, positional, params, config, train, rng)
+    direct = direct_table(config, homogeneous)
+    h0, p0 = project_inputs(features, None if direct else positional, params, config, train, rng)
 
-    if config.ablate_ipe:
-        table = params.beta_free
-        if config.backbone == "Bern":
-            table = ad.relu(table)
+    if direct:
+        table = ad.relu(params.gamma) if config.backbone == "Bern" else params.gamma
         p_final = None
     else:
         p_list = [p0]
@@ -371,16 +375,14 @@ def forward(
             p_list.append(ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, config.eta2))
 
         states = p_list[1:] if config.backbone == "Jacobi" else p_list
-        if homogeneous:
-            thetas = Value(np.ones((features.shape[0], len(states))))
-        else:
-            thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p)
+        thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p)
         table = lgwd_beta(thetas, params, config)
         p_final = p_list[-1]
 
     z = ad.polynomial_filter(table, h0, config.basis(), a_hat)
     logits = ad.add(ad.matmul(z, params.w_out), params.b_out)
-    return ForwardResult(logits=logits, positional=p_final, betas=table.data.copy())
+    betas = np.broadcast_to(table.data, (features.shape[0], table.shape[1])).copy()
+    return ForwardResult(logits=logits, positional=p_final, betas=betas)
 
 
 def orth_penalty(positional: Value) -> Value:

@@ -19,6 +19,7 @@ from .model import (
     DsfConfig,
     DsfParams,
     accuracy,
+    direct_table,
     forward,
     init_params,
     init_positional,
@@ -118,11 +119,13 @@ class RunResult:
     betas: np.ndarray | None = None
 
 
-def graph_inputs(graph: Graph, config: DsfConfig) -> tuple[SparseOperator, np.ndarray | None]:
+def graph_inputs(
+    graph: Graph, config: DsfConfig, homogeneous: bool = False
+) -> tuple[SparseOperator, np.ndarray | None]:
     """``(a_hat, positional)``, the model inputs that depend only on the graph.
 
-    ``positional`` is ``None`` in the no-refinement ablation; the dense
-    eigendecomposition is built only for LapPE and dropped after use.
+    ``positional`` is ``None`` for the baseline and the ablation; the dense
+    eigendecomposition is built only for gated LapPE and dropped after use.
 
     Raises :class:`ConfigError` when every positional row is equal (RWPE on a
     vertex-transitive graph: cycle, complete graph, hypercube) under mode R
@@ -130,7 +133,7 @@ def graph_inputs(graph: Graph, config: DsfConfig) -> tuple[SparseOperator, np.nd
     would then meet only constant columns and abort the first epoch.
     """
     a_hat, l_hat = normalized_operators(graph)
-    if config.ablate_ipe:
+    if direct_table(config, homogeneous):
         return a_hat, None
     decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
     positional = init_positional(a_hat, config, decomposition)
@@ -159,9 +162,9 @@ def train_once(
 ) -> RunResult:
     """Train one model on one split with early stopping on validation accuracy.
 
-    ``inputs`` must be ``graph_inputs(graph, config)`` for this same graph
-    and config. The best-so-far parameters are snapshotted in memory (ties
-    keep the earlier epoch) together with the logits and beta table of the
+    ``inputs`` must be ``graph_inputs(graph, config, homogeneous)`` for this
+    same graph and variant. The best-so-far parameters are snapshotted in memory
+    (ties keep the earlier epoch) together with the logits and beta table of the
     eval pass that selected them; the test accuracy and betas come from that
     pass. A non-finite loss or gradient aborts with :class:`NumericalError`
     before the optimizer step. ``init_hook``, when given, may edit the
@@ -175,6 +178,7 @@ def train_once(
         num_classes=graph.num_classes,
         rng=make_rng(*seed_entropy, 0),
         num_nodes=graph.num_nodes,
+        homogeneous=homogeneous,
     )
     if init_hook is not None:
         init_hook(params)
@@ -270,7 +274,7 @@ def run_grid(
     """
     if runs < 1:
         raise ConfigError(f"need at least one run, got {runs}")
-    inputs = graph_inputs(graph, config)
+    inputs = graph_inputs(graph, config, homogeneous)
     cells = []
     accs = []
     last: RunResult | None = None

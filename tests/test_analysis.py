@@ -28,7 +28,7 @@ def blobs(seed=0):
 
 def test_cluster_identical_rows_collapse():
     weights = np.tile([1.0, -2.0, 0.5], (12, 1))
-    clustering = cluster_weights(weights, k=3, seed=0)
+    clustering = cluster_weights(weights, k=1, seed=0)
     assert len(set(clustering.labels.tolist())) == 1
     for centroid in clustering.centroids:
         assert np.allclose(centroid, [1.0, -2.0, 0.5])
@@ -59,6 +59,13 @@ def test_cluster_determinism():
 def test_cluster_requires_enough_rows():
     with pytest.raises(UsageError):
         cluster_weights(np.ones((3, 2)), k=4, seed=0)
+    # Duplicate rows count once: a shared-row table has a single distinct row.
+    with pytest.raises(UsageError, match=r"\[1, 1\]"):
+        cluster_weights(np.tile([1.0, -2.0, 0.5], (12, 1)), k=3, seed=0)
+    two_rows = np.repeat([[0.0, 1.0], [2.0, 3.0]], 5, axis=0)
+    with pytest.raises(UsageError, match=r"\[1, 2\]"):
+        cluster_weights(two_rows, k=3, seed=0)
+    assert sorted(np.bincount(cluster_weights(two_rows, k=2, seed=0).labels)) == [5, 5]
 
 
 def test_cluster_inertia_never_increases():

@@ -92,13 +92,17 @@ def test_sparse_dense_matmul_gradients():
 def test_polynomial_filter_gradients(kind):
     op, _ = normalized_operators(connected_random_graph(6, 0.3, seed=2))
     table, x, weight = rng_arrays((6, 5), (6, 3), (6, 3), seed=1)
-    check_gradients(
-        lambda t, v: ad.frobenius_sq(
-            ad.hadamard(ad.polynomial_filter(t, v, kind, op), ad.Value(weight))
-        ),
-        table,
-        x,
-    )
+    for rows in (table, table[:1]):  # per-node table, then one row shared by every node
+        check_gradients(
+            lambda t, v: ad.frobenius_sq(
+                ad.hadamard(ad.polynomial_filter(t, v, kind, op), ad.Value(weight))
+            ),
+            rows,
+            x,
+        )
+    shared = ad.polynomial_filter(ad.Value(table[:1]), ad.Value(x), kind, op).data
+    tiled = ad.polynomial_filter(ad.Value(np.tile(table[:1], (6, 1))), ad.Value(x), kind, op).data
+    assert np.array_equal(shared, tiled)
 
 
 def test_polynomial_filter_rejects_row_mismatch():

@@ -9,11 +9,15 @@ to keep the suite fast.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diverspec
 from diverspec.analysis import homophily_histogram
 from diverspec.cli import _write_json, main
 from diverspec.datasets import load_dataset, save_dataset, two_block_graph
@@ -61,6 +65,19 @@ def train_dir(dataset_dir, config_path, tmp_path_factory) -> Path:
     code = main([
         "train", "--data", str(dataset_dir), "--config", str(config_path),
         "--out", str(out), "--runs", "2", "--splits", "2", "--seed", "7",
+    ])
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def baseline_dir(dataset_dir, config_path, tmp_path_factory) -> Path:
+    """One shared-coefficient baseline run."""
+    out = tmp_path_factory.mktemp("cli-baseline")
+    code = main([
+        "train", "--data", str(dataset_dir), "--config", str(config_path),
+        "--out", str(out), "--runs", "1", "--splits", "1", "--seed", "1",
+        "--baseline",
     ])
     assert code == 0
     return out
@@ -229,18 +246,17 @@ def test_train_beta_table_shape(train_dir):
     np.asarray([[float(x) for x in r[1:]] for r in rows])  # parses as floats
 
 
-def test_train_baseline_rows_are_shared(dataset_dir, config_path, tmp_path):
-    code = main([
-        "train", "--data", str(dataset_dir), "--config", str(config_path),
-        "--out", str(tmp_path), "--runs", "1", "--splits", "1", "--seed", "1",
-        "--baseline",
-    ])
-    assert code == 0
-    metrics = json.loads((tmp_path / "metrics-baseline.json").read_text())
+def test_train_baseline_rows_are_shared(baseline_dir):
+    metrics = json.loads((baseline_dir / "metrics-baseline.json").read_text())
     assert metrics["variant"] == "baseline"
-    _, rows = read_csv(tmp_path / "beta-baseline.csv")
+    _, rows = read_csv(baseline_dir / "beta-baseline.csv")
     table = np.asarray([[float(x) for x in r[1:]] for r in rows])
     assert np.all(table == table[0])
+    # The baseline trains one shared coefficient row and nothing positional.
+    params = json.loads((baseline_dir / "checkpoint-baseline.json").read_text())["params"]
+    assert set(params) == {"w_in", "b_in", "w_out", "b_out", "gamma"}
+    assert params["gamma"]["shape"] == [1, 4]
+    assert params["gamma"]["data"] == table[0].tolist()
 
 
 def test_train_no_ipe_flips_the_ablation_switch(dataset_dir, config_path, tmp_path):
@@ -254,6 +270,9 @@ def test_train_no_ipe_flips_the_ablation_switch(dataset_dir, config_path, tmp_pa
     assert metrics["variant"] == "no-ipe"
     assert metrics["config"]["ablate_ipe"] is True
     assert (tmp_path / "beta-no-ipe.csv").is_file()
+    params = json.loads((tmp_path / "checkpoint-no-ipe.json").read_text())["params"]
+    assert set(params) == {"w_in", "b_in", "w_out", "b_out", "gamma"}
+    assert params["gamma"]["shape"] == [20, 4]  # one trained row per node
 
 
 def test_train_mode_override_is_recorded(dataset_dir, config_path, tmp_path):
@@ -321,6 +340,24 @@ def test_unknown_flag_is_a_usage_failure(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_module_entry_point_maps_exit_codes():
+    src = str(Path(diverspec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "diverspec", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == f"diverspec {diverspec.__version__}"
+    unknown = run("frobnicate")
+    assert unknown.returncode == 1
+    assert unknown.stderr.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -372,6 +409,16 @@ def test_analyze_single_cluster_curve_is_the_mean_profile(train_dir, tmp_path):
     assert {r[1] for r in rows} == {"0"}
     _, rows = read_csv(out / "centroid_curves.csv")
     assert len(rows) == 5
+
+
+def test_analyze_rejects_more_clusters_than_distinct_rows(baseline_dir, tmp_path, capsys):
+    out = tmp_path / "ana"
+    argv = ["analyze", "--run-dir", str(baseline_dir), "--variant", "baseline", "--out", str(out)]
+    assert main(argv + ["--clusters", "3"]) == 1
+    assert "distinct weight rows" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--clusters", "1"]) == 0
+    assert json.loads((out / "analysis.json").read_text())["cluster_sizes"] == [20]
 
 
 def test_analyze_without_metrics_is_a_data_error(tmp_path, capsys):

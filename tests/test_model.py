@@ -41,14 +41,15 @@ def config(**overrides) -> DsfConfig:
     return DsfConfig(**base)
 
 
-def build_model(graph, cfg, seed=0):
-    a_hat, positional = graph_inputs(graph, cfg)
+def build_model(graph, cfg, seed=0, homogeneous=False):
+    a_hat, positional = graph_inputs(graph, cfg, homogeneous)
     params = init_params(
         cfg,
         num_features=graph.num_features,
         num_classes=graph.num_classes,
         rng=make_rng(seed),
         num_nodes=graph.num_nodes,
+        homogeneous=homogeneous,
     )
     return a_hat, positional, params
 
@@ -369,30 +370,39 @@ def test_forward_ablation_reads_free_weight_table():
     a_hat, positional, params = build_model(g, cfg, seed=23)
     assert positional is None
     rng = np.random.default_rng(3)
-    params.beta_free.data[...] = rng.standard_normal(params.beta_free.data.shape)
+    params.gamma.data[...] = rng.standard_normal(params.gamma.data.shape)
     result = forward(a_hat, g.features, None, params, cfg)
-    assert np.array_equal(result.betas, params.beta_free.data)
+    assert np.array_equal(result.betas, params.gamma.data)
     assert result.positional is None
 
 
 @pytest.mark.parametrize(
-    "overrides, count",
+    "overrides, homogeneous, count",
     [
-        ({"mode": "R", "lambda_orth": 0.05}, 9),
-        ({"eta2": 0.4}, 10),
-        ({}, 9),
-        ({"mode": "R", "backbone": "Bern"}, 9),
-        ({"mode": "R", "backbone": "Jacobi"}, 9),
-        ({"backbone": "Jacobi", "eta2": 0.4}, 10),
-        ({"ablate_ipe": True}, 5),
+        ({"mode": "R", "lambda_orth": 0.05}, False, 9),
+        ({"eta2": 0.4}, False, 10),
+        ({}, False, 9),
+        ({"mode": "R", "backbone": "Bern"}, False, 9),
+        ({"mode": "R", "backbone": "Jacobi"}, False, 9),
+        ({"backbone": "Jacobi", "eta2": 0.4}, False, 10),
+        ({"ablate_ipe": True}, False, 5),
+        ({"mode": "R", "lambda_orth": 0.05}, True, 5),
+        ({"mode": "R", "backbone": "Bern"}, True, 5),
+        ({"backbone": "Jacobi", "eta2": 0.4}, True, 5),
     ],
-    ids=["gpr-r", "gpr-i", "gpr-i-eta2-0", "bern-r", "jacobi-r", "jacobi-i", "no-ipe"],
+    ids=[
+        "gpr-r", "gpr-i", "gpr-i-eta2-0", "bern-r", "jacobi-r", "jacobi-i", "no-ipe",
+        "baseline-gpr-r", "baseline-bern-r", "baseline-jacobi-i",
+    ],
 )
-def test_every_parameter_receives_a_gradient(overrides, count):
+def test_every_parameter_receives_a_gradient(overrides, homogeneous, count):
     g = two_block_graph(6, seed=14)
     cfg = config(dropout_p=0.3, **overrides)
-    a_hat, positional, params = build_model(g, cfg, seed=31)
-    result = forward(a_hat, g.features, positional, params, cfg, train=True, rng=make_rng(1))
+    a_hat, positional, params = build_model(g, cfg, seed=31, homogeneous=homogeneous)
+    result = forward(
+        a_hat, g.features, positional, params, cfg,
+        train=True, rng=make_rng(1), homogeneous=homogeneous,
+    )
     targets = one_hot(g.labels, g.num_classes)
     ad.backward(total_loss(result, targets, np.ones(g.num_nodes, dtype=bool), cfg))
     assert [name for name, value in params.as_dict().items() if value.grad is None] == []

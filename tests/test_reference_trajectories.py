@@ -1,5 +1,7 @@
 """Pinned training trajectories for every backbone x mode x IPE variant.
 
+Each backbone also pins its mode-R homogeneous baseline (``-R-baseline``).
+
 ``tests/data/reference_trajectories.json.gz`` (gzipped JSON) holds, for each
 variant, one 20-epoch ``train_once`` run on a 40-node heterophilous two-block
 graph: the per-epoch validation accuracies, the best-snapshot parameters and
@@ -44,23 +46,24 @@ def variant_names() -> list[str]:
         for backbone in BACKBONES
         for mode in MODES
         for ipe in (True, False)
-    ]
+    ] + [f"{backbone}-R-baseline" for backbone in BACKBONES]
 
 
 def run_variant(name: str):
-    backbone, mode, ipe = name.split("-", 2)
+    backbone, mode, variant = name.split("-", 2)
+    homogeneous = variant == "baseline"
     cfg = DsfConfig(
         K=10, d=16, f_p=8, dropout_p=0.3, mode=mode, backbone=backbone,
         lambda_orth=0.01 if mode == "R" else 0.0,
         eta2=0.4 if mode == "I" else 0.0,
         jacobi_a=1.5, jacobi_b=-0.5,  # c0 != 0 in the Jacobi recurrence
-        ablate_ipe=ipe == "no-ipe",
+        ablate_ipe=variant == "no-ipe",
     )
     graph = two_block_graph(block_size=20, seed=11, heterophilous=True)
     split = make_splits(graph, "dense", 1, seed=5)[0]
     return train_once(
-        graph, graph_inputs(graph, cfg), cfg, TrainConfig(epochs=20, patience=20), split,
-        seed_entropy=(23, 0, 0),
+        graph, graph_inputs(graph, cfg, homogeneous), cfg, TrainConfig(epochs=20, patience=20),
+        split, seed_entropy=(23, 0, 0), homogeneous=homogeneous,
     )
 
 

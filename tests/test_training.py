@@ -195,11 +195,17 @@ def test_train_once_returns_its_best_eval_pass(overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides, expected",
-    [({}, (1, 0, 1)), ({"pe_init": "LapPE"}, (1, 1, 1)), ({"ablate_ipe": True}, (1, 0, 0))],
-    ids=["rwpe", "lappe", "no-ipe"],
+    "overrides, homogeneous, expected",
+    [
+        ({}, False, (1, 0, 1)),
+        ({"pe_init": "LapPE"}, False, (1, 1, 1)),
+        ({"ablate_ipe": True}, False, (1, 0, 0)),
+        ({}, True, (1, 0, 0)),
+        ({"pe_init": "LapPE"}, True, (1, 0, 0)),
+    ],
+    ids=["rwpe", "lappe", "no-ipe", "baseline-rwpe", "baseline-lappe"],
 )
-def test_run_grid_builds_graph_inputs_once(monkeypatch, overrides, expected):
+def test_run_grid_builds_graph_inputs_once(monkeypatch, overrides, homogeneous, expected):
     calls = {}
 
     def counting(name):
@@ -216,7 +222,10 @@ def test_run_grid_builds_graph_inputs_once(monkeypatch, overrides, expected):
         monkeypatch.setattr(training, name, counting(name))
     g = two_block_graph(10, seed=13)
     splits = make_splits(g, "dense", 2, seed=8)
-    grid = run_grid(g, small_config(**overrides), TrainConfig(epochs=3, patience=3), 2, splits, 4)
+    grid = run_grid(
+        g, small_config(**overrides), TrainConfig(epochs=3, patience=3), 2, splits, 4,
+        homogeneous=homogeneous,
+    )
     assert len(grid.cells) == 4
     assert tuple(calls.get(name, 0) for name in names) == expected
 
@@ -234,6 +243,30 @@ def test_graph_inputs_rejects_equal_positional_rows_in_mode_r(n, edges):
     for escape in ({"dropout_p": 0.5}, {"lambda_orth": 0.0}, {"mode": "I"}):
         _, positional = graph_inputs(g, small_config(**{**degenerate, **escape}))
         assert np.ptp(positional, axis=0).max() <= 1e-12
+
+
+def test_degenerate_mode_r_graph_trains_as_the_baseline():
+    # The equal-rows rejection guards the gated model's orthogonality
+    # penalty; the baseline reads no positions, so the same config trains.
+    g = toy_graph([(i, (i + 1) % 30) for i in range(30)], [i % 3 for i in range(30)])
+    cfg = small_config(mode="R", lambda_orth=0.1, dropout_p=0.0)
+    splits = make_splits(g, "dense", 1, seed=2)
+    grid = run_grid(g, cfg, TrainConfig(epochs=4, patience=4), 1, splits, 3, homogeneous=True)
+    assert grid.last_run.epochs_run == 4
+    assert set(grid.last_run.params) == {"w_in", "b_in", "w_out", "b_out", "gamma"}
+
+
+def test_baseline_and_ablation_together_are_rejected(monkeypatch):
+    g = two_block_graph(8, seed=9)
+    splits = make_splits(g, "dense", 1, seed=5)
+    cfg = small_config(ablate_ipe=True)
+    tc = TrainConfig(epochs=3, patience=3)
+    monkeypatch.setattr(training, "train_once", lambda *a, **k: pytest.fail("a cell trained"))
+    with pytest.raises(ConfigError, match="exclude each other"):
+        run_grid(g, cfg, tc, runs=1, splits=splits, base_seed=6, homogeneous=True)
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="exclude each other"):
+        train_once(g, graph_inputs(g, cfg), cfg, tc, splits[0], (6, 0, 0), homogeneous=True)
 
 
 def test_aggregate_closed_forms():
