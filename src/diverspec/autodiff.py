@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, UsageError
 from .graph import SparseOperator
 from .polynomials import BasisKind, adjoint_basis, apply_basis, combine_terms
 
@@ -297,17 +297,21 @@ def frobenius_sq(x: Value) -> Value:
     return _make(np.array([[np.sum(x.data * x.data)]]), (x,), backward_fn)
 
 
+FLAT_SPAN = 1e-12
+
+
 def column_normalize(x: Value) -> Value:
     """Center each column to zero mean and rescale it to unit l2 norm.
 
-    A column with zero variance has no direction to normalize; that is a
-    degenerate embedding and raises :class:`NumericalError`.
+    A flat column (its values span at most ``FLAT_SPAN``) has no direction:
+    it maps to zeros and receives no gradient, as ``c / max(||c||, eps)``
+    maps a zero vector. Its centered values are rounding noise, not zero,
+    so flatness is read from the span, not from the norm.
     """
     centered = x.data - x.data.mean(axis=0, keepdims=True)
     norms = np.sqrt(np.sum(centered * centered, axis=0, keepdims=True))
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms[0] == 0.0)[0])
-        raise NumericalError(f"column {bad} has zero variance; cannot normalize")
+    # An infinite norm zeroes a flat column's output and gradient below.
+    norms[np.ptp(x.data, axis=0, keepdims=True) <= FLAT_SPAN] = np.inf
     out = centered / norms
 
     def backward_fn(grad: np.ndarray) -> None:

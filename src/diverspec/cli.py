@@ -153,7 +153,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         homogeneous=(variant == "baseline"),
     )
 
-    digest = config_hash(model_cfg, train_cfg)
+    digest = config_hash(model_cfg, train_cfg, variant)
     out = Path(args.out)
     _write_json(
         out / f"metrics-{variant}.json",
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DiverspecError as exc:  # pragma: no cover - safety net
+    except DiverspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

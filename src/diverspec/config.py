@@ -84,7 +84,11 @@ def resolved_dict(model: DsfConfig, train: TrainConfig) -> dict:
     return out
 
 
-def config_hash(model: DsfConfig, train: TrainConfig) -> str:
-    """Short stable digest of the fully resolved configuration."""
-    canonical = json.dumps(resolved_dict(model, train), sort_keys=True)
+def config_hash(model: DsfConfig, train: TrainConfig, variant: str) -> str:
+    """Short stable digest of the variant and its fully resolved configuration.
+
+    The variant is part of the digest: the baseline trains other tensors than
+    ``dsf`` from the same configuration.
+    """
+    canonical = json.dumps([variant, resolved_dict(model, train)], sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]

@@ -390,7 +390,8 @@ def orth_penalty(positional: Value) -> Value:
 
     Columns are centered and normalized, then the Gram matrix is compared to
     the identity under the squared Frobenius norm: zero exactly when the
-    normalized columns are orthonormal.
+    normalized columns are orthonormal. A flat column normalizes to zeros,
+    so it adds exactly 1 (its diagonal miss) and sends no gradient.
     """
     normalized = ad.column_normalize(positional)
     gram = ad.matmul(ad.transpose(normalized), normalized)

@@ -126,28 +126,14 @@ def graph_inputs(
 
     ``positional`` is ``None`` for the baseline and the ablation; the dense
     eigendecomposition is built only for gated LapPE and dropped after use.
-
-    Raises :class:`ConfigError` when every positional row is equal (RWPE on a
-    vertex-transitive graph: cycle, complete graph, hypercube) under mode R
-    with ``lambda_orth > 0`` and ``dropout_p == 0``: the orthogonality penalty
-    would then meet only constant columns and abort the first epoch.
+    Equal positional rows (RWPE on a cycle, complete graph or hypercube) are
+    legal: the orthogonality penalty counts each flat column as 1.
     """
     a_hat, l_hat = normalized_operators(graph)
     if direct_table(config, homogeneous):
         return a_hat, None
     decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
-    positional = init_positional(a_hat, config, decomposition)
-    if (
-        config.mode == "R"
-        and config.lambda_orth > 0.0
-        and config.dropout_p == 0.0
-        and np.ptp(positional, axis=0).max() <= 1e-12
-    ):
-        raise ConfigError(
-            "every positional row is equal, so the mode R orthogonality penalty has "
-            "only constant columns; set dropout_p > 0 or lambda_orth = 0"
-        )
-    return a_hat, positional
+    return a_hat, init_positional(a_hat, config, decomposition)
 
 
 def train_once(

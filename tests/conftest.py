@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,20 @@ def connected_random_graph(num_nodes: int, edge_prob: float, seed: int) -> Graph
     chain = np.stack([order[:-1], order[1:]], axis=1)
     edges = np.concatenate([base.edges, chain]) if base.edges.size else chain
     return build_graph(edges, num_nodes, base.features, base.labels, base.num_classes)
+
+
+# Vertex-transitive graphs: every RWPE row is equal, so every positional
+# column is flat. Each entry is (num_nodes, edge list).
+EQUAL_RWPE_ROWS = {
+    "c30": (30, [(i, (i + 1) % 30) for i in range(30)]),
+    "k20": (20, list(combinations(range(20), 2))),
+    "petersen": (
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    ),
+}
 
 
 @pytest.fixture

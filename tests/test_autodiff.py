@@ -8,7 +8,7 @@ from scipy import sparse
 
 from diverspec import Bernstein, Jacobi, Monomial, normalized_operators
 from diverspec import autodiff as ad
-from diverspec.errors import NumericalError, UsageError
+from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
 from tests.conftest import connected_random_graph
 
@@ -170,11 +170,39 @@ def test_column_normalize_output_statistics():
     assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-12
 
 
-def test_column_normalize_zero_variance_column():
-    x = np.ones((5, 2))
-    x[:, 1] = np.arange(5)
-    with pytest.raises(NumericalError):
-        ad.column_normalize(ad.Value(x))
+def test_column_normalize_maps_flat_columns_to_zero():
+    # 30 copies of 0.1 centre to rounding noise (2.8e-17), not to 0, so a
+    # norm-based test would blow that noise up to a unit column; a span of
+    # 5e-13 is within the flat tolerance.
+    shift = ad.Value(np.random.default_rng(9).standard_normal((30, 2)))
+    for flat in (np.ones(5), np.full(30, 0.1), 0.1 + 5e-13 * (np.arange(8) % 2)):
+        n = flat.size
+        v = ad.Value(np.stack([flat, np.arange(n, dtype=np.float64)], axis=1), requires_grad=True)
+        out = ad.column_normalize(v)
+        assert np.array_equal(out.data[:, 0], np.zeros(n))
+        assert abs(np.linalg.norm(out.data[:, 1]) - 1.0) < 1e-12
+        # The shift sends a nonzero gradient into both output columns.
+        ad.backward(ad.frobenius_sq(ad.add(out, ad.Value(shift.data[:n]))))
+        assert np.array_equal(v.grad[:, 0], np.zeros(n))
+        assert np.abs(v.grad[:, 1]).max() > 0.0
+
+
+def test_column_normalize_live_gradients_next_to_flat_columns():
+    x, c = rng_arrays((6, 4), (6, 4), seed=12)
+    x[:, 0] = 0.1
+    x[:, 2] = -3.0
+    shift = ad.Value(c)
+
+    def build(v):
+        return ad.frobenius_sq(ad.add(ad.column_normalize(v), shift))
+
+    leaf = ad.Value(x.copy(), requires_grad=True)
+    ad.backward(build(leaf))
+    # Bumping a flat entry makes its column live, so only live columns are
+    # compared with finite differences; flat ones get exactly no gradient.
+    expected = numeric_grad(build, [x], 0)[:, [1, 3]]
+    assert np.abs(leaf.grad[:, [1, 3]] - expected).max() / np.abs(expected).max() < 1e-5
+    assert np.array_equal(leaf.grad[:, [0, 2]], np.zeros((6, 2)))
 
 
 def test_dropout_gradients_with_fixed_mask():

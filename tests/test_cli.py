@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 import diverspec
+from diverspec import cli, errors
 from diverspec.analysis import homophily_histogram
 from diverspec.cli import _write_json, main
 from diverspec.datasets import load_dataset, save_dataset, two_block_graph
 from diverspec.graph import edge_homophily, local_label_homophily
 
-from conftest import toy_graph
+from conftest import EQUAL_RWPE_ROWS, toy_graph
 
 CONFIG_TEXT = """\
 # model
@@ -275,6 +276,25 @@ def test_train_no_ipe_flips_the_ablation_switch(dataset_dir, config_path, tmp_pa
     assert params["gamma"]["shape"] == [20, 4]  # one trained row per node
 
 
+def test_train_config_hash_names_the_variant(
+    train_dir, baseline_dir, dataset_dir, config_path, tmp_path
+):
+    # One config file, three variants: three digests, and each run's metrics
+    # and checkpoint carry the same one.
+    code = main([
+        "train", "--data", str(dataset_dir), "--config", str(config_path),
+        "--out", str(tmp_path), "--runs", "1", "--splits", "1", "--no-ipe",
+    ])
+    assert code == 0
+    digests = set()
+    for run_dir, variant in ((train_dir, "dsf"), (baseline_dir, "baseline"), (tmp_path, "no-ipe")):
+        metrics = json.loads((run_dir / f"metrics-{variant}.json").read_text())
+        checkpoint = json.loads((run_dir / f"checkpoint-{variant}.json").read_text())
+        assert checkpoint["config_hash"] == metrics["config_hash"]
+        digests.add(metrics["config_hash"])
+    assert len(digests) == 3
+
+
 def test_train_mode_override_is_recorded(dataset_dir, config_path, tmp_path):
     code = main([
         "train", "--data", str(dataset_dir), "--config", str(config_path),
@@ -318,21 +338,22 @@ def test_train_negative_seed_is_rejected(dataset_dir, config_path, tmp_path, cap
     assert "nonnegative" in capsys.readouterr().err
 
 
-def test_train_rejects_equal_positional_rows_up_front(tmp_path, capsys):
-    # On a cycle every RWPE row is equal: mode R with the orthogonality
-    # penalty and no dropout would meet only zero-variance columns.
-    data = tmp_path / "c30"
-    cycle = toy_graph([(i, (i + 1) % 30) for i in range(30)], [i % 3 for i in range(30)])
-    save_dataset(cycle, "c30", data)
+@pytest.mark.parametrize("name", sorted(EQUAL_RWPE_ROWS))
+def test_train_equal_positional_rows_exit_zero(name, tmp_path):
+    # Every RWPE row is equal, so every positional column is flat: mode R
+    # with the orthogonality penalty trains with and without dropout.
+    n, edges = EQUAL_RWPE_ROWS[name]
+    data = tmp_path / name
+    save_dataset(toy_graph(edges, [i % 3 for i in range(n)]), name, data)
     argv = ["train", "--data", str(data), "--runs", "1", "--splits", "1"]
-    for dropout, code in (("0", 1), ("0.5", 0)):
+    for dropout in ("0", "0.5"):
         conf = tmp_path / f"dropout-{dropout}.conf"
         text = CONFIG_TEXT.replace("dropout_p = 0.1", f"dropout_p = {dropout}")
         conf.write_text(text, encoding="utf-8")
         out = tmp_path / f"out-{dropout}"
-        assert main(argv + ["--config", str(conf), "--out", str(out)]) == code
-        assert out.exists() == (code == 0)
-    assert "set dropout_p > 0 or lambda_orth = 0" in capsys.readouterr().err
+        assert main(argv + ["--config", str(conf), "--out", str(out)]) == 0
+        for prefix in ("metrics", "checkpoint", "beta"):
+            assert next(out.glob(f"{prefix}-dsf.*")).stat().st_size > 0
 
 
 def test_unknown_flag_is_a_usage_failure(capsys):
@@ -356,6 +377,40 @@ def test_module_entry_point_maps_exit_codes():
     unknown = run("frobnicate")
     assert unknown.returncode == 1
     assert unknown.stderr.startswith("error:")
+
+
+EXIT_CODES = {
+    errors.DiverspecError: 1,
+    errors.UsageError: 1,
+    errors.ConfigError: 1,
+    errors.DataError: 2,
+    errors.NumericalError: 3,
+}
+
+
+def _error_classes(cls: type) -> set[type]:
+    return {cls}.union(*(_error_classes(sub) for sub in cls.__subclasses__()))
+
+
+def test_exit_codes_cover_every_error_class():
+    assert _error_classes(errors.DiverspecError) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", sorted(EXIT_CODES, key=lambda cls: cls.__name__))
+def test_error_from_a_command_maps_to_its_exit_code(
+    error, dataset_dir, config_path, tmp_path, monkeypatch, capsys
+):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "run_grid", failing)
+    out = tmp_path / "out"
+    code = main([
+        "train", "--data", str(dataset_dir), "--config", str(config_path), "--out", str(out),
+    ])
+    assert code == EXIT_CODES[error]
+    assert capsys.readouterr().err == "error: injected\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,14 @@ def test_config_hash_is_stable_and_sensitive():
     a = build_configs(parse_config_text("K = 5"))
     b = build_configs(parse_config_text("K = 5"))
     c = build_configs(parse_config_text("K = 6"))
-    assert config_hash(*a) == config_hash(*b)
-    assert config_hash(*a) != config_hash(*c)
-    digest = config_hash(*a)
+    assert config_hash(*a, "dsf") == config_hash(*b, "dsf")
+    assert config_hash(*a, "dsf") != config_hash(*c, "dsf")
+    digest = config_hash(*a, "dsf")
     assert len(digest) == 12
     assert all(ch in "0123456789abcdef" for ch in digest)
+
+
+def test_config_hash_covers_the_variant():
+    model, train = build_configs(parse_config_text("K = 5"))
+    digests = {config_hash(model, train, v) for v in ("dsf", "baseline", "no-ipe")}
+    assert len(digests) == 3

@@ -20,7 +20,7 @@ from diverspec import (
 )
 from diverspec import autodiff as ad
 from diverspec.autodiff import Value, make_rng
-from diverspec.errors import ConfigError, DataError, NumericalError
+from diverspec.errors import ConfigError, DataError
 from diverspec.model import (
     ipe_step,
     lgwd_beta,
@@ -427,11 +427,17 @@ def test_orth_penalty_duplicate_columns():
     assert abs(orth_penalty(Value(doubled)).data[0, 0] - 4.0) < 1e-12
 
 
-def test_orth_penalty_rejects_constant_column():
+def test_orth_penalty_counts_a_flat_column_as_one():
     p = np.ones((4, 2))
     p[:, 1] = np.arange(4)
-    with pytest.raises(NumericalError):
-        orth_penalty(Value(p))
+    assert abs(orth_penalty(Value(p)).data[0, 0] - 1.0) < 1e-12
+
+    # All flat: the penalty is exactly d and sends exactly no gradient.
+    flat = Value(np.tile(np.random.default_rng(3).standard_normal(8), (30, 1)), requires_grad=True)
+    penalty = orth_penalty(flat)
+    assert penalty.data[0, 0] == 8.0
+    ad.backward(penalty)
+    assert np.array_equal(flat.grad, np.zeros((30, 8)))
 
 
 def test_total_loss_uniform_logits_closed_form():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_jacobi
 
 from diverspec import (
@@ -24,6 +26,7 @@ from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
 from diverspec.polynomials import adjoint_basis, bernstein_map
 from tests.conftest import connected_random_graph, toy_graph
+from tests.test_induced_edges import small_graphs
 
 GRID = np.linspace(0.0, 2.0, 21)
 
@@ -121,6 +124,27 @@ def test_adjoint_basis_matches_dense_oracle(kind):
     x = rng.standard_normal((g.num_nodes, 3))
     lhs = sum(np.sum(t * y) for t, y in zip(apply_basis(kind, 5, a_hat, x), ys))
     assert abs(lhs - np.sum(x * adjoint_basis(kind, 5, a_hat, ys))) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), order=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_bases_match_dense_oracle_on_small_graphs(graph, order, seed):
+    # N = 1, edgeless graphs and isolated nodes (whose L_hat row is the unit
+    # row), against P_k(L_hat) = U diag(P_k(lambda)) U^T.
+    rng = np.random.default_rng(seed)
+    a_hat, l_hat = normalized_operators(graph)
+    dec = eigendecompose(l_hat)
+    x = rng.standard_normal((graph.num_nodes, 2))
+    ys = rng.standard_normal((order + 1, graph.num_nodes, 2))
+    for kind in (Monomial(), Bernstein(order), Jacobi(1.5, -0.5)):
+        dense = [
+            dec.eigenvectors @ (basis_eval(kind, k, dec.eigenvalues)[:, None] * dec.eigenvectors.T)
+            for k in range(order + 1)
+        ]
+        for term, p_k in zip(apply_basis(kind, order, a_hat, x), dense, strict=True):
+            assert np.abs(term - p_k @ x).max() < 1e-10, kind
+        expected = sum(p_k.T @ y for p_k, y in zip(dense, ys))
+        assert np.abs(adjoint_basis(kind, order, a_hat, ys) - expected).max() < 1e-10, kind
 
 
 def test_adjoint_basis_rejects_asymmetric_operator(c3):

@@ -9,16 +9,21 @@ the beta table realized at that snapshot. A change that reorders floating-point 
 must keep every pinned float within ``ATOL`` and ``val_history`` exact.
 
 Floats are stored rounded to 13 significant digits (an error far below
-``ATOL``) to keep the fixture small. Regenerate it only when a change is
-meant to alter trajectories, from the repository root::
+``ATOL``) to keep the fixture small. From the repository root::
 
-    PYTHONPATH=src python -m tests.test_reference_trajectories
+    PYTHONPATH=src python -m tests.test_reference_trajectories [NAME ...]
+
+records the entries missing from the fixture and re-records the named ones
+(name them only when a change is meant to alter their trajectories). Every
+other entry is copied byte for byte, and an unchanged fixture is not
+rewritten.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +90,25 @@ def record(name: str) -> dict:
     }
 
 
+def _dumps(entries: dict) -> str:
+    return json.dumps(entries, separators=(",", ":"))
+
+
+def update_fixture(names: list[str], path: Path = FIXTURE) -> list[str]:
+    """Record the named entries and the missing ones into ``path``; return them."""
+    unknown = sorted(set(names) - set(variant_names()))
+    if unknown:
+        raise SystemExit(f"unknown variants: {', '.join(unknown)}")
+    old = json.loads(gzip.decompress(path.read_bytes())) if path.exists() else {}
+    recorded = [name for name in variant_names() if name in names or name not in old]
+    entries = {name: record(name) if name in recorded else old[name] for name in variant_names()}
+    text = _dumps(entries)
+    if text != _dumps(old):
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(gzip.compress(text.encode(), mtime=0))
+    return recorded
+
+
 @pytest.fixture(scope="module")
 def pinned() -> dict:
     return json.loads(gzip.decompress(FIXTURE.read_bytes()))
@@ -105,8 +129,37 @@ def test_trajectory_matches_pinned_reference(name, pinned):
         assert err <= ATOL, f"{name} {key}: max abs error {err:.3e}"
 
 
+def test_update_fixture_records_only_named_and_missing_entries(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_record(name: str) -> str:
+        calls.append(name)
+        return name
+
+    monkeypatch.setattr(sys.modules[__name__], "record", fake_record)
+    copy = tmp_path / "fixture.json.gz"
+    copy.write_bytes(FIXTURE.read_bytes())
+
+    assert update_fixture([], copy) == [] and calls == []
+    assert copy.read_bytes() == FIXTURE.read_bytes()
+
+    # Decoding and re-encoding reproduces the committed text exactly, so an
+    # entry that is not re-recorded keeps its bytes.
+    text = gzip.decompress(FIXTURE.read_bytes()).decode()
+    pinned = json.loads(text)
+    assert _dumps(pinned) == text
+    assert update_fixture(["Bern-I-ipe"], copy) == ["Bern-I-ipe"]
+    entries = json.loads(gzip.decompress(copy.read_bytes()))
+    assert entries == {**pinned, "Bern-I-ipe": "Bern-I-ipe"}
+
+    del entries["GPR-R-no-ipe"]
+    copy.write_bytes(gzip.compress(_dumps(entries).encode(), mtime=0))
+    assert update_fixture([], copy) == ["GPR-R-no-ipe"]
+    assert calls == ["Bern-I-ipe", "GPR-R-no-ipe"]
+    with pytest.raises(SystemExit, match="unknown variants: nope"):
+        update_fixture(["nope"], copy)
+
+
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    text = json.dumps({name: record(name) for name in variant_names()}, separators=(",", ":"))
-    FIXTURE.write_bytes(gzip.compress(text.encode(), mtime=0))
-    print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)")
+    done = update_fixture(sys.argv[1:])
+    print(f"recorded {', '.join(done) or 'nothing'} in {FIXTURE}")

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverspec import (
     DsfConfig,
@@ -18,11 +18,12 @@ from diverspec import (
     two_block_graph,
 )
 from diverspec import training
-from diverspec.errors import ConfigError, DataError, NumericalError
+from diverspec.errors import ConfigError, DataError, NumericalError, UsageError
 from diverspec.autodiff import make_rng
 from diverspec.model import accuracy, forward, init_params
 from diverspec.datasets import random_graph
-from tests.conftest import toy_graph
+from tests.conftest import EQUAL_RWPE_ROWS, toy_graph
+from tests.test_induced_edges import small_graphs
 
 
 def small_config(**overrides) -> DsfConfig:
@@ -230,30 +231,71 @@ def test_run_grid_builds_graph_inputs_once(monkeypatch, overrides, homogeneous, 
     assert tuple(calls.get(name, 0) for name in names) == expected
 
 
-@pytest.mark.parametrize(
-    "n, edges",
-    [(30, [(i, (i + 1) % 30) for i in range(30)]), (20, list(combinations(range(20), 2)))],
-    ids=["c30", "k20"],
-)
-def test_graph_inputs_rejects_equal_positional_rows_in_mode_r(n, edges):
+@pytest.mark.parametrize("name", sorted(EQUAL_RWPE_ROWS))
+def test_equal_positional_rows_train_in_mode_r(name):
+    # Every positional column is flat; the orthogonality penalty counts each
+    # one as 1 and the gated model trains on.
+    n, edges = EQUAL_RWPE_ROWS[name]
     g = toy_graph(edges, [i % 3 for i in range(n)])
-    degenerate = dict(mode="R", lambda_orth=0.1, dropout_p=0.0)
-    with pytest.raises(ConfigError, match="dropout_p > 0 or lambda_orth = 0"):
-        graph_inputs(g, small_config(**degenerate))
-    for escape in ({"dropout_p": 0.5}, {"lambda_orth": 0.0}, {"mode": "I"}):
-        _, positional = graph_inputs(g, small_config(**{**degenerate, **escape}))
-        assert np.ptp(positional, axis=0).max() <= 1e-12
+    cfg = small_config(mode="R", lambda_orth=0.1, dropout_p=0.0)
+    _, positional = graph_inputs(g, cfg)
+    assert np.ptp(positional, axis=0).max() <= 1e-12
+    splits = make_splits(g, "dense", 1, seed=2)
+    grid = run_grid(g, cfg, TrainConfig(epochs=4, patience=4), 1, splits, 3)
+    assert grid.last_run.epochs_run == 4
+    assert {"w_pos", "gate_w", "gate_b"} <= set(grid.last_run.params)
 
 
 def test_degenerate_mode_r_graph_trains_as_the_baseline():
-    # The equal-rows rejection guards the gated model's orthogonality
-    # penalty; the baseline reads no positions, so the same config trains.
+    # The baseline reads no positions, so on a graph whose positional rows
+    # are all equal it builds none and keeps only its five tensors.
     g = toy_graph([(i, (i + 1) % 30) for i in range(30)], [i % 3 for i in range(30)])
     cfg = small_config(mode="R", lambda_orth=0.1, dropout_p=0.0)
     splits = make_splits(g, "dense", 1, seed=2)
     grid = run_grid(g, cfg, TrainConfig(epochs=4, patience=4), 1, splits, 3, homogeneous=True)
     assert grid.last_run.epochs_run == 4
     assert set(grid.last_run.params) == {"w_in", "b_in", "w_out", "b_out", "gamma"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    graph=small_graphs(),
+    backbone=st.sampled_from(("GPR", "Bern", "Jacobi")),
+    mode=st.sampled_from(("R", "I")),
+    pe_init=st.sampled_from(("RWPE", "LapPE")),
+    lambda_orth=st.sampled_from((0.0, 0.1)),
+    dropout_p=st.sampled_from((0.0, 0.5)),
+    variant=st.sampled_from(("dsf", "baseline", "no-ipe")),
+)
+def test_small_graphs_train_every_cell_or_fail_up_front(
+    graph, backbone, mode, pe_init, lambda_orth, dropout_p, variant
+):
+    # Edgeless graphs, isolated nodes and tiny N give flat positional
+    # columns and dropped-out ones; none of them may stop a grid mid-way.
+    calls = []
+    real_train_once = training.train_once
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_train_once(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "train_once", counting)
+        try:
+            cfg = DsfConfig(
+                K=2, d=4, f_p=2, eta1=0.3, eta2=0.3 if mode == "I" else 0.0,
+                lambda_orth=lambda_orth, mode=mode, backbone=backbone, pe_init=pe_init,
+                dropout_p=dropout_p, ablate_ipe=variant == "no-ipe",
+            )
+            splits = make_splits(graph, "dense", 2, seed=1)
+            grid = run_grid(
+                graph, cfg, TrainConfig(epochs=3, patience=3), 1, splits, 0,
+                homogeneous=variant == "baseline",
+            )
+        except (UsageError, DataError):  # ConfigError is a UsageError
+            assert not calls
+            return
+    assert len(grid.cells) == len(calls) == 2
 
 
 def test_baseline_and_ablation_together_are_rejected(monkeypatch):
