@@ -276,14 +276,14 @@ _PROP1_BASES = ("monomial", "bernstein", "jacobi")
 def cmd_prop1_check(args: argparse.Namespace) -> int:
     bases = _PROP1_BASES if args.basis == "all" else (args.basis,)
     order = args.order
+    kinds = {  # built before the first line, so a bad parameter prints no PASS
+        "monomial": Monomial(),
+        "bernstein": Bernstein(order),
+        "jacobi": Jacobi(args.jacobi_a, args.jacobi_b),
+    }
     failures = 0
     for name in bases:
-        if name == "monomial":
-            kind = Monomial()
-        elif name == "bernstein":
-            kind = Bernstein(order)
-        else:
-            kind = Jacobi(args.jacobi_a, args.jacobi_b)
+        kind = kinds[name]
         rng = make_rng(args.seed, order, _PROP1_BASES.index(name))
         grid = np.linspace(0.0, 2.0, 64)
         worst = 0.0
@@ -367,6 +367,12 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--seed must be nonnegative")
         if getattr(args, "k_hops", 0) < 0:
             raise UsageError("--k-hops must be nonnegative")
+        if getattr(args, "order", 0) < 0:
+            raise UsageError("--order must be nonnegative")
+        if getattr(args, "trials", 1) < 1:
+            raise UsageError("--trials must be at least 1")
+        if getattr(args, "grid_size", 2) < 2:
+            raise UsageError("--grid-size must be at least 2, the two ends of [0, 2]")
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,8 +46,10 @@ class Jacobi:
     b: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.a <= -1 or self.b <= -1:
-            raise UsageError(f"Jacobi parameters must exceed -1, got a={self.a}, b={self.b}")
+        if not (-1 < self.a < np.inf and -1 < self.b < np.inf):  # NaN fails too
+            raise UsageError(
+                f"Jacobi parameters must be finite and exceed -1, got a={self.a}, b={self.b}"
+            )
 
 
 BasisKind = Monomial | Bernstein | Jacobi
@@ -58,9 +60,13 @@ def jacobi_step_coefficients(k: int, a: float, b: float) -> tuple[float, float, 
 
     P_k(x) = (cx * x + c0) * P_{k-1}(x) - c2 * P_{k-2}(x).
     """
-    s = 2 * k + a + b
-    den = 2 * k * (k + a + b) * (s - 2)
-    cx = (s - 1) * s * (s - 2) / den
+    # e = a + b + 2 summed as (1 + a) + (1 + b): both terms are positive, and
+    # exact for a, b near -1, so the k = 2 divisors stay nonzero even with a
+    # and b an ulp above -1.
+    e = (1 + a) + (1 + b)
+    s = 2 * k - 2 + e
+    den = 2 * k * (k - 2 + e) * (2 * k - 4 + e)
+    cx = (s - 1) * s * (2 * k - 4 + e) / den
     c0 = (s - 1) * (a * a - b * b) / den
     c2 = 2 * (k + a - 1) * (k + b - 1) * s / den
     return cx, c0, c2
@@ -108,7 +114,7 @@ def recurrence_table(kind: BasisKind, order: int) -> np.ndarray:
     """
     table = np.tile([1.0, 0.0, 0.0], (order, 1))
     if isinstance(kind, Jacobi) and order >= 1:
-        table[0, :2] = (kind.a + kind.b + 2) / 2.0, (kind.a - kind.b) / 2.0
+        table[0, :2] = ((1 + kind.a) + (1 + kind.b)) / 2.0, (kind.a - kind.b) / 2.0
         for k in range(2, order + 1):
             table[k - 1] = jacobi_step_coefficients(k, kind.a, kind.b)
     return table
@@ -241,39 +247,24 @@ def chebyshev_nodes(count: int, lo: float, hi: float) -> np.ndarray:
     return (lo + hi) / 2.0 + (hi - lo) / 2.0 * base
 
 
-def _solve_vandermonde(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Power coefficients a with sum_j a_j * nodes_i^j = values_i.
-
-    Bjorck-Pereyra elimination: Newton divided differences followed by the
-    Newton-to-monomial triangle. Far more accurate than a generic LU solve
-    on the notoriously ill-conditioned Vandermonde matrix.
-    """
-    a = np.array(values, dtype=np.float64)
-    n = nodes.size
-    for k in range(n - 1):
-        for i in range(n - 1, k, -1):
-            a[i] = (a[i] - a[i - 1]) / (nodes[i] - nodes[i - k - 1])
-    for k in range(n - 2, -1, -1):
-        for i in range(k, n - 1):
-            a[i] = a[i] - nodes[k] * a[i + 1]
-    return a
-
-
 def rescale_coefficients(
     coefficients: np.ndarray, ratio: float, kind: BasisKind
 ) -> np.ndarray:
     """Coefficients of g with g(x) = f(ratio * x) in the same basis.
 
-    Works by interpolating f on Chebyshev nodes of [0, 2] to recover its
-    power-series form (in the scaled variable x/2 for conditioning), scaling
-    the k-th power coefficient by ratio^k, and re-interpolating back into the
-    basis. Exact for polynomials up to rounding.
+    g is a polynomial of the degree of f, so its values at the order + 1
+    Chebyshev nodes of [0, 2] fix it: those values are f sampled at the
+    scaled nodes, and one solve against the basis matrix at the nodes
+    returns g's coefficients. No power basis is formed. Exact for
+    polynomials up to rounding; ``ratio == 1`` returns an exact copy.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if coefficients.ndim != 1 or coefficients.size == 0:
         raise UsageError("coefficients must be a nonempty 1-D array")
-    if ratio < 0:
-        raise UsageError(f"rescaling ratio must be nonnegative, got {ratio}")
+    if not np.all(np.isfinite(coefficients)):
+        raise UsageError("coefficients must be finite")
+    if not np.isfinite(ratio) or ratio < 0:
+        raise UsageError(f"rescaling ratio must be finite and nonnegative, got {ratio}")
     order = coefficients.size - 1
     _check_order(kind, order)
     if ratio == 1.0:
@@ -283,16 +274,7 @@ def rescale_coefficients(
     basis_matrix = np.stack(
         [np.atleast_1d(basis_eval(kind, k, nodes)) for k in range(order + 1)], axis=1
     )
-    f_values = basis_matrix @ coefficients
-
-    scaled_nodes = nodes / 2.0
-    power = _solve_vandermonde(scaled_nodes, f_values)
-    g_values = np.vander(scaled_nodes, order + 1, increasing=True) @ (
-        power * ratio ** np.arange(order + 1)
-    )
-    out = np.linalg.solve(basis_matrix, g_values)
-    residual = g_values - basis_matrix @ out
-    return out + np.linalg.solve(basis_matrix, residual)
+    return np.linalg.solve(basis_matrix, filter_response(coefficients, kind, ratio * nodes))
 
 
 def filter_response(

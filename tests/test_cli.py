@@ -329,6 +329,20 @@ def test_train_bad_config_key_is_a_usage_failure(dataset_dir, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_jacobi_parameter_is_a_usage_failure(
+    dataset_dir, tmp_path, capsys, value
+):
+    # Without the check the grid starts and dies with a non-finite loss (exit 3).
+    bad = tmp_path / "bad.conf"
+    bad.write_text(f"backbone = Jacobi\nK = 3\njacobi_b = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["train", "--data", str(dataset_dir), "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert "Jacobi parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_negative_seed_is_rejected(dataset_dir, config_path, tmp_path, capsys):
     code = main([
         "train", "--data", str(dataset_dir), "--config", str(config_path),
@@ -476,6 +490,17 @@ def test_analyze_rejects_more_clusters_than_distinct_rows(baseline_dir, tmp_path
     assert json.loads((out / "analysis.json").read_text())["cluster_sizes"] == [20]
 
 
+@pytest.mark.parametrize("size", ["1", "0", "-1"])
+def test_analyze_grid_size_below_two_is_a_usage_error(train_dir, tmp_path, capsys, size):
+    out = tmp_path / "ana"
+    code = main([
+        "analyze", "--run-dir", str(train_dir), "--grid-size", size, "--out", str(out),
+    ])
+    assert code == 1
+    assert "--grid-size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_without_metrics_is_a_data_error(tmp_path, capsys):
     assert main(["analyze", "--run-dir", str(tmp_path)]) == 2
     assert "missing metrics file" in capsys.readouterr().err
@@ -520,6 +545,32 @@ def test_prop1_check_impossible_tolerance_fails_numerically(capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "rescaling identity" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "0", "--trials"),
+        ("--trials", "-2", "--trials"),
+        ("--order", "-1", "--order"),
+        ("--jacobi-a", "nan", "Jacobi parameters"),
+        ("--jacobi-a", "inf", "Jacobi parameters"),
+        ("--jacobi-b", "-1", "Jacobi parameters"),
+    ],
+)
+@pytest.mark.parametrize("basis", ["all", "monomial"])
+def test_prop1_check_rejects_bad_arguments_before_any_check(capsys, flag, value, message, basis):
+    assert main(["prop1-check", "--basis", basis, "--trials", "2", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("order", [12, 20, 30])
+def test_prop1_check_holds_at_high_order(capsys, order):
+    assert main(["prop1-check", "--order", str(order), "--trials", "20"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("prop1-check")]
+    assert len(lines) == 3 and all(line.endswith("PASS") for line in lines)
 
 
 # ---------------------------------------------------------------------------

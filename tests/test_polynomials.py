@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi
 
@@ -72,6 +72,11 @@ def test_jacobi_parameter_validation():
         Jacobi(-1.0, 0.0)
     with pytest.raises(UsageError):
         Jacobi(0.0, -1.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UsageError):
+            Jacobi(bad, 1.0)
+        with pytest.raises(UsageError):
+            Jacobi(1.0, bad)
 
 
 def test_apply_basis_order_zero_is_identity(c3):
@@ -268,6 +273,42 @@ def test_rescale_input_validation():
         rescale_coefficients(np.ones((2, 2)), 0.5, Monomial())
     with pytest.raises(UsageError):
         rescale_coefficients(np.ones(3), -0.1, Monomial())
+    for ratio in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError):
+            rescale_coefficients(np.ones(3), ratio, Jacobi())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UsageError):
+            rescale_coefficients(np.array([1.0, bad, 0.5]), 0.5, Jacobi())
+        with pytest.raises(UsageError):
+            rescale_coefficients(np.array([1.0, bad, 0.5]), 1.0, Monomial())
+
+
+@st.composite
+def rescale_cases(draw):
+    order = draw(st.integers(0, 30))
+    family = draw(st.sampled_from(["monomial", "bernstein", "jacobi"]))
+    if family == "monomial":
+        kind = Monomial()
+    elif family == "bernstein":
+        kind = Bernstein(order)
+    else:
+        params = st.floats(-1.0, 3.0, exclude_min=True)
+        kind = Jacobi(draw(params), draw(params))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coefficients = np.random.default_rng(seed).standard_normal(order + 1)
+    return kind, coefficients, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rescale_cases())
+@example((Jacobi(-0.9999999999999998, -0.9999999999999998), np.arange(1.0, 4.0), 0.5))
+def test_rescale_identity_holds_at_every_order(case):
+    kind, coefficients, ratio = case
+    grid = np.linspace(0.0, 2.0, 64)
+    direct = filter_response(coefficients, kind, ratio * grid)
+    via_rescale = filter_response(rescale_coefficients(coefficients, ratio, kind), kind, grid)
+    scale = max(1.0, float(np.abs(direct).max()))
+    assert np.abs(direct - via_rescale).max() <= 1e-10 * scale
 
 
 def test_filter_response_basics():
