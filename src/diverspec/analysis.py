@@ -120,21 +120,3 @@ def homophily_histogram(graph: Graph, k: int = 2) -> tuple[np.ndarray, np.ndarra
     :func:`~diverspec.spectral.local_histograms`.
     """
     return local_histograms(graph, k)[:2]
-
-
-def pca_2d(weights: np.ndarray) -> np.ndarray:
-    """Deterministic top-2 PCA scores of weight rows, for 2-D scatter plots.
-
-    Component signs are fixed the same way as eigenvectors (largest-|loading|
-    coordinate positive) so repeated calls agree bit for bit.
-    """
-    points = np.asarray(weights, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] < 2:
-        raise UsageError(f"need at least 2 columns for a 2-D projection, got {points.shape}")
-    centered = points - points.mean(axis=0, keepdims=True)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:2]
-    anchor = np.argmax(np.abs(components), axis=1)
-    signs = np.sign(components[np.arange(2), anchor])
-    signs[signs == 0] = 1.0
-    return centered @ (components * signs[:, None]).T

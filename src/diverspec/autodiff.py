@@ -8,6 +8,8 @@ filter model needs - dense linear algebra, ``column_dots`` and
 :mod:`.polynomials` recurrence forward, its adjoint backward), a few
 elementwise nonlinearities, masked cross-entropy, and a column-normalization
 used by the orthogonality penalty. Gradients never flow into sparse graph operators.
+Inside :func:`no_grad` no op records its parents, so a pass whose gradient
+nobody reads (the per-epoch evaluation) builds no tape.
 
 Randomness (initialization, dropout masks) always comes from explicitly
 passed generators built on a counter-based Philox stream, so every run is
@@ -16,7 +18,8 @@ reproducible from integer seeds alone.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,12 +78,31 @@ class Value:
         return f"Value(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Inside the block every op returns an untracked value: no tape is built.
+
+    Leaves keep their ``requires_grad`` and their arrays (nothing is copied);
+    the previous setting comes back on exit, also after an exception. The
+    setting is one module flag, so it holds for every caller in the process.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _tracked(*parents: Value) -> bool:
     return any(p.requires_grad for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple[Value, ...], backward_fn) -> Value:
-    if _tracked(*parents):
+    if _grad_enabled and _tracked(*parents):
         return Value(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
     return Value(data)
 

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -61,7 +62,8 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)  # never one big string
+    # Streamed, never one big string; NaN and infinity are not JSON, so they raise.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(obj)
     _write_text(path, itertools.chain(chunks, ["\n"]))
 
 
@@ -371,6 +373,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--order must be nonnegative")
         if getattr(args, "trials", 1) < 1:
             raise UsageError("--trials must be at least 1")
+        if not 0.0 < getattr(args, "tolerance", 1.0) < math.inf:
+            raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
         if getattr(args, "grid_size", 2) < 2:
             raise UsageError("--grid-size must be at least 2, the two ends of [0, 2]")
         return args.func(args)

@@ -4,7 +4,9 @@ A shared polynomial backbone (monomial, Bernstein, or Jacobi basis) is
 modulated per node: a positional embedding, iteratively refined over the
 graph, feeds tiny per-order heads whose outputs gate the shared filter
 coefficients. Every node therefore runs its own spectral filter while
-parameter count stays within a constant factor of the shared backbone.
+parameter count stays within a constant factor of the shared backbone. As in
+GPR-GNN and BernNet, the filter propagates after the last linear layer, on
+the (N, C) class scores.
 
 Two variants are exposed: mode "I" couples position refinement to a learned
 node-similarity correction; mode "R" drops that correction (eta2 is pinned
@@ -14,6 +16,7 @@ regularizes positional columns toward orthogonality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -67,8 +70,8 @@ class DsfConfig:
             raise ConfigError(f"widths must be positive, got d={self.d}, f_p={self.f_p}")
         if not 0.0 <= self.eta1 <= 1.0:
             raise ConfigError(f"eta1 must lie in [0, 1], got {self.eta1}")
-        if self.eta2 < 0.0:
-            raise ConfigError(f"eta2 must be nonnegative, got {self.eta2}")
+        if not 0.0 <= self.eta2 < math.inf:  # the chained test also rejects NaN
+            raise ConfigError(f"eta2 must be finite and nonnegative, got {self.eta2}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "R" and self.eta2 != 0.0:
@@ -79,8 +82,8 @@ class DsfConfig:
             raise ConfigError(f"pe_init must be one of {PE_INITS}, got {self.pe_init!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-        if self.lambda_orth < 0.0:
-            raise ConfigError(f"lambda_orth must be nonnegative, got {self.lambda_orth}")
+        if not 0.0 <= self.lambda_orth < math.inf:
+            raise ConfigError(f"lambda_orth must be finite and nonnegative, got {self.lambda_orth}")
         if self.sigma_p is None:
             default = "Sigmoid" if self.backbone == "Bern" else "Tanh"
             object.__setattr__(self, "sigma_p", default)
@@ -357,7 +360,11 @@ def forward(
     rng: np.random.Generator | None = None,
     homogeneous: bool = False,
 ) -> ForwardResult:
-    """Full model pass: project, refine positions, gate, filter, classify.
+    """Full model pass: project, refine positions, gate, classify, filter.
+
+    The logits are ``sum_k diag(beta_k) P_k(L_hat) (h0 W_out) + b_out``: the
+    node-wise filter runs on the (N, C) class scores, not the (N, d) hidden
+    layer, which is the same function in d / C times fewer filter flops.
 
     The shared-coefficient baseline (``homogeneous=True``) and the ablation
     (``ablate_ipe``) filter with ``gamma`` itself (rectified for Bern) and
@@ -379,8 +386,8 @@ def forward(
         table = lgwd_beta(thetas, params, config)
         p_final = p_list[-1]
 
-    z = ad.polynomial_filter(table, h0, config.basis(), a_hat)
-    logits = ad.add(ad.matmul(z, params.w_out), params.b_out)
+    z = ad.polynomial_filter(table, ad.matmul(h0, params.w_out), config.basis(), a_hat)
+    logits = ad.add(z, params.b_out)
     betas = np.broadcast_to(table.data, (features.shape[0], table.shape[1])).copy()
     return ForwardResult(logits=logits, positional=p_final, betas=betas)
 

@@ -7,12 +7,13 @@ training trajectory: initialization, dropout masks, and the split itself.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamState, adam_step, backward, make_rng, zero_grad
+from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .errors import ConfigError, DataError, NumericalError
 from .graph import Graph, SparseOperator, normalized_operators
 from .model import (
@@ -41,10 +42,12 @@ class TrainConfig:
     patience: int = 100
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 < self.lr < math.inf:  # the chained tests also reject NaN
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be finite and nonnegative, got {self.weight_decay}"
+            )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.patience < 1:
@@ -152,10 +155,11 @@ def train_once(
     same graph and variant. The best-so-far parameters are snapshotted in memory
     (ties keep the earlier epoch) together with the logits and beta table of the
     eval pass that selected them; the test accuracy and betas come from that
-    pass. A non-finite loss or gradient aborts with :class:`NumericalError`
-    before the optimizer step. ``init_hook``, when given, may edit the
-    freshly initialized parameters in place (e.g. pin a group of weights)
-    before the first epoch.
+    pass. The eval pass runs under :func:`~diverspec.autodiff.no_grad`, so it
+    records no tape; only the train pass is differentiated. A non-finite loss
+    or gradient aborts with :class:`NumericalError` before the optimizer
+    step. ``init_hook``, when given, may edit the freshly initialized
+    parameters in place (e.g. pin a group of weights) before the first epoch.
     """
     a_hat, positional = inputs
     params = init_params(
@@ -197,7 +201,11 @@ def train_once(
                 raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}")
         adam_step(param_dict, optimizer)
 
-        eval_result = forward(a_hat, graph.features, positional, params, config, homogeneous=homogeneous)
+        with no_grad():
+            eval_result = forward(
+                a_hat, graph.features, positional, params, config,
+                train=False, homogeneous=homogeneous,
+            )
         val_acc = accuracy(eval_result.logits.data, graph.labels, val_mask)
         val_history.append(val_acc)
         if val_acc > best_val:

@@ -13,7 +13,6 @@ from diverspec import (
     filter_response,
     homophily_histogram,
     local_label_homophily,
-    pca_2d,
 )
 from diverspec.errors import UsageError
 from tests.conftest import toy_graph
@@ -142,19 +141,3 @@ def test_homophily_histogram_drops_undefined():
     assert 2 not in node_ids
     assert len(values) == 2
 
-
-def test_pca_projects_to_two_components():
-    rng = np.random.default_rng(8)
-    base = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 5))
-    coords = pca_2d(base)
-    assert coords.shape == (30, 2)
-    # the two-factor data is captured exactly by two components
-    centered = base - base.mean(axis=0)
-    energy = np.sum(centered**2)
-    assert np.sum(coords**2) == pytest.approx(energy)
-
-
-def test_pca_is_deterministic():
-    rng = np.random.default_rng(9)
-    weights = rng.standard_normal((20, 6))
-    assert np.array_equal(pca_2d(weights), pca_2d(weights))

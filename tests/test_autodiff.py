@@ -6,10 +6,22 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from diverspec import Bernstein, Jacobi, Monomial, normalized_operators
+from diverspec import (
+    Bernstein,
+    DsfConfig,
+    Jacobi,
+    Monomial,
+    forward,
+    graph_inputs,
+    init_params,
+    normalized_operators,
+    total_loss,
+    two_block_graph,
+)
 from diverspec import autodiff as ad
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
+from diverspec.model import one_hot
 from tests.conftest import connected_random_graph
 
 
@@ -396,3 +408,54 @@ def test_make_rng_is_deterministic_per_entropy():
     c = ad.make_rng(1, 2, 4).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# --- no_grad ------------------------------------------------------------------
+
+
+def test_no_grad_ops_return_untracked_values():
+    x = ad.Value(np.ones((2, 3)), requires_grad=True)
+    w = ad.Value(np.ones((3, 2)), requires_grad=True)
+    with ad.no_grad():
+        out = ad.tanh(ad.add(ad.matmul(x, w), ad.Value(np.ones((1, 2)))))
+        loss = ad.frobenius_sq(out)
+    for value in (out, loss):
+        assert value.requires_grad is False
+        assert value._parents == () and value._backward_fn is None
+    assert x.requires_grad and w.requires_grad  # the leaves keep their flag
+    assert ad.matmul(x, w).requires_grad  # tracking is back outside the block
+
+
+def test_no_grad_restores_the_flag_after_nesting_and_exceptions():
+    x = ad.Value(np.ones((1, 1)), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.scalar_mul(x, 2.0).requires_grad
+        assert not ad.scalar_mul(x, 2.0).requires_grad  # the inner exit keeps it off
+    assert ad.scalar_mul(x, 2.0).requires_grad
+
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert ad.scalar_mul(x, 2.0).requires_grad
+
+
+def test_no_grad_eval_pass_copies_no_parameter_and_train_pass_still_tapes():
+    g = two_block_graph(6, seed=3)
+    cfg = DsfConfig(K=3, d=4, f_p=4, mode="R", lambda_orth=0.05, dropout_p=0.3)
+    a_hat, positional = graph_inputs(g, cfg)
+    params = init_params(cfg, g.num_features, g.num_classes, ad.make_rng(0), num_nodes=g.num_nodes)
+    before = {name: (p, p.data) for name, p in params.as_dict().items()}
+
+    with ad.no_grad():
+        eval_result = forward(a_hat, g.features, positional, params, cfg, train=False)
+    assert not eval_result.logits.requires_grad and eval_result.logits._parents == ()
+    after = params.as_dict()
+    assert all(after[name] is p and p.data is data for name, (p, data) in before.items())
+    assert all(p.requires_grad and p.grad is None for p in after.values())
+
+    result = forward(a_hat, g.features, positional, params, cfg, train=True, rng=ad.make_rng(1))
+    assert result.logits.requires_grad
+    targets = one_hot(g.labels, g.num_classes)
+    ad.backward(total_loss(result, targets, np.ones(g.num_nodes, dtype=bool), cfg))
+    assert [name for name, p in after.items() if p.grad is None] == []

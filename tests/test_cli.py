@@ -343,6 +343,40 @@ def test_train_non_finite_jacobi_parameter_is_a_usage_failure(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lambda_orth = nan",
+        "lambda_orth = inf",
+        "mode = I\neta2 = nan",
+        "mode = I\neta2 = inf",
+        "lr = nan",
+        "lr = inf",
+        "weight_decay = nan",
+        "weight_decay = inf",
+        "weight_decay = -inf",
+    ],
+)
+def test_train_non_finite_float_exits_one_before_any_output(dataset_dir, tmp_path, capsys, line):
+    # Without the checks NaN trains as 0 or dies mid-grid (exit 3), or lands in the JSON.
+    key = line.rsplit("\n", 1)[-1].split(" = ")[0]
+    bad = tmp_path / "bad.conf"
+    bad.write_text(f"K = 3\nd = 8\nf_p = 4\nepochs = 3\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["train", "--data", str(dataset_dir), "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{key} must be finite" in captured.err
+    assert not out.exists()
+
+
+def test_write_json_refuses_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"mean_acc": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_negative_seed_is_rejected(dataset_dir, config_path, tmp_path, capsys):
     code = main([
         "train", "--data", str(dataset_dir), "--config", str(config_path),
@@ -556,6 +590,10 @@ def test_prop1_check_impossible_tolerance_fails_numerically(capsys):
         ("--jacobi-a", "nan", "Jacobi parameters"),
         ("--jacobi-a", "inf", "Jacobi parameters"),
         ("--jacobi-b", "-1", "Jacobi parameters"),
+        ("--tolerance", "nan", "--tolerance"),
+        ("--tolerance", "inf", "--tolerance"),
+        ("--tolerance", "0", "--tolerance"),
+        ("--tolerance", "-1e-8", "--tolerance"),
     ],
 )
 @pytest.mark.parametrize("basis", ["all", "monomial"])

@@ -266,6 +266,35 @@ def test_forward_homogeneous_matches_backbone_filter(backbone):
     assert np.abs(result.betas - gamma[None, :]).max() == 0.0
 
 
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["gated", "direct"])
+@pytest.mark.parametrize("backbone", ["GPR", "Bern", "Jacobi"])
+def test_forward_filters_class_scores_not_hidden_layer(backbone, homogeneous, monkeypatch):
+    g = two_block_graph(8, seed=6)
+    cfg = config(K=5, d=16, backbone=backbone, jacobi_a=1.5, jacobi_b=-0.5)
+    a_hat, positional, params = build_model(g, cfg, seed=13, homogeneous=homogeneous)
+    # Logits well away from 0, so the bound below bites.
+    params.w_out.data[...] = 4.0 * make_rng(2).standard_normal(params.w_out.shape)
+    filtered_widths = []
+    real_filter = ad.polynomial_filter
+
+    def spy(table, x, kind, op):
+        filtered_widths.append(x.shape[1])
+        return real_filter(table, x, kind, op)
+
+    monkeypatch.setattr(ad, "polynomial_filter", spy)
+    result = forward(a_hat, g.features, positional, params, cfg, homogeneous=homogeneous)
+    assert filtered_widths == [g.num_classes]  # (N, C), not (N, d)
+
+    table = Value(result.betas)
+    h0 = np.maximum(g.features @ params.w_in.data + params.b_in.data, 0.0)
+    w_out, b_out = params.w_out.data, params.b_out.data
+    old = real_filter(table, Value(h0), cfg.basis(), a_hat).data @ w_out + b_out
+    new = real_filter(table, Value(h0 @ w_out), cfg.basis(), a_hat).data + b_out
+    tol = 1e-12 * max(1.0, np.abs(old).max())  # relative once logits exceed 1
+    assert np.abs(old - new).max() < tol
+    assert np.abs(result.logits.data - old).max() < tol
+
+
 def test_forward_is_permutation_equivariant():
     g = two_block_graph(5, seed=2)
     cfg = config(K=3)

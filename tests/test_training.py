@@ -175,6 +175,23 @@ def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
     assert all(np.array_equal(final[name], initial[name]) for name in initial)  # no Adam step
 
 
+def test_train_once_tapes_only_the_train_pass(monkeypatch):
+    g = two_block_graph(5, seed=11)
+    split = make_splits(g, "dense", 1, seed=0)[0]
+    tracked = {True: [], False: []}
+    real_forward = training.forward
+
+    def spy(*args, train=False, **kwargs):
+        result = real_forward(*args, train=train, **kwargs)
+        tracked[train].append(result.logits.requires_grad)
+        return result
+
+    monkeypatch.setattr(training, "forward", spy)
+    cfg = small_config()
+    train_once(g, graph_inputs(g, cfg), cfg, TrainConfig(epochs=3, patience=3), split, (0, 0, 0))
+    assert tracked == {True: [True] * 3, False: [False] * 3}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"backbone": "Bern"}, {"ablate_ipe": True}],
