@@ -3,11 +3,14 @@
 Every tracked quantity is a :class:`Value` wrapping a 2-D array. Operations
 build a DAG; :func:`backward` replays it once in reverse topological order,
 accumulating gradients into the leaves. The op set is exactly what the
-filter model needs - dense linear algebra, ``column_dots`` and
-``prefix_product`` for the gate table, one fused ``polynomial_filter`` (the
-:mod:`.polynomials` recurrence forward, its adjoint backward), a few
-elementwise nonlinearities, masked cross-entropy, and a column-normalization
-used by the orthogonality penalty. Gradients never flow into sparse graph operators.
+filter model needs - dense linear algebra, a sparse-times-dense product (the
+graph operator, or CSR input features), one fused ``position_refinement``
+(the K IPE states in one stacked value, their adjoint recurrence backward),
+``column_dots``, ``row_block`` and ``prefix_product`` for the gate table, one
+fused ``polynomial_filter`` (the :mod:`.polynomials` recurrence forward, its
+adjoint backward), a few elementwise nonlinearities, masked cross-entropy,
+and a column-normalization used by the orthogonality penalty. Gradients
+never flow into sparse operators.
 Inside :func:`no_grad` no op records its parents, so a pass whose gradient
 nobody reads (the per-epoch evaluation) builds no tape.
 
@@ -73,6 +76,12 @@ class Value:
             self.grad = grad.copy()  # ops such as ``add`` hand one array to several parents
         else:
             self.grad += grad
+
+    def accumulate_rows(self, start: int, grad: np.ndarray) -> None:
+        """Add ``grad`` into rows ``start:start + len(grad)`` of one full-size buffer."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad[start : start + grad.shape[0]] += grad
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -217,21 +226,97 @@ def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperato
     return _make(combine_terms(columns, terms), (table, x), backward_fn)
 
 
-def column_dots(states: Sequence[Value], w: Value) -> Value:
-    """The (N, G) table whose column k is ``states[k] @ w[:, k]`` for G states."""
-    shapes = {s.shape for s in states}
-    if len(states) != w.shape[1] or shapes != {(states[0].shape[0], w.shape[0])}:
-        raise UsageError(f"column_dots: states {sorted(shapes)} do not pair with w {w.shape}")
+def position_refinement(p0: Value, op: SparseOperator, eta1: float, K: int) -> Value:
+    """The K+1 IPE states as one ((K+1)·N, d) value whose row block k is state k.
+
+    State 0 is ``p0`` and state k is ``tanh(eta1 * p0 + (1 - eta1) * A_hat p_{k-1})``,
+    the float operations of K ``ipe_step`` calls with ``eta2 = 0``. Only the
+    states are kept. The backward runs the adjoint recurrence from k = K down
+    to 1 with ``op`` itself, which needs a symmetric ``op``.
+    """
+    if not op.symmetric:
+        raise UsageError("position_refinement needs a symmetric operator")
+    if K < 0 or op.shape != (p0.shape[0], p0.shape[0]):
+        raise UsageError(f"position_refinement: K={K} steps of {op.shape} on {p0.shape}")
+    n, d = p0.shape
+    eta1 = float(eta1)
+    states = np.empty((K + 1, n, d))
+    states[0] = p0.data
+    anchor = eta1 * p0.data
+    for k in range(1, K + 1):
+        pre = op.matrix @ states[k - 1]
+        pre *= 1.0 - eta1
+        pre += anchor
+        np.tanh(pre, out=states[k])
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if not p0.requires_grad:
+            return
+        g = grad.reshape(K + 1, n, d)
+        g_anchor = g[0].copy()
+        carry = 0.0  # gradient reaching state k through state k + 1
+        for k in range(K, 0, -1):
+            g_pre = (g[k] + carry) * (1.0 - states[k] * states[k])
+            g_anchor += eta1 * g_pre
+            g_pre *= 1.0 - eta1
+            carry = op.matrix @ g_pre
+        g_anchor += carry
+        p0.accumulate(g_anchor)
+
+    return _make(states.reshape((K + 1) * n, d), (p0,), backward_fn)
+
+
+def stack_rows(values: Sequence[Value]) -> Value:
+    """Row-wise concatenation of values of one width; block i's gradient goes to ``values[i]``."""
+    if not values or len({v.shape[1] for v in values}) != 1:
+        raise UsageError(f"stack_rows: shapes {[v.shape for v in values]} do not stack")
+    bounds = np.cumsum([0] + [v.shape[0] for v in values])
+
+    def backward_fn(grad: np.ndarray) -> None:
+        for v, lo, hi in zip(values, bounds, bounds[1:]):
+            if v.requires_grad:
+                v.accumulate(grad[lo:hi])
+
+    return _make(np.concatenate([v.data for v in values]), tuple(values), backward_fn)
+
+
+def row_block(x: Value, start: int, stop: int) -> Value:
+    """Rows ``start:stop`` of ``x`` (a view); the gradient adds into those rows of x's buffer."""
+    if not 0 <= start < stop <= x.shape[0]:
+        raise UsageError(f"row_block: rows {start}:{stop} of {x.shape}")
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x.accumulate_rows(start, grad)
+
+    return _make(x.data[start:stop], (x,), backward_fn)
+
+
+def column_dots(stacked: Value, w: Value, first: int = 0) -> Value:
+    """The (N, G) table whose column k is row block ``first + k`` of ``stacked`` times ``w[:, k]``.
+
+    ``stacked`` holds ``first + G`` row blocks of N rows for a (d, G) ``w``;
+    the blocks before ``first`` get no column. Each column is its own
+    matrix-vector product, so the table does not depend on the layout of ``w``.
+    """
+    gates = w.shape[1]
+    blocks = first + gates
+    if first < 0 or gates < 1 or stacked.shape[0] % blocks or stacked.shape[1] != w.shape[0]:
+        raise UsageError(
+            f"column_dots: {stacked.shape} in {blocks} row blocks does not pair with w {w.shape}"
+        )
+    n = stacked.shape[0] // blocks
+    sel = stacked.data.reshape(blocks, n, w.shape[0])[first:]
 
     def backward_fn(grad: np.ndarray) -> None:
         if w.requires_grad:
-            w.accumulate(np.stack([s.data.T @ grad[:, k] for k, s in enumerate(states)], axis=1))
-        for k, s in enumerate(states):
-            if s.requires_grad:
-                s.accumulate(np.outer(grad[:, k], w.data[:, k]))
+            w.accumulate(np.stack([sel[k].T @ grad[:, k] for k in range(gates)], axis=1))
+        if stacked.requires_grad:
+            for k in range(gates):
+                stacked.accumulate_rows((first + k) * n, np.outer(grad[:, k], w.data[:, k]))
 
-    out = np.stack([s.data @ w.data[:, k] for k, s in enumerate(states)], axis=1)
-    return _make(out, (*states, w), backward_fn)
+    out = np.stack([sel[k] @ w.data[:, k] for k in range(gates)], axis=1)
+    return _make(out, (stacked, w), backward_fn)
 
 
 def prefix_product(x: Value) -> Value:

@@ -198,6 +198,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_beta_csv(path: Path) -> np.ndarray:
+    """The (N, K+1) weight table of ``train``: finite weights, node ids 0..N-1 in order."""
     if not path.is_file():
         raise DataError(f"missing weight table {path}")
     with open(path, encoding="utf-8") as handle:
@@ -212,10 +213,15 @@ def _load_beta_csv(path: Path) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != len(header):
                 raise DataError(f"{path} line {lineno}: expected {len(header)} fields")
+            if parts[0] != str(len(rows)):
+                raise DataError(f"{path} line {lineno}: node_id {parts[0]!r}, expected {len(rows)}")
             try:
-                rows.append([float(x) for x in parts[1:]])
+                weights = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DataError(f"{path} line {lineno}: non-numeric weight") from None
+            if not all(map(math.isfinite, weights)):
+                raise DataError(f"{path} line {lineno}: non-finite weight")
+            rows.append(weights)
     if not rows:
         raise DataError(f"{path} holds no weight rows")
     return np.asarray(rows)

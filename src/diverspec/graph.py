@@ -25,7 +25,8 @@ class SparseOperator:
 
     Graph operators here (normalized adjacency, normalized Laplacian) are
     symmetric by construction; the flag lets consumers that require symmetry
-    (the eigensolver) check it without probing the matrix.
+    (the eigensolver, the adjoint recurrences of the model's backward) check
+    it without probing the matrix. Sparse input features are not symmetric.
     """
 
     matrix: sparse.csr_array

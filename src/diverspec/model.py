@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -263,7 +262,7 @@ def init_positional(
 
 
 def project_inputs(
-    features: np.ndarray,
+    features: np.ndarray | SparseOperator,
     positional: np.ndarray | None,
     params: DsfParams,
     config: DsfConfig,
@@ -273,10 +272,17 @@ def project_inputs(
     """Latent feature and positional embeddings (both dropped out at train).
 
     Returns ``(h0, p0)``: ReLU-projected features and Tanh-projected
-    positions. ``p0`` is ``None`` when ``positional`` is: the baseline and the
-    ablation have no positional pipeline.
+    positions. ``features`` is the dense (N, F) array or, for sparse input,
+    its CSR operator from :func:`~diverspec.training.graph_inputs`; the
+    projection X W then runs through CSR, and so does its gradient Xᵀ G.
+    ``p0`` is ``None`` when ``positional`` is: the baseline and the ablation
+    have no positional pipeline.
     """
-    h0 = ad.relu(ad.add(ad.matmul(Value(features), params.w_in), params.b_in))
+    if isinstance(features, SparseOperator):
+        projected = ad.sparse_dense_matmul(features, params.w_in)
+    else:
+        projected = ad.matmul(Value(features), params.w_in)
+    h0 = ad.relu(ad.add(projected, params.b_in))
     h0 = ad.dropout(h0, config.dropout_p, train, rng)
     if positional is None:
         return h0, None
@@ -298,7 +304,9 @@ def ipe_step(
     Blends the anchor embedding with a propagated one:
     ``tanh(eta1 * anchor + (1 - eta1) * ((1 + eta2) A_hat - eta2 * sim) p)``
     where ``sim = sigmoid(P W P^T)``. With ``eta2 = 0`` the similarity
-    correction is skipped entirely - no N x N product is ever formed.
+    correction is skipped entirely - no N x N product is ever formed. The
+    forward runs this step only for ``eta2 != 0``; with ``eta2 = 0`` all K
+    steps are one :func:`~diverspec.autodiff.position_refinement` op.
     """
     propagated = ad.sparse_dense_matmul(a_hat, p_prev)
     if eta2 != 0.0:
@@ -314,9 +322,15 @@ def ipe_step(
     )
 
 
-def node_theta(states: Sequence[Value], gate_w: Value, gate_b: Value, sigma_p: str) -> Value:
-    """The (N, G) gate table: column k is sigma_p(P^(k) w_k + b_k) for ``states[k]``."""
-    pre = ad.add(ad.column_dots(states, gate_w), gate_b)
+def node_theta(
+    states: Value, gate_w: Value, gate_b: Value, sigma_p: str, first: int = 0
+) -> Value:
+    """The (N, G) gate table: column k is sigma_p(P^(first+k) w_k + b_k).
+
+    ``states`` stacks the IPE states p_0..p_K as row blocks (one block for a
+    single state); Jacobi passes ``first = 1``, since its order 0 has no gate.
+    """
+    pre = ad.add(ad.column_dots(states, gate_w, first), gate_b)
     return ad.sigmoid(pre) if sigma_p == "Sigmoid" else ad.tanh(pre)
 
 
@@ -365,6 +379,13 @@ def forward(
     The logits are ``sum_k diag(beta_k) P_k(L_hat) (h0 W_out) + b_out``: the
     node-wise filter runs on the (N, C) class scores, not the (N, d) hidden
     layer, which is the same function in d / C times fewer filter flops.
+    ``features`` is the dense array or the CSR operator of
+    :func:`project_inputs`.
+
+    The K refinement steps build one stacked ((K+1)·N, d) value: with
+    ``eta2 = 0`` one :func:`~diverspec.autodiff.position_refinement` op, else
+    K :func:`ipe_step` calls joined by one stacking op. The gates read its row
+    blocks in one op, and the final state is its last block.
 
     The shared-coefficient baseline (``homogeneous=True``) and the ablation
     (``ablate_ipe``) filter with ``gamma`` itself (rectified for Bern) and
@@ -377,14 +398,20 @@ def forward(
         table = ad.relu(params.gamma) if config.backbone == "Bern" else params.gamma
         p_final = None
     else:
-        p_list = [p0]
-        for _ in range(config.K):
-            p_list.append(ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, config.eta2))
-
-        states = p_list[1:] if config.backbone == "Jacobi" else p_list
-        thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p)
+        if config.eta2 == 0.0:
+            states = ad.position_refinement(p0, a_hat, config.eta1, config.K)
+        else:
+            p_list = [p0]
+            for _ in range(config.K):
+                p_list.append(
+                    ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, config.eta2)
+                )
+            states = ad.stack_rows(p_list)
+        first = 1 if config.backbone == "Jacobi" else 0
+        thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p, first)
         table = lgwd_beta(thetas, params, config)
-        p_final = p_list[-1]
+        n = p0.shape[0]
+        p_final = ad.row_block(states, config.K * n, (config.K + 1) * n)
 
     z = ad.polynomial_filter(table, ad.matmul(h0, params.w_out), config.basis(), a_hat)
     logits = ad.add(z, params.b_out)

@@ -12,6 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .errors import ConfigError, DataError, NumericalError
@@ -30,6 +31,9 @@ from .model import (
 from .spectral import eigendecompose
 
 SPLIT_FRACTIONS = {"dense": (0.6, 0.2), "sparse": (0.025, 0.025)}
+SPARSE_FEATURE_DENSITY = 0.1  # feature matrices at most this full project through CSR
+
+GraphInputs = tuple[SparseOperator, np.ndarray | SparseOperator, np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -122,26 +126,30 @@ class RunResult:
     betas: np.ndarray | None = None
 
 
-def graph_inputs(
-    graph: Graph, config: DsfConfig, homogeneous: bool = False
-) -> tuple[SparseOperator, np.ndarray | None]:
-    """``(a_hat, positional)``, the model inputs that depend only on the graph.
+def graph_inputs(graph: Graph, config: DsfConfig, homogeneous: bool = False) -> GraphInputs:
+    """``(a_hat, features, positional)``, the model inputs that depend only on the graph.
 
-    ``positional`` is ``None`` for the baseline and the ablation; the dense
-    eigendecomposition is built only for gated LapPE and dropped after use.
+    ``features`` is the CSR operator of ``graph.features`` (not flagged
+    symmetric) when at most ``SPARSE_FEATURE_DENSITY`` of its entries are
+    nonzero, and the dense array otherwise. ``positional`` is ``None`` for
+    the baseline and the ablation; the dense eigendecomposition is built
+    only for gated LapPE and dropped after use.
     Equal positional rows (RWPE on a cycle, complete graph or hypercube) are
     legal: the orthogonality penalty counts each flat column as 1.
     """
     a_hat, l_hat = normalized_operators(graph)
+    features = graph.features
+    if np.count_nonzero(features) <= SPARSE_FEATURE_DENSITY * features.size:
+        features = SparseOperator(sparse.csr_array(features), symmetric=False)
     if direct_table(config, homogeneous):
-        return a_hat, None
+        return a_hat, features, None
     decomposition = eigendecompose(l_hat) if config.pe_init == "LapPE" else None
-    return a_hat, init_positional(a_hat, config, decomposition)
+    return a_hat, features, init_positional(a_hat, config, decomposition)
 
 
 def train_once(
     graph: Graph,
-    inputs: tuple[SparseOperator, np.ndarray | None],
+    inputs: GraphInputs,
     config: DsfConfig,
     train_config: TrainConfig,
     split: Split,
@@ -161,7 +169,7 @@ def train_once(
     step. ``init_hook``, when given, may edit the freshly initialized
     parameters in place (e.g. pin a group of weights) before the first epoch.
     """
-    a_hat, positional = inputs
+    a_hat, features, positional = inputs
     params = init_params(
         config,
         num_features=graph.num_features,
@@ -188,7 +196,7 @@ def train_once(
 
     for epoch in range(1, train_config.epochs + 1):
         result = forward(
-            a_hat, graph.features, positional, params, config,
+            a_hat, features, positional, params, config,
             train=True, rng=dropout_rng, homogeneous=homogeneous,
         )
         loss = total_loss(result, targets, train_mask, config)
@@ -203,7 +211,7 @@ def train_once(
 
         with no_grad():
             eval_result = forward(
-                a_hat, graph.features, positional, params, config,
+                a_hat, features, positional, params, config,
                 train=False, homogeneous=homogeneous,
             )
         val_acc = accuracy(eval_result.logits.data, graph.labels, val_mask)

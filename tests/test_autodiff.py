@@ -22,7 +22,7 @@ from diverspec import autodiff as ad
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
 from diverspec.model import one_hot
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, toy_graph
 
 
 def numeric_grad(build, arrays, index, h=1e-5):
@@ -125,18 +125,94 @@ def test_polynomial_filter_rejects_row_mismatch():
 
 def test_column_dots_values_and_gradients():
     s0, s1, s2, w = rng_arrays((4, 3), (4, 3), (4, 3), (3, 3), seed=5)
-    out = ad.column_dots([ad.Value(s0), ad.Value(s1), ad.Value(s2)], ad.Value(w))
+    out = ad.column_dots(ad.Value(np.vstack([s0, s1, s2])), ad.Value(w))
     expected = np.stack([s0 @ w[:, 0], s1 @ w[:, 1], s2 @ w[:, 2]], axis=1)
     assert np.abs(out.data - expected).max() < 1e-12
     weight = ad.Value(rng_arrays((4, 3), seed=6)[0])
     check_gradients(
-        lambda a, b, c, v: ad.frobenius_sq(ad.hadamard(ad.column_dots([a, b, c], v), weight)),
-        s0, s1, s2, w,
+        lambda s, v: ad.frobenius_sq(ad.hadamard(ad.column_dots(s, v), weight)),
+        np.vstack([s0, s1, s2]), w,
     )
     with pytest.raises(UsageError):
-        ad.column_dots([ad.Value(s0), ad.Value(s1)], ad.Value(w))
+        ad.column_dots(ad.Value(np.vstack([s0, s1])), ad.Value(w))
     with pytest.raises(UsageError):
-        ad.column_dots([ad.Value(s0), ad.Value(s1), ad.Value(s2[:3])], ad.Value(w))
+        ad.column_dots(ad.Value(np.vstack([s0, s1, s2[:3]])), ad.Value(w))
+
+
+def _isolated_node_operator() -> SparseOperator:
+    # Node 5 has no edge, so its row and column of A_hat are zero.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)]
+    a_hat, _ = normalized_operators(toy_graph(edges, [0, 1, 0, 1, 0, 1]))
+    assert a_hat.matrix[[5], :].nnz == 0
+    return a_hat
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("eta1", [0.0, 0.3, 1.0])
+def test_position_refinement_gradients(K, eta1):
+    op = _isolated_node_operator()
+    p0, weight = rng_arrays((6, 2), ((K + 1) * 6, 2), seed=K)
+    check_gradients(
+        lambda p: ad.frobenius_sq(
+            ad.hadamard(ad.position_refinement(p, op, eta1, K), ad.Value(weight))
+        ),
+        p0,
+    )
+
+
+def test_position_refinement_states_follow_the_recurrence():
+    op = _isolated_node_operator()
+    (p0,) = rng_arrays((6, 3), seed=4)
+    states = ad.position_refinement(ad.Value(p0), op, 0.3, 2).data.reshape(3, 6, 3)
+    assert np.array_equal(states[0], p0)
+    for k in (1, 2):
+        assert np.allclose(states[k], np.tanh(0.3 * p0 + 0.7 * (op.dense() @ states[k - 1])))
+    assert np.array_equal(states[1:, 5], np.tanh(0.3 * p0[[5, 5]]))  # no neighbours
+
+
+def test_position_refinement_rejects_an_operator_not_flagged_symmetric():
+    op = _isolated_node_operator()
+    flagged = SparseOperator(op.matrix, symmetric=False)
+    p0 = ad.Value(np.ones((6, 2)), requires_grad=True)
+    with pytest.raises(UsageError, match="symmetric"):
+        ad.position_refinement(p0, flagged, 0.3, 2)
+    with pytest.raises(UsageError):
+        ad.position_refinement(ad.Value(np.ones((5, 2))), op, 0.3, 2)
+
+
+def test_stack_rows_and_row_block_route_gradients_by_block():
+    a, b, weight = rng_arrays((2, 3), (4, 3), (3, 3), seed=8)
+    check_gradients(
+        lambda x, y: ad.frobenius_sq(
+            ad.hadamard(ad.row_block(ad.stack_rows([x, y]), 1, 4), ad.Value(weight))
+        ),
+        a, b,
+    )
+    stacked = ad.Value(np.vstack([a, b]), requires_grad=True)
+    top, tail = ad.row_block(stacked, 0, 2), ad.row_block(stacked, 5, 6)
+    ad.backward(ad.add(ad.frobenius_sq(top), ad.frobenius_sq(tail)))
+    expected = np.zeros((6, 3))
+    expected[:2], expected[5:] = 2 * a, 2 * b[3:]
+    assert np.array_equal(stacked.grad, expected)
+    for start, stop in ((0, 0), (-1, 2), (4, 7)):
+        with pytest.raises(UsageError):
+            ad.row_block(stacked, start, stop)
+    with pytest.raises(UsageError):
+        ad.stack_rows([ad.Value(a), ad.Value(np.ones((2, 2)))])
+
+
+def test_column_dots_skips_the_blocks_before_first():
+    s0, s1, s2, w = rng_arrays((4, 3), (4, 3), (4, 3), (3, 2), seed=9)
+    out = ad.column_dots(ad.Value(np.vstack([s0, s1, s2])), ad.Value(w), first=1)
+    assert np.array_equal(out.data, np.stack([s1 @ w[:, 0], s2 @ w[:, 1]], axis=1))
+    weight = ad.Value(rng_arrays((4, 2), seed=10)[0])
+    check_gradients(
+        lambda s, v: ad.frobenius_sq(ad.hadamard(ad.column_dots(s, v, first=1), weight)),
+        np.vstack([s0, s1, s2]), w,
+    )
+    # The table does not depend on the memory layout of w.
+    fortran = ad.column_dots(ad.Value(np.vstack([s0, s1, s2])), ad.Value(np.asfortranarray(w)), 1)
+    assert np.array_equal(fortran.data, out.data)
 
 
 def test_prefix_product_values_and_gradients_through_an_exact_zero():
@@ -443,18 +519,18 @@ def test_no_grad_restores_the_flag_after_nesting_and_exceptions():
 def test_no_grad_eval_pass_copies_no_parameter_and_train_pass_still_tapes():
     g = two_block_graph(6, seed=3)
     cfg = DsfConfig(K=3, d=4, f_p=4, mode="R", lambda_orth=0.05, dropout_p=0.3)
-    a_hat, positional = graph_inputs(g, cfg)
+    a_hat, features, positional = graph_inputs(g, cfg)
     params = init_params(cfg, g.num_features, g.num_classes, ad.make_rng(0), num_nodes=g.num_nodes)
     before = {name: (p, p.data) for name, p in params.as_dict().items()}
 
     with ad.no_grad():
-        eval_result = forward(a_hat, g.features, positional, params, cfg, train=False)
+        eval_result = forward(a_hat, features, positional, params, cfg, train=False)
     assert not eval_result.logits.requires_grad and eval_result.logits._parents == ()
     after = params.as_dict()
     assert all(after[name] is p and p.data is data for name, (p, data) in before.items())
     assert all(p.requires_grad and p.grad is None for p in after.values())
 
-    result = forward(a_hat, g.features, positional, params, cfg, train=True, rng=ad.make_rng(1))
+    result = forward(a_hat, features, positional, params, cfg, train=True, rng=ad.make_rng(1))
     assert result.logits.requires_grad
     targets = one_hot(g.labels, g.num_classes)
     ad.backward(total_loss(result, targets, np.ones(g.num_nodes, dtype=bool), cfg))

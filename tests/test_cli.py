@@ -551,6 +551,46 @@ def test_analyze_rejects_corrupt_beta_table(train_dir, tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def _set_field(lines: list[str], index: int, column: int, text: str) -> None:
+    parts = lines[index].split(",")
+    parts[column] = text
+    lines[index] = ",".join(parts)
+
+
+def _swap_rows(lines: list[str]) -> None:
+    lines[2], lines[3] = lines[3], lines[2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, line, message",
+    [
+        (lambda lines: _set_field(lines, 3, 2, "nan"), 4, "non-finite weight"),
+        (lambda lines: _set_field(lines, 1, 1, "inf"), 2, "non-finite weight"),
+        (lambda lines: _set_field(lines, 5, -1, "-inf"), 6, "non-finite weight"),
+        (lambda lines: _set_field(lines, 1, 0, "1"), 2, "node_id '1', expected 0"),
+        (_swap_rows, 3, "node_id '2', expected 1"),
+        (lambda lines: _set_field(lines, 4, 0, "3.0"), 5, "node_id '3.0', expected 3"),
+        (lambda lines: lines.pop(3), 4, "node_id '3', expected 2"),
+    ],
+    ids=["nan", "inf", "minus-inf", "starts-at-1", "out-of-order", "float-id", "gap"],
+)
+def test_analyze_rejects_bad_beta_rows_before_any_output(
+    train_dir, tmp_path, capsys, corrupt, line, message
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics-dsf.json").write_bytes((train_dir / "metrics-dsf.json").read_bytes())
+    lines = (train_dir / "beta-dsf.csv").read_text(encoding="utf-8").splitlines()
+    corrupt(lines)
+    beta = run / "beta-dsf.csv"
+    beta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "ana"
+    assert main(["analyze", "--run-dir", str(run), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {beta} line {line}: {message}\n"
+    assert not out.exists()
+    assert sorted(p.name for p in run.iterdir()) == ["beta-dsf.csv", "metrics-dsf.json"]
+
+
 # ---------------------------------------------------------------------------
 # prop1-check
 

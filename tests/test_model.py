@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from diverspec import (
     DsfConfig,
@@ -21,6 +22,7 @@ from diverspec import (
 from diverspec import autodiff as ad
 from diverspec.autodiff import Value, make_rng
 from diverspec.errors import ConfigError, DataError
+from diverspec.graph import SparseOperator
 from diverspec.model import (
     ipe_step,
     lgwd_beta,
@@ -42,7 +44,7 @@ def config(**overrides) -> DsfConfig:
 
 
 def build_model(graph, cfg, seed=0, homogeneous=False):
-    a_hat, positional = graph_inputs(graph, cfg, homogeneous)
+    a_hat, _, positional = graph_inputs(graph, cfg, homogeneous)
     params = init_params(
         cfg,
         num_features=graph.num_features,
@@ -151,6 +153,113 @@ def test_project_inputs_codomains(p3):
     assert np.abs(p0.data).max() < 1.0
 
 
+def _sparse_feature_graph(n: int = 20):
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return toy_graph(ring + [(0, n // 2)], [i % 3 for i in range(n)])  # eye(n) features
+
+
+def test_sparse_and_dense_projection_agree():
+    g = _sparse_feature_graph()
+    cfg = config(d=6)
+    weight = Value(make_rng(3).standard_normal((g.num_nodes, cfg.d)))
+    runs = []
+    for features in (g.features, SparseOperator(sparse.csr_array(g.features), symmetric=False)):
+        params = init_params(cfg, g.num_features, g.num_classes, make_rng(2), g.num_nodes)
+        params.b_in.data[...] = 0.05  # some rows sit on both sides of the ReLU
+        h0, _ = project_inputs(features, None, params, cfg)
+        ad.backward(ad.frobenius_sq(ad.hadamard(h0, weight)))
+        runs.append((h0.data, params.w_in.grad))
+    (h_dense, g_dense), (h_sparse, g_sparse) = runs
+    assert np.abs(h_dense - h_sparse).max() < 1e-12
+    assert np.abs(g_dense - g_sparse).max() < 1e-12
+    assert np.abs(g_dense).max() > 0.0
+
+
+@pytest.mark.parametrize("nonzeros, expect_sparse", [(10, True), (11, False)])
+def test_graph_inputs_store_features_at_most_a_tenth_full_as_csr(nonzeros, expect_sparse):
+    features = np.zeros((10, 10))
+    features.flat[:nonzeros] = 1.0
+    g = toy_graph([(i, i + 1) for i in range(9)], [i % 2 for i in range(10)], features=features)
+    _, operand, _ = graph_inputs(g, config())
+    if expect_sparse:
+        assert isinstance(operand, SparseOperator) and not operand.symmetric
+        assert np.array_equal(operand.dense(), features)
+    else:
+        assert operand is g.features
+
+
+@pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "sparse"])
+def test_forward_projects_through_the_operand_graph_inputs_built(sparse_input, monkeypatch):
+    g = _sparse_feature_graph() if sparse_input else two_block_graph(10, seed=4)
+    cfg = config(mode="R")
+    a_hat, features, positional = graph_inputs(g, cfg)
+    params = init_params(cfg, g.num_features, g.num_classes, make_rng(0), g.num_nodes)
+    calls = []
+    real_spmm, real_matmul = ad.sparse_dense_matmul, ad.matmul
+
+    def spmm_spy(op, x):
+        calls.append(("spmm", op))
+        return real_spmm(op, x)
+
+    def matmul_spy(a, b):
+        calls.append(("matmul", a.data))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(ad, "sparse_dense_matmul", spmm_spy)
+    monkeypatch.setattr(ad, "matmul", matmul_spy)
+    forward(a_hat, features, positional, params, cfg)
+    # The first product is X W_in; mode R refines positions without a spmm call.
+    kind, operand = calls[0]
+    if sparse_input:
+        assert kind == "spmm" and operand is features
+    else:
+        assert kind == "matmul" and operand is g.features
+    assert [k for k, _ in calls].count("spmm") == int(sparse_input)
+
+
+@pytest.mark.parametrize("backbone", ["GPR", "Bern", "Jacobi"])
+def test_position_refinement_matches_the_ipe_step_loop(backbone):
+    g = two_block_graph(8, seed=9)
+    cfg = config(K=4, d=5, mode="R", backbone=backbone, lambda_orth=0.2)
+    a_hat, _ = normalized_operators(g)
+    params = init_params(cfg, g.num_features, g.num_classes, make_rng(4), g.num_nodes)
+    rng = make_rng(5)
+    p0_data = np.tanh(rng.standard_normal((g.num_nodes, cfg.d)))
+    weight = Value(rng.standard_normal((g.num_nodes, params.gate_w.shape[1])))
+    first = 1 if backbone == "Jacobi" else 0
+
+    p0 = Value(p0_data.copy(), requires_grad=True)
+    states = ad.position_refinement(p0, a_hat, cfg.eta1, cfg.K)
+    n = g.num_nodes
+    fused = (
+        node_theta(states, params.gate_w, params.gate_b, cfg.sigma_p, first),
+        ad.row_block(states, cfg.K * n, (cfg.K + 1) * n),
+    )
+    fused_loss = ad.add(ad.frobenius_sq(ad.hadamard(fused[0], weight)), orth_penalty(fused[1]))
+    ad.backward(fused_loss)
+
+    q0 = Value(p0_data.copy(), requires_grad=True)
+    p_list = [q0]
+    for _ in range(cfg.K):
+        p_list.append(ipe_step(p_list[-1], q0, a_hat, None, cfg.eta1, 0.0))
+    columns = [
+        node_theta(p_list[first + j], Value(params.gate_w.data[:, [j]]),
+                   Value(params.gate_b.data[:, [j]]), cfg.sigma_p)
+        for j in range(params.gate_w.shape[1])
+    ]
+    ref_loss = orth_penalty(p_list[-1])
+    for j, column in enumerate(columns):
+        term = ad.frobenius_sq(ad.hadamard(column, Value(weight.data[:, [j]])))
+        ref_loss = ad.add(ref_loss, term)
+    ad.backward(ref_loss)
+
+    assert np.array_equal(states.data, np.vstack([p.data for p in p_list]))
+    assert np.array_equal(fused[0].data, np.hstack([c.data for c in columns]))
+    assert np.array_equal(fused[1].data, p_list[-1].data)
+    assert abs(fused_loss.data[0, 0] - ref_loss.data[0, 0]) < 1e-12
+    assert np.abs(p0.grad - q0.grad).max() < 1e-12 * max(1.0, np.abs(q0.grad).max())
+
+
 def test_ipe_step_eta1_one_ignores_graph(k2):
     a_hat, _ = normalized_operators(k2)
     anchor = Value(np.array([[0.2], [-0.4]]))
@@ -193,8 +302,8 @@ def test_node_theta_zero_parameters_hit_codomain_centers():
     p = Value(np.random.default_rng(0).standard_normal((4, 3)))
     w = Value(np.zeros((3, 1)))
     b = Value(np.zeros((1, 1)))
-    assert np.all(node_theta([p], w, b, "Sigmoid").data == 0.5)
-    assert np.all(node_theta([p], w, b, "Tanh").data == 0.0)
+    assert np.all(node_theta(p, w, b, "Sigmoid").data == 0.5)
+    assert np.all(node_theta(p, w, b, "Tanh").data == 0.0)
 
 
 def test_node_theta_depends_only_on_position_row():
@@ -202,7 +311,7 @@ def test_node_theta_depends_only_on_position_row():
     rng = np.random.default_rng(1)
     w = Value(rng.standard_normal((2, 1)))
     b = Value(rng.standard_normal((1, 1)))
-    theta = node_theta([p], w, b, "Tanh").data
+    theta = node_theta(p, w, b, "Tanh").data
     assert theta[0, 0] == theta[2, 0]
     assert theta[0, 0] != theta[1, 0]
 

@@ -201,12 +201,12 @@ def test_train_once_returns_its_best_eval_pass(overrides):
     g = two_block_graph(10, seed=12)
     split = make_splits(g, "dense", 1, seed=7)[0]
     cfg = small_config(**overrides)
-    a_hat, positional = inputs = graph_inputs(g, cfg)
+    a_hat, features, positional = inputs = graph_inputs(g, cfg)
     result = train_once(g, inputs, cfg, TrainConfig(epochs=15, patience=5), split, (3, 0, 0))
     params = init_params(cfg, g.num_features, g.num_classes, make_rng(99), g.num_nodes)
     for name, value in params.as_dict().items():
         value.data = result.params[name].copy()
-    replay = forward(a_hat, g.features, positional, params, cfg)
+    replay = forward(a_hat, features, positional, params, cfg)
     _, _, test_mask = split.masks(g.num_nodes)
     assert result.test_acc == accuracy(replay.logits.data, g.labels, test_mask)
     assert np.array_equal(result.betas, replay.betas)
@@ -255,7 +255,7 @@ def test_equal_positional_rows_train_in_mode_r(name):
     n, edges = EQUAL_RWPE_ROWS[name]
     g = toy_graph(edges, [i % 3 for i in range(n)])
     cfg = small_config(mode="R", lambda_orth=0.1, dropout_p=0.0)
-    _, positional = graph_inputs(g, cfg)
+    _, _, positional = graph_inputs(g, cfg)
     assert np.ptp(positional, axis=0).max() <= 1e-12
     splits = make_splits(g, "dense", 1, seed=2)
     grid = run_grid(g, cfg, TrainConfig(epochs=4, patience=4), 1, splits, 3)
