@@ -9,14 +9,22 @@ A dataset directory holds exactly three UTF-8, LF-terminated files:
 
 Every node id must appear exactly once in ``nodes.tsv``. The loader reports
 malformed input with file names and line numbers.
+
+``edges.tsv`` and ``nodes.tsv`` are streamed line by line into one
+``np.loadtxt`` call each, so the parsed array is the only allocation of file
+size. A file with bytes the stream does not take, or with any problem, is
+read again by a per-line checker, which gives the same arrays or raises the
+first problem in line order. No array is sized by a ``meta.json`` count
+before the files have proven it.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -30,6 +38,8 @@ META_KEYS = ("name", "num_nodes", "num_features", "num_classes")
 # Other whitespace (\x1c-\x1f, lone \r) and ``_`` digit grouping parse
 # differently, so such files take the per-line path.
 _PLAIN_NODE_BYTES = b"0123456789+-.eEinfatyINFATY \t\n,"
+# Bytes of an edges.tsv whose ids ``np.loadtxt`` parses exactly as ``int`` does.
+_PLAIN_EDGE_BYTES = b"0123456789\t\n"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -37,12 +47,22 @@ def _require(condition: bool, message: str) -> None:
         raise DataError(message)
 
 
+def _require_utf8(path: Path, lineno: int, line: str) -> None:
+    """Reject a line, read with ``errors="surrogateescape"``, that was not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"{path} line {lineno}: not valid UTF-8") from None
+
+
 def load_dataset(directory: str | Path) -> Graph:
     """Read a dataset directory into a :class:`Graph`.
 
     Raises :class:`DataError` with the offending file and line for any
-    structural problem (missing files, bad field counts, out-of-range ids or
-    labels, feature-width mismatches, duplicate or missing node rows).
+    structural problem (missing files, bytes that are not UTF-8, bad field
+    counts, out-of-range ids or labels, feature-width mismatches, duplicate
+    or missing node rows).
     """
     directory = Path(directory)
     _require(directory.is_dir(), f"{directory} is not a directory")
@@ -54,6 +74,8 @@ def load_dataset(directory: str | Path) -> Graph:
 
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{meta_path}: not valid UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path}: invalid JSON ({exc})") from exc
     _require(isinstance(meta, dict), f"{meta_path}: top level must be an object")
@@ -71,12 +93,60 @@ def load_dataset(directory: str | Path) -> Graph:
     _require(num_features > 0, f"{meta_path}: num_features must be positive")
     _require(num_classes > 0, f"{meta_path}: num_classes must be positive")
 
+    edges = _read_edges(edges_path, n)
+    features, labels = _read_nodes(nodes_path, n, num_features, num_classes)
+    return build_graph(edges, n, features, labels, num_classes)
+
+
+def _plain_lines(handle: BinaryIO, plain: bytes) -> Iterator[bytes]:
+    """The non-blank lines of ``handle`` without their LF.
+
+    Raises ``ValueError`` at the first line with a byte outside ``plain``.
+    """
+    for line in handle:
+        if line.translate(None, plain):
+            raise ValueError("not a plain line")
+        line = line.rstrip(b"\n")
+        if line:
+            yield line
+
+
+def _stream_loadtxt(lines: Iterator[bytes], **kwargs) -> np.ndarray | None:
+    """One 2-D ``np.loadtxt`` over ``lines``; ``None`` if there are none."""
+    first = next(lines, None)
+    if first is None:
+        return None
+    return np.loadtxt(chain((first,), lines), comments=None, ndmin=2, **kwargs)
+
+
+def _read_edges(edges_path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
+    """Endpoint pairs from ``edges.tsv``.
+
+    A file of digits, tabs and LFs is streamed into one ``np.loadtxt``
+    followed by a shape and range check. Any other file, or any problem,
+    goes through :func:`_parse_edge_lines`.
+    """
+    try:
+        with open(edges_path, "rb") as handle:
+            edges = _stream_loadtxt(
+                _plain_lines(handle, _PLAIN_EDGE_BYTES), delimiter="\t", dtype=np.int64
+            )
+    except (ValueError, OverflowError):
+        edges = None
+    if edges is not None and edges.shape[1] == 2 and edges.max() < n:
+        return edges
+    return _parse_edge_lines(edges_path, n)
+
+
+def _parse_edge_lines(edges_path: Path, n: int) -> list[tuple[int, int]]:
+    """Line-by-line parse of ``edges.tsv`` that names the file and line of each problem."""
     edges = []
-    with open(edges_path, encoding="utf-8", newline="") as handle:
+    with open(edges_path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
+            _require_utf8(edges_path, lineno, line)
             parts = line.split("\t")
             _require(
                 len(parts) == 2,
@@ -93,73 +163,74 @@ def load_dataset(directory: str | Path) -> Graph:
                 f"{edges_path} line {lineno}: endpoint outside [0, {n})",
             )
             edges.append((src, dst))
-
-    features, labels = _read_nodes(nodes_path, n, num_features, num_classes)
-    return build_graph(edges, n, features, labels, num_classes)
+    return edges
 
 
 def _read_nodes(
     nodes_path: Path, n: int, num_features: int, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels from ``nodes.tsv``, read once.
+    """Features and labels from ``nodes.tsv``.
 
-    Plain files are parsed in bulk. Anything the bulk parse does not accept
-    goes through :func:`_parse_node_lines`, which raises the first problem
-    in line order.
+    The file is streamed line by line, opened in binary, into one
+    ``np.loadtxt``, so the (N, F) result is the only allocation of file
+    size. Each line must hold only ``_PLAIN_NODE_BYTES``, three tab fields,
+    an integer id and label and F features; the ids must then be a
+    permutation of 0..N-1 and the labels lie in range. Anything else, an
+    error from ``np.loadtxt`` included, re-reads the file through
+    :func:`_parse_node_lines`, which raises the first problem in line order.
     """
-    raw = nodes_path.read_bytes()
-    if raw.translate(None, _PLAIN_NODE_BYTES):
-        # The same lines as iterating the file opened with newline="".
-        lines = io.StringIO(raw.decode("utf-8"), newline="")
-    else:
-        lines = raw.decode("ascii").split("\n")
-        del raw  # one file-sized buffer fewer while parsing
-        parsed = _parse_plain_nodes(lines, n, num_features, num_classes)
-        if parsed is not None:
-            return parsed
-    return _parse_node_lines(nodes_path, lines, n, num_features, num_classes)
-
-
-def _parse_plain_nodes(
-    lines: list[str], n: int, num_features: int, num_classes: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """One ``np.loadtxt`` over the feature fields; ``None`` on any problem."""
+    ids: list[int] = []
+    labels: list[int] = []
     try:
-        rows = [line.split("\t") for line in lines if line]
-        ids = np.array([int(node) for node, _, _ in rows], dtype=np.int64)
-        labels = np.array([int(label) for _, label, _ in rows], dtype=np.int64)
+        with open(nodes_path, "rb") as handle:
+            features = _stream_loadtxt(
+                _feature_fields(handle, num_features, ids, labels), delimiter=","
+            )
+        ids, labels = np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64)
     except (ValueError, OverflowError):
-        return None
-    texts = [feats for _, _, feats in rows]
-    if not (
-        np.array_equal(np.sort(ids), np.arange(n))
+        features = None
+    if (
+        features is not None
+        and len(ids) == n
+        and features.shape == (n, num_features)
+        and np.array_equal(np.sort(ids), np.arange(n))
         and ((labels >= 0) & (labels < num_classes)).all()
-        and all(feats and feats.count(",") + 1 == num_features for feats in texts)
     ):
-        return None
-    try:
-        features = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if features.shape != (n, num_features):
-        return None
-    if (np.diff(ids) < 0).any():
-        order = np.argsort(ids)
-        features, labels = features[order], labels[order]
-    return features, labels
+        if (np.diff(ids) < 0).any():
+            order = np.argsort(ids)
+            features, labels = features[order], labels[order]
+        return features, labels
+    with open(nodes_path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        return _parse_node_lines(nodes_path, handle, n, num_features, num_classes)
+
+
+def _feature_fields(
+    handle: BinaryIO, num_features: int, ids: list[int], labels: list[int]
+) -> Iterator[bytes]:
+    """The feature field of each plain ``nodes.tsv`` line; ids and labels go to the lists."""
+    for line in _plain_lines(handle, _PLAIN_NODE_BYTES):
+        node, label, feats = line.split(b"\t")
+        ids.append(int(node))
+        labels.append(int(label))
+        if not feats or feats.count(b",") + 1 != num_features:
+            raise ValueError("wrong feature count")
+        yield feats
 
 
 def _parse_node_lines(
     nodes_path: Path, lines: Iterable[str], n: int, num_features: int, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line parse of ``nodes.tsv`` that names the file and line of each problem."""
-    labels = np.full(n, -1, dtype=np.int64)
-    features = np.zeros((n, num_features))
-    seen = np.zeros(n, dtype=bool)
+    """Line-by-line parse of ``nodes.tsv`` that names the file and line of each problem.
+
+    Rows are kept per node until every id has shown up, so nothing is sized
+    by ``n`` before the file has proven it.
+    """
+    rows: dict[int, tuple[int, np.ndarray]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
             continue
+        _require_utf8(nodes_path, lineno, line)
         parts = line.split("\t")
         _require(
             len(parts) == 3,
@@ -173,7 +244,7 @@ def _parse_node_lines(
                 f"{nodes_path} line {lineno}: id and label must be integers"
             ) from None
         _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
-        _require(not seen[node], f"{nodes_path} line {lineno}: duplicate id {node}")
+        _require(node not in rows, f"{nodes_path} line {lineno}: duplicate id {node}")
         _require(
             0 <= label < num_classes,
             f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
@@ -184,17 +255,19 @@ def _parse_node_lines(
             f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
         )
         try:
-            features[node] = [float(f) for f in fields]
+            rows[node] = label, np.array([float(f) for f in fields])
         except ValueError:
             raise DataError(
                 f"{nodes_path} line {lineno}: features must be decimal numbers"
             ) from None
-        seen[node] = True
-        labels[node] = label
 
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
+    if len(rows) < n:
+        missing = next(node for node in range(n) if node not in rows)
         raise DataError(f"{nodes_path}: no row for node {missing}")
+    features = np.empty((n, num_features))
+    labels = np.empty(n, dtype=np.int64)
+    for node in range(n):
+        labels[node], features[node] = rows.pop(node)
     return features, labels
 
 

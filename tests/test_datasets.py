@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diverspec import datasets, load_dataset, random_graph, save_dataset, two_block_graph
+from diverspec.cli import main
 from diverspec.errors import DataError
+from diverspec.graph import build_graph
 from tests.conftest import toy_graph
 
 
@@ -182,7 +185,7 @@ def test_synthetic_builders_are_pinned(builder, kwargs, expected):
     assert digest.hexdigest() == expected
 
 
-# --- bulk nodes.tsv parse against the per-line checker ----------------------
+# --- streamed parses against the per-line checkers --------------------------
 
 
 def per_line_nodes(path):
@@ -227,20 +230,107 @@ NODE_EDITS = {
     "field-count": lambda lines: lines.__setitem__(4, lines[4] + ",1.0"),
     "out-of-order": lambda lines: lines.reverse(),
     "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+    "label-out-of-range": lambda lines: lines.__setitem__(2, lines[2].replace("\t", "\t7", 1)),
+    "duplicate-id": lambda lines: lines.__setitem__(1, lines[0]),
+    "row-beyond-num-nodes": lambda lines: lines.append(f"{len(lines)}\t0\t" + lines[0].split("\t")[2]),
+    "empty": lambda lines: lines.clear(),
+    "blank-lines-only": lambda lines: lines.__setitem__(slice(None), ["", "", ""]),
 }
+
+
+def rewrite_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 
 
 @pytest.mark.parametrize("edit", NODE_EDITS.values(), ids=NODE_EDITS.keys())
 def test_loader_matches_the_per_line_checker(dataset_dir, edit):
     path, _ = dataset_dir
-    lines = (path / "nodes.tsv").read_text(encoding="utf-8").splitlines()
-    edit(lines)
-    (path / "nodes.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rewrite_lines(path / "nodes.tsv", edit)
     assert_loader_matches_per_line_checker(path)
 
 
+EDGE_EDITS = {
+    "non-digit": lambda lines: lines.__setitem__(2, "0\tx"),
+    "three-fields": lambda lines: lines.__setitem__(3, lines[3] + "\t1"),
+    "one-field": lambda lines: lines.__setitem__(1, "5"),
+    "negative-id": lambda lines: lines.__setitem__(1, "-1\t2"),
+    "30-digit-id": lambda lines: lines.__setitem__(4, "1" * 30 + "\t0"),
+    "id-num-nodes": lambda lines: lines.__setitem__(0, "0\t12"),
+    "leading-zeros": lambda lines: lines.__setitem__(0, "0003\t05"),
+    "space": lambda lines: lines.__setitem__(0, " 3\t5"),
+    "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+    "blank-lines": lambda lines: lines.__setitem__(slice(1, 1), ["", ""]),
+    "empty": lambda lines: lines.clear(),
+}
+
+
+@pytest.mark.parametrize("edit", EDGE_EDITS.values(), ids=EDGE_EDITS.keys())
+def test_edges_match_the_per_line_checker(dataset_dir, edit):
+    path, original = dataset_dir
+    rewrite_lines(path / "edges.tsv", edit)
+    n = original.num_nodes
+    try:
+        expected = datasets._parse_edge_lines(path / "edges.tsv", n)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == str(exc)
+    else:
+        graph = load_dataset(path)
+        canonical = build_graph(expected, n, original.features, original.labels, 2)
+        np.testing.assert_array_equal(graph.edges, canonical.edges)
+
+
+def test_plain_files_are_streamed(dataset_dir):
+    path, original = dataset_dir
+    with mock.patch.object(datasets, "_parse_edge_lines", _no_per_line_parse), \
+            mock.patch.object(datasets, "_parse_node_lines", _no_per_line_parse):
+        loaded = load_dataset(path)
+    np.testing.assert_array_equal(loaded.edges, original.edges)
+    np.testing.assert_array_equal(loaded.features, original.features)
+
+
+@pytest.mark.parametrize("name, where", [
+    ("nodes.tsv", "nodes.tsv line 13: not valid UTF-8"),
+    ("edges.tsv", r"edges.tsv line \d+: not valid UTF-8"),
+    ("meta.json", "meta.json: not valid UTF-8"),
+])
+def test_bytes_outside_utf8_are_a_data_error(dataset_dir, tmp_path, capsys, name, where):
+    path, _ = dataset_dir
+    target = path / name
+    if name == "meta.json":
+        target.write_bytes(target.read_bytes().replace(b'"toy"', b'"t\xffy"'))
+    else:
+        target.write_bytes(target.read_bytes() + b"\xff")
+    with pytest.raises(DataError, match=where):
+        load_dataset(path)
+    out = tmp_path / "diag"
+    assert main(["diagnose", "--data", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_meta_counts_allocate_nothing_before_the_file_proves_them(dataset_dir):
+    # A (10**7, 3) feature table sized from meta.json alone would take 240 MB
+    # before a single row is read; the file holds 12 rows.
+    path, _ = dataset_dir
+    meta = json.loads((path / "meta.json").read_text())
+    meta["num_nodes"] = 10**7
+    (path / "meta.json").write_text(json.dumps(meta))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="nodes.tsv: no row for node 12$"):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def _no_per_line_parse(*args, **kwargs):
-    raise AssertionError("a plain nodes.tsv fell back to the per-line parse")
+    raise AssertionError("a plain file fell back to a per-line parse")
 
 
 finite_floats = st.one_of(
@@ -263,3 +353,26 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, data):
     np.testing.assert_array_equal(
         loaded.features.view(np.int64), graph.features.view(np.int64)
     )
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
+    # A block2k-shaped input: N = 2000 nodes with 64 Gaussian features. The
+    # streamed loader peaks at about 2.3x features.nbytes (the parsed table
+    # plus the copy build_graph makes); the earlier bulk parse, which held
+    # the whole file as bytes, text, lines and split fields at once, peaked
+    # at 7.95x. The bound sits between the two.
+    rng = np.random.default_rng(0)
+    n = 2000
+    graph = build_graph(
+        rng.integers(0, n, size=(6000, 2)), n, rng.normal(size=(n, 64)),
+        rng.integers(0, 5, size=n), 5,
+    )
+    save_dataset(graph, "gaussian", tmp_path)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.features, graph.features)
+    assert peak < 4.0 * loaded.features.nbytes
