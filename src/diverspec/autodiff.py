@@ -21,6 +21,7 @@ reproducible from integer seeds alone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -515,7 +516,7 @@ def glorot_uniform(
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters plus per-parameter moment buffers."""
+    """Adam hyperparameters, per-parameter moment buffers and one scratch buffer each."""
 
     lr: float = 0.01
     beta1: float = 0.9
@@ -524,30 +525,59 @@ class AdamState:
     weight_decay: float = 0.0
     step: int = 0
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    scratch: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _decayed_grad(p: Value, decay: float, out: np.ndarray) -> np.ndarray:
+    """grad + decay * param in ``out``, or the grad itself when there is no decay.
+
+    Formed afresh for each moment, so one buffer serves both moment updates.
+    """
+    if not decay:
+        return p.grad
+    np.multiply(p.data, decay, out=out)
+    out += p.grad
+    return out
 
 
 def adam_step(params: dict[str, Value], state: AdamState) -> None:
     """One in-place Adam update with bias correction over every parameter with a grad.
 
-    Weight decay is the additive-L2 convention: decay * param joins the
-    gradient before the moment updates. Parameters whose grad is ``None``
-    (untouched by the current graph) are skipped.
+    Weight decay is the additive-L2 convention: g = grad + decay * param joins
+    the moment updates m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2.
+    The two bias corrections fold into two scalars per step,
+    step = lr / (1 - beta1^t) and scale = 1 / sqrt(1 - beta2^t), so that
+
+        param -= step * m / (sqrt(v) * scale + eps),
+
+    which is lr * m_hat / (sqrt(v_hat) + eps) up to rounding. Every term is
+    computed in place in one scratch buffer per parameter, kept across steps,
+    so a step after the first allocates nothing of parameter size. Parameters
+    whose grad is ``None`` (untouched by the current graph) are skipped.
     """
     state.step += 1
     t = state.step
+    beta1, beta2, decay = state.beta1, state.beta2, state.weight_decay
+    step = state.lr / (1.0 - beta1**t)
+    scale = 1.0 / math.sqrt(1.0 - beta2**t)
     for name, p in params.items():
         if p.grad is None:
             continue
-        g = p.grad
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+            state.scratch[name] = np.empty_like(p.data)
         m, v = state.moments[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        buf = state.scratch[name]
+        m *= beta1
+        m += np.multiply(_decayed_grad(p, decay, buf), 1.0 - beta1, out=buf)
+        g = _decayed_grad(p, decay, buf)
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - beta2
+        v *= beta2
+        v += buf
+        np.sqrt(v, out=buf)
+        buf *= scale
+        buf += state.eps
+        np.divide(m, buf, out=buf)
+        buf *= step
+        p.data -= buf

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +67,37 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, itertools.chain(chunks, ["\n"]))
 
 
-def _csv_lines(header: str, rows) -> list[str]:
-    return [header + "\n"] + [",".join(str(c) for c in row) + "\n" for row in rows]
+# Floats per C-encoder call in the checkpoint: large enough to amortize the
+# call, small enough that no tensor's text exists as one string.
+_CHECKPOINT_CHUNK = 4096
+
+
+def _checkpoint_chunks(config_hash: str, params: dict[str, np.ndarray]) -> Iterator[str]:
+    """The checkpoint document as text chunks, one line per tensor.
+
+    The keys, values and layout are those of ``_write_json`` on
+    ``{"config_hash": ..., "params": {name: {"data": [...], "shape": [...]}}}``,
+    only each tensor sits on one line. ``JSONEncoder(indent=2)`` never uses the
+    C encoder, so ``data`` is encoded without indent, slice by slice. NaN and
+    infinity are not JSON, so they raise ``ValueError``.
+    """
+    encode = json.JSONEncoder(allow_nan=False).encode
+    yield '{\n  "config_hash": ' + encode(config_hash) + ',\n  "params": {'
+    for i, name in enumerate(sorted(params)):
+        arr = params[name]
+        flat = arr.ravel()
+        yield ("," if i else "") + "\n    " + encode(name) + ': {"data": ['
+        for start in range(0, flat.size, _CHECKPOINT_CHUNK):
+            piece = encode(flat[start:start + _CHECKPOINT_CHUNK].tolist())[1:-1]
+            yield (", " if start else "") + piece
+        yield '], "shape": ' + encode(list(arr.shape)) + "}"
+    yield "\n  }\n}\n"
+
+
+def _csv_lines(header: str, rows) -> Iterator[str]:
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -176,18 +205,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
     )
 
-    params = {
-        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in grid.last_run.params.items()
-    }
-    _write_json(out / f"checkpoint-{variant}.json", {"config_hash": digest, "params": params})
+    _write_text(
+        out / f"checkpoint-{variant}.json", _checkpoint_chunks(digest, grid.last_run.params)
+    )
 
     betas = grid.last_run.betas
     header = "node_id," + ",".join(f"beta_{k}" for k in range(betas.shape[1]))
-    rows = [
-        [i] + [_fmt(v) for v in betas[i]]
-        for i in range(betas.shape[0])
-    ]
+    rows = ([i, *map(repr, betas[i].tolist())] for i in range(betas.shape[0]))
     _write_text(out / f"beta-{variant}.csv", _csv_lines(header, rows))
 
     print(
@@ -253,10 +277,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out / "clusters.csv",
         _csv_lines("node_id,cluster", enumerate(clustering.labels)),
     )
-    rows = []
-    for j in range(curves.shape[0]):
-        for lam, g in zip(grid, curves[j]):
-            rows.append([j, _fmt(lam), _fmt(g)])
+    rows = (
+        [j, _fmt(lam), _fmt(g)]
+        for j in range(curves.shape[0])
+        for lam, g in zip(grid, curves[j])
+    )
     _write_text(out / "centroid_curves.csv", _csv_lines("cluster,lambda,g", rows))
     _write_json(
         out / "analysis.json",
@@ -367,6 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out: str) -> None:
+    """Reject an ``--out`` that cannot become a directory, before any work is done.
+
+    The path itself, or else its nearest existing ancestor, must be a
+    directory; a broken symlink counts as existing.
+    """
+    path = Path(out)
+    for candidate in (path, *path.parents):
+        if os.path.lexists(candidate):
+            if not os.path.isdir(candidate):
+                raise UsageError(f"--out {out}: {candidate} exists and is not a directory")
+            return
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -383,6 +422,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
         if getattr(args, "grid_size", 2) < 2:
             raise UsageError("--grid-size must be at least 2, the two ends of [0, 2]")
+        if getattr(args, "out", None) is not None:
+            _check_out_dir(args.out)
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -451,6 +453,79 @@ def test_adam_weight_decay_is_additive():
     ad.adam_step({"w": w}, state)
     # effective gradient is wd * w = 1.0, so the first step is -lr
     assert abs(w.data[0, 0] - 1.9) < 1e-8
+
+
+def textbook_adam(p, g, m, v, t, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The unfolded update, one fresh array per term: the oracle for ``adam_step``."""
+    if wd:
+        g = g + wd * p
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def max_relative_difference(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+def test_adam_matches_the_textbook_update(wd):
+    rng = np.random.default_rng(17)
+    shape = (40, 7)
+    w = ad.Value(rng.standard_normal(shape), requires_grad=True)
+    p_ref, m_ref, v_ref = w.data.copy(), np.zeros(shape), np.zeros(shape)
+    state = ad.AdamState(lr=0.01, weight_decay=wd)
+    worst = 0.0
+    for t in range(1, 201):
+        w.grad = rng.standard_normal(shape) * rng.uniform(0.01, 10.0)
+        p_ref, m_ref, v_ref = textbook_adam(p_ref, w.grad, m_ref, v_ref, t, 0.01, wd)
+        ad.adam_step({"w": w}, state)
+        m, v = state.moments["w"]
+        worst = max(
+            worst,
+            max_relative_difference(w.data, p_ref),
+            max_relative_difference(m, m_ref),
+            max_relative_difference(v, v_ref),
+        )
+        # Restart the oracle from the state each step leaves, so rounding does not compound.
+        p_ref, m_ref, v_ref = w.data.copy(), m.copy(), v.copy()
+    assert worst <= 1e-13
+
+
+def test_adam_leaves_the_moments_of_a_parameter_without_gradient():
+    rng = np.random.default_rng(5)
+    a = ad.Value(rng.standard_normal((3, 4)), requires_grad=True)
+    b = ad.Value(rng.standard_normal((3, 4)), requires_grad=True)
+    a.grad, b.grad = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    state = ad.AdamState(lr=0.1, weight_decay=5e-4)
+    ad.adam_step({"a": a, "b": b}, state)
+    b_data = b.data.copy()
+    b_moments = [x.copy() for x in state.moments["b"]]
+    a.grad, b.grad = rng.standard_normal((3, 4)), None
+    a_data = a.data.copy()
+    ad.adam_step({"a": a, "b": b}, state)
+    assert not np.array_equal(a.data, a_data)
+    assert np.array_equal(b.data, b_data)
+    for kept, now in zip(b_moments, state.moments["b"]):
+        assert np.array_equal(kept, now)
+
+
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+def test_adam_step_allocates_no_parameter_sized_temporaries(wd):
+    rng = np.random.default_rng(2)
+    w = ad.Value(rng.standard_normal((512, 64)), requires_grad=True)
+    w.grad = rng.standard_normal((512, 64))
+    state = ad.AdamState(lr=0.01, weight_decay=wd)
+    ad.adam_step({"w": w}, state)  # the first step allocates the moments and the scratch buffer
+    tracemalloc.start()
+    try:
+        ad.adam_step({"w": w}, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * w.data.nbytes
 
 
 def test_training_loop_determinism():

@@ -227,6 +227,71 @@ def test_train_checkpoint_holds_every_parameter(train_dir):
     assert params["w_out"]["shape"] == [8, 2]
 
 
+@pytest.mark.parametrize("flag", [[], ["--baseline"]], ids=["dsf", "baseline"])
+def test_train_checkpoint_round_trips_exactly(dataset_dir, config_path, tmp_path, monkeypatch, flag):
+    grids, run_grid = [], cli.run_grid
+
+    def recording_run_grid(*args, **kwargs):
+        grids.append(run_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "run_grid", recording_run_grid)
+    out = tmp_path / "run"
+    code = main([
+        "train", "--data", str(dataset_dir), "--config", str(config_path),
+        "--out", str(out), "--runs", "1", "--splits", "1", "--seed", "4", *flag,
+    ])
+    assert code == 0
+    run = grids[0].last_run
+    variant = "baseline" if flag else "dsf"
+    text = (out / f"checkpoint-{variant}.json").read_text(encoding="utf-8")
+    params = json.loads(text)["params"]
+    assert set(params) == set(run.params)
+    for name, arr in run.params.items():
+        assert params[name]["shape"] == list(arr.shape)
+        stored = np.array(params[name]["data"]).reshape(params[name]["shape"])
+        assert stored.dtype == arr.dtype and np.array_equal(stored, arr)
+    # One line per tensor, plus the opening and closing lines, not one per float.
+    assert text.count("\n") == len(run.params) + 5
+    # The weight table is the text of the per-value ``repr(float(x))`` formatter.
+    betas = run.betas
+    expected = ["node_id," + ",".join(f"beta_{k}" for k in range(betas.shape[1]))]
+    expected += [",".join([str(i)] + [repr(float(x)) for x in betas[i]]) for i in range(len(betas))]
+    assert (out / f"beta-{variant}.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+def test_checkpoint_loads_as_the_json_writer_output(tmp_path):
+    rng = np.random.default_rng(0)
+    params = {
+        "w": rng.standard_normal((3 * cli._CHECKPOINT_CHUNK + 5, 2)) * 1e-300,
+        "a": np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]]),
+        "empty": np.zeros((0, 4)),
+    }
+    cli._write_text(tmp_path / "new.json", cli._checkpoint_chunks("abc", params))
+    _write_json(
+        tmp_path / "old.json",
+        {
+            "config_hash": "abc",
+            "params": {
+                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                for name, arr in params.items()
+            },
+        },
+    )
+    old = (tmp_path / "old.json").read_text(encoding="utf-8")
+    new = (tmp_path / "new.json").read_text(encoding="utf-8")
+    assert json.loads(new) == json.loads(old)
+    assert new.count("\n") == len(params) + 5
+
+
+def test_checkpoint_with_a_nan_parameter_leaves_no_file(tmp_path):
+    # The NaN sits in the last tensor, after several chunks have been written.
+    params = {"a": np.ones((2 * cli._CHECKPOINT_CHUNK, 3)), "z": np.array([[1.0, np.nan]])}
+    with pytest.raises(ValueError):
+        cli._write_text(tmp_path / "checkpoint-dsf.json", cli._checkpoint_chunks("abc", params))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_outputs_are_streamed_atomically(tmp_path):
     obj = {"b": [0.1, 1e-05, -2.5e16], "a": {"data": np.linspace(0, 1, 6).tolist()}}
     path = tmp_path / "out" / "doc.json"
@@ -649,6 +714,44 @@ def test_prop1_check_holds_at_high_order(capsys, order):
     assert main(["prop1-check", "--order", str(order), "--trials", "20"]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("prop1-check")]
     assert len(lines) == 3 and all(line.endswith("PASS") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# --out that cannot be a directory
+
+
+def test_train_out_naming_a_file_exits_one_before_reading_data(tmp_path, config_path, capsys):
+    target = tmp_path / "results"
+    target.write_text("keep\n", encoding="utf-8")
+    code = main([
+        "train", "--data", str(tmp_path / "nowhere"), "--config", str(config_path),
+        "--out", str(target), "--runs", "1", "--splits", "1",
+    ])
+    # Exit 1, not the missing dataset's 2: the check runs before the data is read.
+    assert code == 1
+    assert "is not a directory" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results"]
+
+
+def test_diagnose_out_below_a_file_exits_one(dataset_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["diagnose", "--data", str(dataset_dir), "--out", str(blocker / "sub" / "dir")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_analyze_out_naming_a_file_exits_one(train_dir, tmp_path, capsys):
+    target = tmp_path / "analysis"
+    target.write_text("", encoding="utf-8")
+    before = sorted(p.name for p in train_dir.iterdir())
+    code = main(["analyze", "--run-dir", str(train_dir), "--out", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis"]
+    assert sorted(p.name for p in train_dir.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------
