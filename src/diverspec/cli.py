@@ -31,7 +31,8 @@ from .analysis import centroid_curves, cluster_weights
 from .autodiff import make_rng
 from .config import config_hash, load_config, resolved_dict
 from .datasets import load_dataset
-from .errors import ConfigError, DataError, DiverspecError, NumericalError, UsageError
+from .domains import DOMAINS, check_domains
+from .errors import DataError, DiverspecError, NumericalError, UsageError
 from .graph import edge_homophily
 from .model import DsfConfig
 from .polynomials import Bernstein, Jacobi, Monomial, filter_response, rescale_coefficients
@@ -105,12 +106,12 @@ def _fmt(x: float) -> str:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    graph = load_dataset(args.data)
     out = Path(args.out)
     bands = [b.strip() for b in args.bands.split(",") if b.strip()]
     for band in bands:
         if band not in HISTOGRAM_BANDS:
             raise UsageError(f"unknown band {band!r}; choose from {','.join(HISTOGRAM_BANDS)}")
+    graph = load_dataset(args.data)
 
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)
@@ -165,8 +166,8 @@ def _variant(args: argparse.Namespace) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    graph = load_dataset(args.data)
     model_cfg, train_cfg = load_config(args.config)
+    graph = load_dataset(args.data)
     if args.mode is not None:
         model_cfg = model_cfg.with_mode(args.mode)
     variant = _variant(args)
@@ -264,7 +265,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         model_cfg = DsfConfig(
             **{k: v for k, v in metrics["config"].items() if k in DsfConfig.__dataclass_fields__}
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, UsageError) as exc:  # UsageError: a value out of its domain
         raise DataError(f"{metrics_path}: unusable embedded config ({exc})") from exc
 
     weights = _load_beta_csv(run_dir / f"beta-{args.variant}.csv")
@@ -303,7 +304,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_PROP1_BASES = ("monomial", "bernstein", "jacobi")
+_PROP1_BASES = DOMAINS["basis"][:-1]  # without "all"
 
 
 def cmd_prop1_check(args: argparse.Namespace) -> int:
@@ -359,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--splits", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-mode", choices=("dense", "sparse"), default="dense", dest="split_mode")
-    p.add_argument("--mode", choices=("I", "R"), default=None,
+    p.add_argument("--split-mode", choices=DOMAINS["split_mode"], default="dense", dest="split_mode")
+    p.add_argument("--mode", choices=DOMAINS["mode"], default=None,
                    help="override the config's variant (R pins eta2 to 0)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--baseline", action="store_true",
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="cluster learned weights, export centroid curves")
     p.add_argument("--run-dir", required=True, dest="run_dir", help="directory written by train")
-    p.add_argument("--variant", choices=("dsf", "baseline", "no-ipe"), default="dsf")
+    p.add_argument("--variant", choices=DOMAINS["variant"], default="dsf")
     p.add_argument("--clusters", type=int, default=5)
     p.add_argument("--grid-size", type=int, default=101, dest="grid_size")
     p.add_argument("--seed", type=int, default=0)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("prop1-check", help="verify the coefficient-rescaling identity")
-    p.add_argument("--basis", choices=_PROP1_BASES + ("all",), default="all")
+    p.add_argument("--basis", choices=DOMAINS["basis"], default="all")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -410,31 +411,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise UsageError("--seed must be nonnegative")
-        if getattr(args, "k_hops", 0) < 0:
-            raise UsageError("--k-hops must be nonnegative")
-        if getattr(args, "order", 0) < 0:
-            raise UsageError("--order must be nonnegative")
-        if getattr(args, "trials", 1) < 1:
-            raise UsageError("--trials must be at least 1")
-        if not 0.0 < getattr(args, "tolerance", 1.0) < math.inf:
-            raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
-        if getattr(args, "grid_size", 2) < 2:
-            raise UsageError("--grid-size must be at least 2, the two ends of [0, 2]")
+        check_domains({k: v for k, v in vars(args).items() if v is not None}, flags=True)
         if getattr(args, "out", None) is not None:
             _check_out_dir(args.out)
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DiverspecError as exc:
+    except DiverspecError as exc:  # usage and config errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

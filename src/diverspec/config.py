@@ -30,13 +30,9 @@ def _to_bool(raw: str) -> bool:
 _MODEL_FIELDS = {f.name: f for f in dataclasses.fields(DsfConfig)}
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
-_PARSERS = {
-    "K": int, "d": int, "f_p": int,
-    "eta1": float, "eta2": float, "lambda_orth": float, "dropout_p": float,
-    "ppr_alpha": float, "jacobi_a": float, "jacobi_b": float,
-    "mode": str, "backbone": str, "pe_init": str, "sigma_p": str, "gamma_init": str,
-    "lappe_skip_first": _to_bool, "ablate_ipe": _to_bool,
-    "lr": float, "weight_decay": float, "epochs": int, "patience": int,
+_PARSERS = {  # Field.type is an annotation string: the dataclass modules defer annotations
+    name: {"int": int, "float": float, "bool": _to_bool, "str": str, "str | None": str}[f.type]
+    for name, f in {**_MODEL_FIELDS, **_TRAIN_FIELDS}.items()
 }
 
 

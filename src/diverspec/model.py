@@ -16,23 +16,17 @@ regularizes positional columns toward orthogonality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
+from .domains import check_domains
 from .errors import ConfigError, UsageError
 from .graph import SparseOperator, identity_blocks
 from .polynomials import Bernstein, BasisKind, Jacobi, Monomial
 from .spectral import SpectralDecomposition
-
-BACKBONES = ("GPR", "Bern", "Jacobi")
-MODES = ("I", "R")
-PE_INITS = ("LapPE", "RWPE")
-SIGMAS = ("Sigmoid", "Tanh")
-GAMMA_INITS = ("ppr", "uniform", "random")
 
 
 @dataclass(frozen=True)
@@ -63,37 +57,14 @@ class DsfConfig:
     ablate_ipe: bool = False
 
     def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ConfigError(f"K must be a positive polynomial order, got {self.K}")
-        if self.d < 1 or self.f_p < 1:
-            raise ConfigError(f"widths must be positive, got d={self.d}, f_p={self.f_p}")
-        if not 0.0 <= self.eta1 <= 1.0:
-            raise ConfigError(f"eta1 must lie in [0, 1], got {self.eta1}")
-        if not 0.0 <= self.eta2 < math.inf:  # the chained test also rejects NaN
-            raise ConfigError(f"eta2 must be finite and nonnegative, got {self.eta2}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.sigma_p is None:
+            object.__setattr__(self, "sigma_p", "Sigmoid" if self.backbone == "Bern" else "Tanh")
+        check_domains(vars(self))
         if self.mode == "R" and self.eta2 != 0.0:
             raise ConfigError(f"mode R pins eta2 to 0, got eta2={self.eta2}")
-        if self.backbone not in BACKBONES:
-            raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
-        if self.pe_init not in PE_INITS:
-            raise ConfigError(f"pe_init must be one of {PE_INITS}, got {self.pe_init!r}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-        if not 0.0 <= self.lambda_orth < math.inf:
-            raise ConfigError(f"lambda_orth must be finite and nonnegative, got {self.lambda_orth}")
-        if self.sigma_p is None:
-            default = "Sigmoid" if self.backbone == "Bern" else "Tanh"
-            object.__setattr__(self, "sigma_p", default)
-        if self.sigma_p not in SIGMAS:
-            raise ConfigError(f"sigma_p must be one of {SIGMAS}, got {self.sigma_p!r}")
         if self.backbone == "Bern" and self.sigma_p != "Sigmoid":
             raise ConfigError("the Bern backbone requires Sigmoid gates (nonnegative filters)")
-        if self.gamma_init not in GAMMA_INITS:
-            raise ConfigError(f"gamma_init must be one of {GAMMA_INITS}, got {self.gamma_init!r}")
-        if not 0.0 < self.ppr_alpha < 1.0:
-            raise ConfigError(f"ppr_alpha must lie in (0, 1), got {self.ppr_alpha}")
+        Jacobi(self.jacobi_a, self.jacobi_b)  # the parameters' one check, on every backbone
 
     def basis(self) -> BasisKind:
         if self.backbone == "GPR":

@@ -7,7 +7,6 @@ training trajectory: initialization, dropout masks, and the split itself.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -15,7 +14,8 @@ import numpy as np
 from scipy import sparse
 
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
-from .errors import ConfigError, DataError, NumericalError
+from .domains import check_domains
+from .errors import DataError, NumericalError
 from .graph import Graph, SparseOperator, normalized_operators
 from .model import (
     DsfConfig,
@@ -46,16 +46,7 @@ class TrainConfig:
     patience: int = 100
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lr < math.inf:  # the chained tests also reject NaN
-            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(
-                f"weight_decay must be finite and nonnegative, got {self.weight_decay}"
-            )
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be positive, got {self.patience}")
+        check_domains(vars(self))
 
 
 @dataclass(frozen=True)
@@ -82,10 +73,7 @@ def make_splits(graph: Graph, mode: str, num_splits: int, seed: int) -> list[Spl
     Raises :class:`DataError` when a fraction rounds to an empty train or
     validation set.
     """
-    if mode not in SPLIT_FRACTIONS:
-        raise ConfigError(f"split mode must be one of {sorted(SPLIT_FRACTIONS)}, got {mode!r}")
-    if num_splits < 1:
-        raise ConfigError(f"need at least one split, got {num_splits}")
+    check_domains({"split_mode": mode, "splits": num_splits})
     f_train, f_val = SPLIT_FRACTIONS[mode]
     n = graph.num_nodes
     n_train = round(f_train * n)
@@ -274,8 +262,7 @@ def run_grid(
     cell can be reproduced in isolation. The graph inputs are built once,
     by :func:`graph_inputs`, and shared by every cell.
     """
-    if runs < 1:
-        raise ConfigError(f"need at least one run, got {runs}")
+    check_domains({"runs": runs})
     inputs = graph_inputs(graph, config, homogeneous)
     cells = []
     accs = []

@@ -8,21 +8,31 @@ to keep the suite fast.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diverspec
 from diverspec import cli, errors
 from diverspec.analysis import homophily_histogram
 from diverspec.cli import _write_json, main
 from diverspec.datasets import load_dataset, save_dataset, two_block_graph
+from diverspec.domains import DOMAINS
 from diverspec.graph import edge_homophily, local_label_homophily
+from diverspec.model import DsfConfig
+from diverspec.training import TrainConfig
 
 from conftest import EQUAL_RWPE_ROWS, toy_graph
 
@@ -162,6 +172,16 @@ def test_diagnose_negative_k_hops_is_a_usage_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "--k-hops" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_unknown_band_exits_one_before_reading_data(tmp_path, capsys):
+    out = tmp_path / "diag"
+    code = main([
+        "diagnose", "--data", str(tmp_path / "nowhere"), "--out", str(out), "--bands", "low,ultra",
+    ])
+    assert code == 1
+    assert "unknown band" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -408,6 +428,27 @@ def test_train_non_finite_jacobi_parameter_is_a_usage_failure(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("backbone", ["GPR", "Bern"])
+def test_train_bad_jacobi_parameter_on_any_backbone_exits_one(
+    dataset_dir, tmp_path, capsys, backbone, value
+):
+    # The Jacobi parameters are checked whatever the backbone: without that, the
+    # grid trains and NaN reaches the JSON writer, which raises after the work.
+    bad = tmp_path / "bad.conf"
+    bad.write_text(f"backbone = {backbone}\nK = 3\njacobi_a = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "train", "--data", str(dataset_dir), "--config", str(bad), "--out", str(out),
+        "--runs", "1", "--splits", "1",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Jacobi parameters" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -600,6 +641,22 @@ def test_analyze_grid_size_below_two_is_a_usage_error(train_dir, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("K", 0), ("jacobi_a", float("nan"))])
+def test_analyze_embedded_config_out_of_its_domain_is_a_data_error(
+    train_dir, tmp_path, capsys, key, value
+):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("metrics-dsf.json", "beta-dsf.csv"):
+        (run_dir / name).write_bytes((train_dir / name).read_bytes())
+    metrics = json.loads((run_dir / "metrics-dsf.json").read_text(encoding="utf-8"))
+    metrics["config"][key] = value
+    (run_dir / "metrics-dsf.json").write_text(json.dumps(metrics), encoding="utf-8")
+    assert main(["analyze", "--run-dir", str(run_dir), "--out", str(tmp_path / "ana")]) == 2
+    assert "metrics-dsf.json: unusable embedded config" in capsys.readouterr().err
+    assert not (tmp_path / "ana").exists()
+
+
 def test_analyze_without_metrics_is_a_data_error(tmp_path, capsys):
     assert main(["analyze", "--run-dir", str(tmp_path)]) == 2
     assert "missing metrics file" in capsys.readouterr().err
@@ -714,6 +771,96 @@ def test_prop1_check_holds_at_high_order(capsys, order):
     assert main(["prop1-check", "--order", str(order), "--trials", "20"]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("prop1-check")]
     assert len(lines) == 3 and all(line.endswith("PASS") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# the table of legal values: every numeric key and flag, out of its domain
+
+
+def _numeric_flags() -> list[tuple[str, str, type]]:
+    """(command, flag, type) for every int or float option of every subcommand."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0], action.type)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type in (int, float)
+    ]
+
+
+NUMERIC_FLAGS = _numeric_flags()
+CONFIG_FIELDS = [
+    (f.name, {"int": int, "float": float}[f.type])
+    for cls in (DsfConfig, TrainConfig)
+    for f in dataclasses.fields(cls)
+    if f.type in ("int", "float")
+]
+# Out-of-domain cases: ("train", key, type) for config keys, (command, flag, type) for flags.
+CASES = [("train", key, kind) for key, kind in CONFIG_FIELDS] + NUMERIC_FLAGS
+
+
+def _lower_bound(name: str) -> int:
+    return DOMAINS[name.lstrip("-").replace("-", "_")][0]
+
+
+def _run_case(command: str, name: str, value: str) -> tuple[int, str, str, bool]:
+    """Exit code, stdout, stderr and whether ``--out`` exists, with ``name`` set to ``value``.
+
+    ``--data`` and ``--run-dir`` name no directory, so a value that is not
+    rejected before the input is read exits 2, not 1.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        nowhere, out, conf = str(root / "nowhere"), root / "out", root / "run.conf"
+        conf.write_text("" if name.startswith("--") else f"{name} = {value}\n", encoding="utf-8")
+        argv = {
+            "train": ["train", "--data", nowhere, "--config", str(conf), "--out", str(out)],
+            "diagnose": ["diagnose", "--data", nowhere, "--out", str(out)],
+            "analyze": ["analyze", "--run-dir", nowhere, "--out", str(out)],
+            "prop1-check": ["prop1-check", "--trials", "2"],
+        }[command]
+        if name.startswith("--"):
+            argv.append(f"{name}={value}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        return code, stdout.getvalue(), stderr.getvalue(), out.exists()
+
+
+def _assert_rejected_up_front(command: str, name: str, value: str) -> None:
+    code, stdout, stderr, out_exists = _run_case(command, name, value)
+    assert code == 1, stderr
+    assert stdout == ""
+    expected = "Jacobi parameters" if "jacobi" in name else f"{name} must be"
+    assert stderr.startswith("error: ") and expected in stderr
+    assert not out_exists
+
+
+def test_every_numeric_key_and_flag_has_a_domain():
+    names = {flag[2:].replace("-", "_") for _, flag, _ in NUMERIC_FLAGS}
+    names |= {key for key, _ in CONFIG_FIELDS}
+    numeric = {n for n, domain in DOMAINS.items() if not isinstance(domain[0], str)}
+    assert numeric == names - {"jacobi_a", "jacobi_b"}  # those two: polynomials.Jacobi
+
+
+@pytest.mark.parametrize(
+    "command, name", [(c, n) for c, n, kind in CASES if kind is float], ids=lambda x: x
+)
+@settings(max_examples=10, deadline=None)
+@given(value=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_float_key_or_flag_exits_one_up_front(command, name, value):
+    _assert_rejected_up_front(command, name, value)
+
+
+@pytest.mark.parametrize(
+    "command, name", [(c, n) for c, n, kind in CASES if kind is int], ids=lambda x: x
+)
+@settings(max_examples=10, deadline=None)
+@given(below=st.integers(1, 10**6))
+@example(below=1)
+def test_integer_key_or_flag_below_its_domain_exits_one_up_front(command, name, below):
+    _assert_rejected_up_front(command, name, str(_lower_bound(name) - below))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverspec.config import (
     build_configs,
@@ -11,7 +16,10 @@ from diverspec.config import (
     parse_config_text,
     resolved_dict,
 )
+from diverspec.domains import DOMAINS
 from diverspec.errors import ConfigError
+from diverspec.model import DsfConfig
+from diverspec.training import TrainConfig
 
 SAMPLE = """
 # model
@@ -103,3 +111,40 @@ def test_config_hash_covers_the_variant():
     model, train = build_configs(parse_config_text("K = 5"))
     digests = {config_hash(model, train, v) for v in ("dsf", "baseline", "no-ipe")}
     assert len(digests) == 3
+
+
+def _legal_values(field: dataclasses.Field) -> st.SearchStrategy:
+    """Values of a config field that its own domain accepts."""
+    if field.type == "bool":
+        return st.booleans()
+    if field.name in ("jacobi_a", "jacobi_b"):
+        return st.floats(min_value=-1.0, exclude_min=True, max_value=1e6)
+    domain = DOMAINS[field.name]
+    if isinstance(domain[0], str):
+        return st.sampled_from(domain)
+    low, high, ends = domain
+    if field.type == "int":
+        return st.integers(low, 10**6)
+    bounded = high < math.inf
+    return st.floats(
+        min_value=low, max_value=high if bounded else None, exclude_min=ends[0] == "(",
+        exclude_max=bounded and ends[1] == ")", allow_nan=False, allow_infinity=False,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_field_written_as_key_value_parses_back(data):
+    values = {
+        f.name: data.draw(_legal_values(f), label=f.name)
+        for cls in (DsfConfig, TrainConfig)
+        for f in dataclasses.fields(cls)
+    }
+    if values["mode"] == "R":
+        values["eta2"] = 0.0
+    if values["backbone"] == "Bern":
+        values["sigma_p"] = "Sigmoid"
+    model, train = build_configs(values)
+    text = "".join(f"{key} = {value}\n" for key, value in resolved_dict(model, train).items())
+    assert len(text.splitlines()) == 17 + 4
+    assert build_configs(parse_config_text(text)) == (model, train)
