@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -40,9 +41,23 @@ from .spectral import HISTOGRAM_BANDS, band_eigen_index, eigendecompose, local_h
 from .graph import normalized_operators
 from .training import make_splits, run_grid
 
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures routed to exit code 1."""
+    """argparse with usage failures routed to exit code 1.
+
+    A separate argument that reads as a negative float (``-1e-3``, ``-inf``)
+    is a value, not an option, so ``--jacobi-a -1e-3`` parses; argparse's own
+    matcher takes only ``-1`` and ``-.5`` forms. Subparsers are built from
+    this class, so they inherit the matcher.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
@@ -112,6 +127,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         if band not in HISTOGRAM_BANDS:
             raise UsageError(f"unknown band {band!r}; choose from {','.join(HISTOGRAM_BANDS)}")
     graph = load_dataset(args.data)
+    # Nothing below reads the features: release the validated table before
+    # the dense L-hat of the eigen stage is built.
+    graph = dataclasses.replace(graph, features=np.empty((graph.num_nodes, 0)))
 
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)

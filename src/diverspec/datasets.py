@@ -11,10 +11,12 @@ Every node id must appear exactly once in ``nodes.tsv``. The loader reports
 malformed input with file names and line numbers.
 
 ``edges.tsv`` and ``nodes.tsv`` are streamed line by line into one
-``np.loadtxt`` call each, so the parsed array is the only allocation of file
-size. A file with bytes the stream does not take, or with any problem, is
-read again by a per-line checker, which gives the same arrays or raises the
-first problem in line order. No array is sized by a ``meta.json`` count
+``np.loadtxt`` call each. The parsed feature array is marked read-only and
+handed to :func:`~diverspec.graph.build_graph`, which adopts it without a
+copy, so it stays the only allocation of file size. A file with bytes the
+stream does not take, or with any problem, is read again by a per-line
+checker, which gives the same arrays or raises the first problem in line
+order. No array is sized by a ``meta.json`` count
 before the files have proven it.
 """
 
@@ -62,7 +64,8 @@ def load_dataset(directory: str | Path) -> Graph:
     Raises :class:`DataError` with the offending file and line for any
     structural problem (missing files, bytes that are not UTF-8, bad field
     counts, out-of-range ids or labels, feature-width mismatches, duplicate
-    or missing node rows).
+    or missing node rows). The graph's feature array is the parsed one,
+    read-only; nothing else holds it.
     """
     directory = Path(directory)
     _require(directory.is_dir(), f"{directory} is not a directory")
@@ -95,6 +98,7 @@ def load_dataset(directory: str | Path) -> Graph:
 
     edges = _read_edges(edges_path, n)
     features, labels = _read_nodes(nodes_path, n, num_features, num_classes)
+    features.flags.writeable = False  # fresh and unshared: build_graph adopts it
     return build_graph(edges, n, features, labels, num_classes)
 
 

@@ -99,6 +99,12 @@ def build_graph(
     duplicates and reversals collapse, self loops are dropped. Raises
     :class:`DataError` for out-of-range endpoints, shape mismatches, or
     labels outside ``[0, num_classes)``.
+
+    The graph's arrays are read-only. A float64 feature array that is
+    already read-only and owns its memory, such as the one
+    :func:`~diverspec.datasets.load_dataset` parses, is adopted as it is;
+    any other feature array is copied, so a caller's array is never
+    aliased or frozen.
     """
     if num_nodes <= 0:
         raise DataError(f"graph must have at least one node, got {num_nodes}")
@@ -133,7 +139,8 @@ def build_graph(
     hi = np.maximum(edges[:, 0], edges[:, 1])
     edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
 
-    features = features.copy()
+    if features.flags.writeable or not features.flags.owndata:
+        features = features.copy()
     labels = labels.copy()
     for arr in (edges, features, labels):
         arr.flags.writeable = False

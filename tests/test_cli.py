@@ -17,7 +17,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +30,9 @@ import diverspec
 from diverspec import cli, errors
 from diverspec.analysis import homophily_histogram
 from diverspec.cli import _write_json, main
-from diverspec.datasets import load_dataset, save_dataset, two_block_graph
+from diverspec.datasets import load_dataset, random_graph, save_dataset, two_block_graph
 from diverspec.domains import DOMAINS
-from diverspec.graph import edge_homophily, local_label_homophily
+from diverspec.graph import build_graph, edge_homophily, local_label_homophily
 from diverspec.model import DsfConfig
 from diverspec.training import TrainConfig
 
@@ -203,6 +205,37 @@ def test_diagnose_missing_dataset_is_a_data_error(tmp_path, capsys):
     code = main(["diagnose", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_diagnose_holds_one_feature_table_at_most(tmp_path, capsys):
+    # Wide binary features, as in Chameleon, dwarf the dense L-hat (0.7 MB
+    # here). The loader's parsed table is the only copy, and diagnose
+    # releases it before the eigen stage: the peak reads about 1.04x
+    # features.nbytes, against 2.0x when build_graph copied the table and
+    # diagnose held it throughout.
+    n = 300
+    edges = random_graph(n, 0.02, seed=0).edges
+    wide = (np.random.default_rng(0).random((n, 4000)) < 0.05).astype(np.float64)
+    graph = build_graph(edges, n, wide, np.arange(n) % 3, 3)
+    data = tmp_path / "wide"
+    save_dataset(graph, "wide", data)
+    held = []
+
+    def eigendecompose(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return decompose(*args, **kwargs)
+
+    decompose = cli.eigendecompose
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "eigendecompose", eigendecompose):
+            code = main(["diagnose", "--data", str(data), "--out", str(tmp_path / "diag")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 1.5 * graph.features.nbytes
+    assert held[0] < 0.5 * graph.features.nbytes  # the table is gone before the eigen stage
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +785,17 @@ def test_prop1_check_impossible_tolerance_fails_numerically(capsys):
         ("--jacobi-a", "nan", "Jacobi parameters"),
         ("--jacobi-a", "inf", "Jacobi parameters"),
         ("--jacobi-b", "-1", "Jacobi parameters"),
+        # negative floats in every form float() reads, each a separate argument
+        ("--jacobi-a", "-inf", "Jacobi parameters"),
+        ("--jacobi-b", "-Infinity", "Jacobi parameters"),
+        ("--jacobi-a", "-nan", "Jacobi parameters"),
+        ("--jacobi-a", "-1E+2", "Jacobi parameters"),
         ("--tolerance", "nan", "--tolerance"),
         ("--tolerance", "inf", "--tolerance"),
         ("--tolerance", "0", "--tolerance"),
         ("--tolerance", "-1e-8", "--tolerance"),
+        ("--tolerance", "-inf", "--tolerance must be"),
+        ("--tolerance", "-.5e-8", "--tolerance must be"),
     ],
 )
 @pytest.mark.parametrize("basis", ["all", "monomial"])
@@ -764,6 +804,11 @@ def test_prop1_check_rejects_bad_arguments_before_any_check(capsys, flag, value,
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "FAIL" not in captured.out
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_negative_float_flag_in_exponent_form_is_a_value(capsys):
+    assert main(["prop1-check", "--trials", "2", "--jacobi-a", "-1e-3"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
 
 
 @pytest.mark.parametrize("order", [12, 20, 30])
@@ -821,7 +866,7 @@ def _run_case(command: str, name: str, value: str) -> tuple[int, str, str, bool]
             "prop1-check": ["prop1-check", "--trials", "2"],
         }[command]
         if name.startswith("--"):
-            argv.append(f"{name}={value}")
+            argv += [name, value]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)

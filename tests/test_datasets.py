@@ -357,10 +357,11 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, data):
 
 def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
     # A block2k-shaped input: N = 2000 nodes with 64 Gaussian features. The
-    # streamed loader peaks at about 2.3x features.nbytes (the parsed table
-    # plus the copy build_graph makes); the earlier bulk parse, which held
-    # the whole file as bytes, text, lines and split fields at once, peaked
-    # at 7.95x. The bound sits between the two.
+    # streamed loader peaks at about 1.6x features.nbytes: the parsed table,
+    # which build_graph adopts without a copy, plus np.loadtxt's growth
+    # slack. Copying the table in build_graph read 2.3x, and the earlier bulk
+    # parse, which held the whole file as bytes, text, lines and split
+    # fields at once, read 7.95x.
     rng = np.random.default_rng(0)
     n = 2000
     graph = build_graph(
@@ -375,4 +376,22 @@ def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(loaded.features, graph.features)
-    assert peak < 4.0 * loaded.features.nbytes
+    assert peak < 2.0 * loaded.features.nbytes
+
+
+@pytest.mark.parametrize("edit", [None, NODE_EDITS["out-of-order"], NODE_EDITS["crlf"]],
+                         ids=["streamed", "streamed-unsorted", "per-line"])
+def test_loaded_features_are_read_only_and_adopted_by_build_graph(dataset_dir, edit):
+    path, original = dataset_dir
+    if edit is not None:
+        rewrite_lines(path / "nodes.tsv", edit)
+    per_line = mock.patch.object(
+        datasets, "_parse_node_lines", wraps=datasets._parse_node_lines
+    )
+    build = mock.patch.object(datasets, "build_graph", wraps=datasets.build_graph)
+    with per_line as parse, build as built:
+        graph = load_dataset(path)
+    assert parse.called == (edit is NODE_EDITS["crlf"])
+    assert graph.features is built.call_args.args[2]  # adopted, not copied
+    assert not graph.features.flags.writeable and graph.features.flags.owndata
+    np.testing.assert_array_equal(graph.features, original.features)

@@ -129,6 +129,35 @@ def test_graph_is_immutable(p3):
     assert not p3.edges.flags.writeable
 
 
+def _read_only_view(array):
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("make_input", [
+    lambda a: a,
+    _read_only_view,  # frozen view of memory the caller can still write
+], ids=["writeable", "read-only-view"])
+def test_build_graph_copies_features_it_does_not_own(make_input):
+    mine = np.arange(6.0).reshape(3, 2)
+    features = make_input(mine)
+    g = build_graph([(0, 1)], 3, features, np.array([0, 1, 0]), 2)
+    assert mine.flags.writeable
+    assert not np.shares_memory(g.features, mine)
+    assert not np.shares_memory(g.features, features)
+    assert not g.features.flags.writeable
+    mine[0, 0] = 99.0
+    assert g.features[0, 0] == 0.0
+
+
+def test_build_graph_adopts_a_read_only_array_it_can_own():
+    features = np.arange(6.0).reshape(3, 2).copy()
+    features.flags.writeable = False
+    g = build_graph([(0, 1)], 3, features, np.array([0, 1, 0]), 2)
+    assert g.features is features
+
+
 @pytest.mark.parametrize("n", [1, 2 * _REACH_BLOCK - 1, 2 * _REACH_BLOCK, 2 * _REACH_BLOCK + 1])
 def test_identity_blocks_tile_the_identity_once(n):
     blocks = list(identity_blocks(n))
