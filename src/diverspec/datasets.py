@@ -1,6 +1,7 @@
 """On-disk dataset directories and synthetic graph builders.
 
-A dataset directory holds exactly three UTF-8, LF-terminated files:
+A dataset directory holds exactly three UTF-8 files, with LF or CRLF line
+endings:
 
 * ``meta.json`` - ``{"name", "num_nodes", "num_features", "num_classes"}``
 * ``edges.tsv`` - one ``src<TAB>dst`` pair of 0-based ids per line
@@ -11,7 +12,8 @@ Every node id must appear exactly once in ``nodes.tsv``. The loader reports
 malformed input with file names and line numbers.
 
 ``edges.tsv`` and ``nodes.tsv`` are streamed line by line into one
-``np.loadtxt`` call each. The parsed feature array is marked read-only and
+``np.loadtxt`` call each. Rows of an out-of-order ``nodes.tsv`` are put
+in id order in place. The parsed feature array is marked read-only and
 handed to :func:`~diverspec.graph.build_graph`, which adopts it without a
 copy, so it stays the only allocation of file size. A file with bytes the
 stream does not take, or with any problem, is read again by a per-line
@@ -37,8 +39,8 @@ from .graph import Graph, build_graph
 META_KEYS = ("name", "num_nodes", "num_features", "num_classes")
 # Bytes of a nodes.tsv whose features ``np.loadtxt`` parses exactly as
 # ``float`` does: decimals, inf/nan spellings, spaces and the two separators.
-# Other whitespace (\x1c-\x1f, lone \r) and ``_`` digit grouping parse
-# differently, so such files take the per-line path.
+# Other whitespace (\x0b, \x0c, \x1c-\x1f, a \r that does not end a line) and
+# ``_`` digit grouping parse differently, so such files take the per-line path.
 _PLAIN_NODE_BYTES = b"0123456789+-.eEinfatyINFATY \t\n,"
 # Bytes of an edges.tsv whose ids ``np.loadtxt`` parses exactly as ``int`` does.
 _PLAIN_EDGE_BYTES = b"0123456789\t\n"
@@ -103,11 +105,17 @@ def load_dataset(directory: str | Path) -> Graph:
 
 
 def _plain_lines(handle: BinaryIO, plain: bytes) -> Iterator[bytes]:
-    """The non-blank lines of ``handle`` without their LF.
+    """The non-blank lines of ``handle`` without their LF or CRLF.
 
-    Raises ``ValueError`` at the first line with a byte outside ``plain``.
+    Raises ``ValueError`` at the first line with a byte outside ``plain``
+    once one ``\\r`` before the LF is stripped, and at a blank CRLF line,
+    which the per-line checkers reject.
     """
     for line in handle:
+        if line.endswith(b"\r\n"):
+            line = line[:-2]
+            if not line:
+                raise ValueError("blank CRLF line")
         if line.translate(None, plain):
             raise ValueError("not a plain line")
         line = line.rstrip(b"\n")
@@ -126,7 +134,7 @@ def _stream_loadtxt(lines: Iterator[bytes], **kwargs) -> np.ndarray | None:
 def _read_edges(edges_path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
     """Endpoint pairs from ``edges.tsv``.
 
-    A file of digits, tabs and LFs is streamed into one ``np.loadtxt``
+    A file of digits, tabs and LF or CRLF line ends is streamed into one ``np.loadtxt``
     followed by a shape and range check. Any other file, or any problem,
     goes through :func:`_parse_edge_lines`.
     """
@@ -179,7 +187,8 @@ def _read_nodes(
     ``np.loadtxt``, so the (N, F) result is the only allocation of file
     size. Each line must hold only ``_PLAIN_NODE_BYTES``, three tab fields,
     an integer id and label and F features; the ids must then be a
-    permutation of 0..N-1 and the labels lie in range. Anything else, an
+    permutation of 0..N-1 and the labels lie in range; out-of-order rows are
+    then sorted in place by :func:`_permute_rows`. Anything else, an
     error from ``np.loadtxt`` included, re-reads the file through
     :func:`_parse_node_lines`, which raises the first problem in line order.
     """
@@ -202,10 +211,32 @@ def _read_nodes(
     ):
         if (np.diff(ids) < 0).any():
             order = np.argsort(ids)
-            features, labels = features[order], labels[order]
+            _permute_rows(features, order)
+            labels = labels[order]
         return features, labels
     with open(nodes_path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
         return _parse_node_lines(nodes_path, handle, n, num_features, num_classes)
+
+
+def _permute_rows(table: np.ndarray, order: np.ndarray) -> None:
+    """Set ``table[i] = table[order[i]]`` for every row in place.
+
+    Each cycle of the permutation is followed through a one-row buffer, so
+    no second table is held, as ``table[order]`` would.
+    """
+    done = order == np.arange(len(order))
+    buffer = np.empty_like(table[0])
+    for start in np.flatnonzero(~done):
+        if done[start]:
+            continue
+        buffer[:] = table[start]
+        row = start
+        while order[row] != start:
+            table[row] = table[order[row]]
+            done[row] = True
+            row = order[row]
+        table[row] = buffer
+        done[row] = True
 
 
 def _feature_fields(
@@ -298,7 +329,7 @@ def save_dataset(graph: Graph, name: str, directory: str | Path) -> None:
     )
     node_lines = []
     for node in range(graph.num_nodes):
-        feats = ",".join(repr(float(x)) for x in graph.features[node])
+        feats = ",".join(map(repr, graph.features[node].tolist()))
         node_lines.append(f"{node}\t{graph.labels[node]}\t{feats}")
     (directory / "nodes.tsv").write_text(
         "".join(line + "\n" for line in node_lines), encoding="utf-8", newline="\n"

@@ -17,6 +17,7 @@ from scipy import sparse
 from .errors import DataError
 
 _REACH_BLOCK = 512  # identity columns a blockwise sweep holds densely at once
+_EDGE_CHUNK = 1024  # canonical edges induced_edge_sums gathers per contraction
 
 
 @dataclass(frozen=True)
@@ -237,26 +238,38 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
     """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
 
     ``values`` is (E,) or (E, c), one entry or row per canonical edge, and the
-    sums come back (N,) or (N, c). The k-hop reach matrix R (identity times
-    ``A + I``, k times, kept 0/1) is built once for all columns, densely over
-    :func:`identity_blocks` as columns of R^T, so memory is O(N * block); for
-    the symmetric edge matrix W of a column, ``rowsum((R @ W) * R)`` counts
-    each induced edge twice.
+    sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a time:
+    k float32 products with the hop operator ``A + I``, each clipped back to
+    0/1 (so exact), give the dense (N, block) reach mask ``inside``. Edge
+    (p, q) is induced for block node j exactly when ``inside[p, j]`` and
+    ``inside[q, j]``; that gathered (chunk, block) mask, ``_EDGE_CHUNK``
+    canonical edges at a time, meets the (1 + c, E) table ``[1 | values]^T``
+    in one GEMM, whose ones row gives the counts. Memory is
+    O(N * block + chunk * block); no N x N array is formed.
     """
     if k < 0:
         raise DataError(f"hop count must be nonnegative, got {k}")
     values = np.asarray(values, dtype=np.float64)
     columns = values[:, None] if values.ndim == 1 else values
-    n, adjacency = graph.num_nodes, graph.adjacency
-    weights = [edge_matrix(graph, column) for column in columns.T]
-    counts, sums = np.zeros(n), np.zeros((n, len(weights)))
-    for nodes, reach in identity_blocks(n):
+    n, num_edges = graph.num_nodes, graph.num_edges
+    table = np.ones((1 + columns.shape[1], num_edges))
+    table[1:] = columns.T
+    hop = (graph.adjacency + sparse.eye_array(n, format="csr")).astype(np.float32)
+    p, q = graph.edges[:, 0], graph.edges[:, 1]
+    sums = np.zeros((table.shape[0], n))
+    for start in range(0, n, _REACH_BLOCK):
+        nodes = slice(start, min(start + _REACH_BLOCK, n))
+        reach = np.eye(n, nodes.stop - start, -start, dtype=np.float32)
         for _ in range(k):
-            reach = ((adjacency @ reach + reach) > 0).astype(np.float64)
-        counts[nodes] = np.einsum("ij,ij->j", adjacency @ reach, reach)
-        for column, w in enumerate(weights):
-            sums[nodes, column] = np.einsum("ij,ij->j", w @ reach, reach)
-    return (counts / 2).astype(np.int64), (sums / 2).reshape(n, *values.shape[1:])
+            reach = hop @ reach
+            np.minimum(reach, 1.0, out=reach)
+        inside = reach > 0
+        del reach
+        for first in range(0, num_edges, _EDGE_CHUNK):
+            chunk = slice(first, first + _EDGE_CHUNK)
+            both = inside[p[chunk]] & inside[q[chunk]]
+            sums[:, nodes] += table[:, chunk] @ both.astype(np.float64)
+    return sums[0].astype(np.int64), np.ascontiguousarray(sums[1:].T).reshape(n, *values.shape[1:])
 
 
 def local_label_homophily(graph: Graph, node: int, k: int) -> float | None:

@@ -231,7 +231,9 @@ def local_histograms(
 
     One blockwise :func:`~diverspec.graph.induced_edge_sums` pass over an
     (E, 1 + len(bands)) value matrix: same-label indicators, then each band
-    eigenvector's per-edge terms, with no per-node BFS. Returns
+    eigenvector's per-edge terms, with no per-node BFS. The sweep makes one
+    sparse product per hop and one gathered-mask GEMM per edge chunk for all
+    columns together, so extra bands cost GEMM columns, not sweeps. Returns
     ``(node_ids, homophily, {band: FrequencyHistogram})``; every histogram
     covers ``node_ids``, the nodes with a nonempty k-hop induced edge set.
     The values equal :func:`~diverspec.graph.local_label_homophily` and

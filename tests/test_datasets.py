@@ -230,6 +230,11 @@ NODE_EDITS = {
     "field-count": lambda lines: lines.__setitem__(4, lines[4] + ",1.0"),
     "out-of-order": lambda lines: lines.reverse(),
     "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+    "crlf-blank-line": lambda lines: lines.__setitem__(
+        slice(None), [line + "\r" for line in lines] + ["\r"]
+    ),
+    "inner-cr": lambda lines: lines.__setitem__(1, lines[1].replace(",", "\r,", 1)),
+    "vertical-tab": lambda lines: lines.__setitem__(1, lines[1].replace(",", "\x0b,", 1)),
     "label-out-of-range": lambda lines: lines.__setitem__(2, lines[2].replace("\t", "\t7", 1)),
     "duplicate-id": lambda lines: lines.__setitem__(1, lines[0]),
     "row-beyond-num-nodes": lambda lines: lines.append(f"{len(lines)}\t0\t" + lines[0].split("\t")[2]),
@@ -261,6 +266,10 @@ EDGE_EDITS = {
     "leading-zeros": lambda lines: lines.__setitem__(0, "0003\t05"),
     "space": lambda lines: lines.__setitem__(0, " 3\t5"),
     "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+    "crlf-blank-line": lambda lines: lines.__setitem__(
+        slice(None), [line + "\r" for line in lines] + ["\r"]
+    ),
+    "inner-cr": lambda lines: lines.__setitem__(1, lines[1] + "\r\r"),
     "blank-lines": lambda lines: lines.__setitem__(slice(1, 1), ["", ""]),
     "empty": lambda lines: lines.clear(),
 }
@@ -281,6 +290,22 @@ def test_edges_match_the_per_line_checker(dataset_dir, edit):
         graph = load_dataset(path)
         canonical = build_graph(expected, n, original.features, original.labels, 2)
         np.testing.assert_array_equal(graph.edges, canonical.edges)
+
+
+def test_crlf_files_are_streamed(dataset_dir):
+    # One \r before each LF is a line ending; a \r anywhere else, or a blank
+    # CRLF line, still goes to the per-line checkers (NODE_EDITS, EDGE_EDITS).
+    path, original = dataset_dir
+    for name, edits in (("nodes.tsv", NODE_EDITS), ("edges.tsv", EDGE_EDITS)):
+        rewrite_lines(path / name, edits["crlf"])
+        blob = (path / name).read_bytes()
+        assert blob.count(b"\r\n") == blob.count(b"\n") > 0
+    with mock.patch.object(datasets, "_parse_edge_lines", _no_per_line_parse), \
+            mock.patch.object(datasets, "_parse_node_lines", _no_per_line_parse):
+        loaded = load_dataset(path)
+    np.testing.assert_array_equal(loaded.edges, original.edges)
+    np.testing.assert_array_equal(loaded.features.view(np.int64), original.features.view(np.int64))
+    np.testing.assert_array_equal(loaded.labels, original.labels)
 
 
 def test_plain_files_are_streamed(dataset_dir):
@@ -355,31 +380,41 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, data):
     )
 
 
-def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
-    # A block2k-shaped input: N = 2000 nodes with 64 Gaussian features. The
-    # streamed loader peaks at about 1.6x features.nbytes: the parsed table,
-    # which build_graph adopts without a copy, plus np.loadtxt's growth
-    # slack. Copying the table in build_graph read 2.3x, and the earlier bulk
-    # parse, which held the whole file as bytes, text, lines and split
-    # fields at once, read 7.95x.
+def save_block2k_shaped(path):
+    """Save a block2k-shaped input (N = 2000, 64 Gaussian features) and return its graph."""
     rng = np.random.default_rng(0)
     n = 2000
     graph = build_graph(
         rng.integers(0, n, size=(6000, 2)), n, rng.normal(size=(n, 64)),
         rng.integers(0, 5, size=n), 5,
     )
-    save_dataset(graph, "gaussian", tmp_path)
+    save_dataset(graph, "gaussian", path)
+    return graph
+
+
+def traced_load(path):
+    """``load_dataset(path)`` and the tracemalloc peak, in bytes, of the call."""
     tracemalloc.start()
     try:
-        loaded = load_dataset(tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
+        loaded = load_dataset(path)
+        return loaded, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
+    # The streamed loader peaks at about 1.6x features.nbytes: the parsed
+    # table, which build_graph adopts without a copy, plus np.loadtxt's
+    # growth slack. Copying the table in build_graph read 2.3x, and the
+    # earlier bulk parse, which held the whole file as bytes, text, lines and
+    # split fields at once, read 7.95x.
+    graph = save_block2k_shaped(tmp_path)
+    loaded, peak = traced_load(tmp_path)
     np.testing.assert_array_equal(loaded.features, graph.features)
     assert peak < 2.0 * loaded.features.nbytes
 
 
-@pytest.mark.parametrize("edit", [None, NODE_EDITS["out-of-order"], NODE_EDITS["crlf"]],
+@pytest.mark.parametrize("edit", [None, NODE_EDITS["out-of-order"], NODE_EDITS["vertical-tab"]],
                          ids=["streamed", "streamed-unsorted", "per-line"])
 def test_loaded_features_are_read_only_and_adopted_by_build_graph(dataset_dir, edit):
     path, original = dataset_dir
@@ -391,7 +426,43 @@ def test_loaded_features_are_read_only_and_adopted_by_build_graph(dataset_dir, e
     build = mock.patch.object(datasets, "build_graph", wraps=datasets.build_graph)
     with per_line as parse, build as built:
         graph = load_dataset(path)
-    assert parse.called == (edit is NODE_EDITS["crlf"])
+    assert parse.called == (edit is NODE_EDITS["vertical-tab"])
     assert graph.features is built.call_args.args[2]  # adopted, not copied
     assert not graph.features.flags.writeable and graph.features.flags.owndata
     np.testing.assert_array_equal(graph.features, original.features)
+
+
+def test_out_of_order_rows_are_reordered_in_place(tmp_path):
+    # Reordering rows with table[order] held a second table: loading the
+    # reversed file peaked at about 2.16x features.nbytes, against 1.59x for
+    # the sorted one.
+    graph = save_block2k_shaped(tmp_path)
+    _, sorted_peak = traced_load(tmp_path)
+    rewrite_lines(tmp_path / "nodes.tsv", NODE_EDITS["out-of-order"])
+    loaded, reversed_peak = traced_load(tmp_path)
+    np.testing.assert_array_equal(loaded.features, graph.features)
+    np.testing.assert_array_equal(loaded.labels, graph.labels)
+    assert reversed_peak <= sorted_peak + 0.05 * graph.features.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+def test_permute_rows_matches_fancy_indexing(n):
+    rng = np.random.default_rng(n)
+    for order in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
+        table = rng.normal(size=(n, 3))
+        expected = table[order]
+        datasets._permute_rows(table, order)
+        np.testing.assert_array_equal(table, expected)
+
+
+def test_saved_features_match_per_value_repr(tmp_path):
+    features = np.random.default_rng(0).normal(size=(40, 7))
+    features[0, :4] = [-0.0, 1e-300, np.inf, np.nan]
+    features[1, :3] = [-np.inf, 5e-324, 1.7976931348623157e308]
+    graph = toy_graph([(0, 1)], labels=[0] * 40, features=features)
+    save_dataset(graph, "repr", tmp_path)
+    expected = "".join(
+        f"{node}\t0\t" + ",".join(repr(float(x)) for x in row) + "\n"
+        for node, row in enumerate(graph.features)
+    )
+    assert (tmp_path / "nodes.tsv").read_bytes() == expected.encode("utf-8")
