@@ -5,7 +5,8 @@ build a DAG; :func:`backward` replays it once in reverse topological order,
 accumulating gradients into the leaves. The op set is exactly what the
 filter model needs - dense linear algebra, a sparse-times-dense product (the
 graph operator, or CSR input features), one fused ``position_refinement``
-(the K IPE states in one stacked value, their adjoint recurrence backward),
+(the K IPE states of either mode, with or without the similarity term, in
+one stacked value; their adjoint recurrence backward),
 ``column_dots``, ``row_block`` and ``prefix_product`` for the gate table, one
 fused ``polynomial_filter`` (the :mod:`.polynomials` recurrence forward, its
 adjoint backward), a few elementwise nonlinearities, masked cross-entropy,
@@ -22,7 +23,7 @@ reproducible from integer seeds alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -227,58 +228,69 @@ def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperato
     return _make(combine_terms(columns, terms), (table, x), backward_fn)
 
 
-def position_refinement(p0: Value, op: SparseOperator, eta1: float, K: int) -> Value:
+def position_refinement(
+    p0: Value, op: SparseOperator, eta1: float, K: int, w_ipe: Value | None = None, eta2: float = 0.0
+) -> Value:
     """The K+1 IPE states as one ((K+1)·N, d) value whose row block k is state k.
 
-    State 0 is ``p0`` and state k is ``tanh(eta1 * p0 + (1 - eta1) * A_hat p_{k-1})``,
-    the float operations of K ``ipe_step`` calls with ``eta2 = 0``. Only the
-    states are kept. The backward runs the adjoint recurrence from k = K down
-    to 1 with ``op`` itself, which needs a symmetric ``op``.
+    State 0 is ``p0`` and state k is ``tanh(eta1 p0 + (1 - eta1) m)``, with the mix
+    ``m = (1 + eta2) A_hat p - eta2 S p`` for p = p_{k-1} and S = sigmoid(p W pᵀ),
+    W = ``w_ipe``: the float operations of K ``ipe_step`` calls. With ``eta2 = 0``
+    no N x N array is formed; otherwise a tracked op keeps the K matrices S. The
+    backward runs the adjoint recurrence from k = K down to 1 with ``op`` itself,
+    which needs a symmetric ``op``. For the gradient g of a step's mix, its
+    similarity term adds -eta2 Sᵀ g + G p Wᵀ + Gᵀ p W to the gradient of p and
+    pᵀ G p to that of W, where G = -eta2 (g pᵀ) ⊙ S ⊙ (1 - S) is that of p W pᵀ.
     """
+    n, d = p0.shape
     if not op.symmetric:
         raise UsageError("position_refinement needs a symmetric operator")
-    if K < 0 or op.shape != (p0.shape[0], p0.shape[0]):
-        raise UsageError(f"position_refinement: K={K} steps of {op.shape} on {p0.shape}")
-    n, d = p0.shape
-    eta1 = float(eta1)
+    if K < 0 or op.shape != (n, n) or (eta2 and (w_ipe is None or w_ipe.shape != (d, d))):
+        raise UsageError(f"position_refinement: K={K} steps of {op.shape} on {p0.shape}, eta2={eta2}")
+    eta1, eta2 = float(eta1), float(eta2)
+    parents = (p0, w_ipe) if eta2 else (p0,)
+    keep = _grad_enabled and _tracked(*parents)
     states = np.empty((K + 1, n, d))
     states[0] = p0.data
     anchor = eta1 * p0.data
+    sims = []
     for k in range(1, K + 1):
-        pre = op.matrix @ states[k - 1]
+        p = states[k - 1]
+        pre = op.matrix @ p
+        if eta2:
+            sim = expit(p @ w_ipe.data @ p.T)
+            pre *= 1.0 + eta2
+            pre -= eta2 * (sim @ p)
+            if keep:
+                sims.append(sim)
         pre *= 1.0 - eta1
         pre += anchor
         np.tanh(pre, out=states[k])
 
     def backward_fn(grad: np.ndarray) -> None:
-        if not p0.requires_grad:
-            return
         g = grad.reshape(K + 1, n, d)
         g_anchor = g[0].copy()
         carry = 0.0  # gradient reaching state k through state k + 1
         for k in range(K, 0, -1):
             g_pre = (g[k] + carry) * (1.0 - states[k] * states[k])
             g_anchor += eta1 * g_pre
-            g_pre *= 1.0 - eta1
+            g_pre *= 1.0 - eta1  # the gradient of the mix
             carry = op.matrix @ g_pre
+            if eta2:
+                p, sim, w = states[k - 1], sims[k - 1], w_ipe.data
+                g_sp = -eta2 * g_pre  # the gradient of S p
+                carry *= 1.0 + eta2
+                carry += sim.T @ g_sp
+                g_logits = (g_sp @ p.T) * sim * (1.0 - sim)
+                g_logits_p = g_logits @ p
+                carry += g_logits_p @ w.T + g_logits.T @ (p @ w)
+                if w_ipe.requires_grad:
+                    w_ipe.accumulate(p.T @ g_logits_p)
         g_anchor += carry
-        p0.accumulate(g_anchor)
+        if p0.requires_grad:
+            p0.accumulate(g_anchor)
 
-    return _make(states.reshape((K + 1) * n, d), (p0,), backward_fn)
-
-
-def stack_rows(values: Sequence[Value]) -> Value:
-    """Row-wise concatenation of values of one width; block i's gradient goes to ``values[i]``."""
-    if not values or len({v.shape[1] for v in values}) != 1:
-        raise UsageError(f"stack_rows: shapes {[v.shape for v in values]} do not stack")
-    bounds = np.cumsum([0] + [v.shape[0] for v in values])
-
-    def backward_fn(grad: np.ndarray) -> None:
-        for v, lo, hi in zip(values, bounds, bounds[1:]):
-            if v.requires_grad:
-                v.accumulate(grad[lo:hi])
-
-    return _make(np.concatenate([v.data for v in values]), tuple(values), backward_fn)
+    return _make(states.reshape((K + 1) * n, d), parents, backward_fn)
 
 
 def row_block(x: Value, start: int, stop: int) -> Value:

@@ -175,22 +175,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _variant(args: argparse.Namespace) -> str:
-    if args.baseline:
-        return "baseline"
-    if args.no_ipe:
-        return "no-ipe"
-    return "dsf"
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     model_cfg, train_cfg = load_config(args.config)
     graph = load_dataset(args.data)
     if args.mode is not None:
         model_cfg = model_cfg.with_mode(args.mode)
-    variant = _variant(args)
-    if variant == "no-ipe":
+    if args.no_ipe:
         model_cfg = dataclasses.replace(model_cfg, ablate_ipe=True)
+    # The ablation is read from the resolved config: a config file may ask for it too.
+    variant = "baseline" if args.baseline else "no-ipe" if model_cfg.ablate_ipe else "dsf"
 
     splits = make_splits(graph, args.split_mode, args.splits, args.seed)
     grid = run_grid(

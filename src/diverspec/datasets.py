@@ -9,7 +9,7 @@ endings:
   comma-separated decimal features
 
 Every node id must appear exactly once in ``nodes.tsv``. The loader reports
-malformed input with file names and line numbers.
+malformed input with file names and line numbers; only an LF ends a line.
 
 ``edges.tsv`` and ``nodes.tsv`` are streamed line by line into one
 ``np.loadtxt`` call each. Rows of an out-of-order ``nodes.tsv`` are put
@@ -25,7 +25,7 @@ before the files have proven it.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
 from typing import BinaryIO
@@ -153,7 +153,7 @@ def _read_edges(edges_path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
 def _parse_edge_lines(edges_path: Path, n: int) -> list[tuple[int, int]]:
     """Line-by-line parse of ``edges.tsv`` that names the file and line of each problem."""
     edges = []
-    with open(edges_path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+    with open(edges_path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -214,8 +214,7 @@ def _read_nodes(
             _permute_rows(features, order)
             labels = labels[order]
         return features, labels
-    with open(nodes_path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        return _parse_node_lines(nodes_path, handle, n, num_features, num_classes)
+    return _parse_node_lines(nodes_path, n, num_features, num_classes)
 
 
 def _permute_rows(table: np.ndarray, order: np.ndarray) -> None:
@@ -253,7 +252,7 @@ def _feature_fields(
 
 
 def _parse_node_lines(
-    nodes_path: Path, lines: Iterable[str], n: int, num_features: int, num_classes: int
+    nodes_path: Path, n: int, num_features: int, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Line-by-line parse of ``nodes.tsv`` that names the file and line of each problem.
 
@@ -261,40 +260,41 @@ def _parse_node_lines(
     by ``n`` before the file has proven it.
     """
     rows: dict[int, tuple[int, np.ndarray]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        _require_utf8(nodes_path, lineno, line)
-        parts = line.split("\t")
-        _require(
-            len(parts) == 3,
-            f"{nodes_path} line {lineno}: expected 'id<TAB>label<TAB>features', got {line!r}",
-        )
-        try:
-            node = int(parts[0])
-            label = int(parts[1])
-        except ValueError:
-            raise DataError(
-                f"{nodes_path} line {lineno}: id and label must be integers"
-            ) from None
-        _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
-        _require(node not in rows, f"{nodes_path} line {lineno}: duplicate id {node}")
-        _require(
-            0 <= label < num_classes,
-            f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
-        )
-        fields = parts[2].split(",") if parts[2] else []
-        _require(
-            len(fields) == num_features,
-            f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
-        )
-        try:
-            rows[node] = label, np.array([float(f) for f in fields])
-        except ValueError:
-            raise DataError(
-                f"{nodes_path} line {lineno}: features must be decimal numbers"
-            ) from None
+    with open(nodes_path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            _require_utf8(nodes_path, lineno, line)
+            parts = line.split("\t")
+            _require(
+                len(parts) == 3,
+                f"{nodes_path} line {lineno}: expected 'id<TAB>label<TAB>features', got {line!r}",
+            )
+            try:
+                node = int(parts[0])
+                label = int(parts[1])
+            except ValueError:
+                raise DataError(
+                    f"{nodes_path} line {lineno}: id and label must be integers"
+                ) from None
+            _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
+            _require(node not in rows, f"{nodes_path} line {lineno}: duplicate id {node}")
+            _require(
+                0 <= label < num_classes,
+                f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
+            )
+            fields = parts[2].split(",") if parts[2] else []
+            _require(
+                len(fields) == num_features,
+                f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
+            )
+            try:
+                rows[node] = label, np.array([float(f) for f in fields])
+            except ValueError:
+                raise DataError(
+                    f"{nodes_path} line {lineno}: features must be decimal numbers"
+                ) from None
 
     if len(rows) < n:
         missing = next(node for node in range(n) if node not in rows)

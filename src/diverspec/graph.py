@@ -223,15 +223,15 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, induced
 
 
-def identity_blocks(n: int) -> Iterator[tuple[slice, np.ndarray]]:
+def identity_blocks(n: int, dtype: type = np.float64) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(nodes, block)`` with ``block`` the dense (N, b) identity columns ``nodes``.
 
     The slices tile ``0..n-1`` in order, ``_REACH_BLOCK`` columns at a time,
-    so a sweep over them holds O(N * block) floats, not N^2.
+    so a sweep over them holds O(N * block) entries of ``dtype``, not N^2.
     """
     for start in range(0, n, _REACH_BLOCK):
         width = min(_REACH_BLOCK, n - start)
-        yield slice(start, start + width), np.eye(n, width, -start)
+        yield slice(start, start + width), np.eye(n, width, -start, dtype=dtype)
 
 
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +245,8 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
     ``inside[q, j]``; that gathered (chunk, block) mask, ``_EDGE_CHUNK``
     canonical edges at a time, meets the (1 + c, E) table ``[1 | values]^T``
     in one GEMM, whose ones row gives the counts. Memory is
-    O(N * block + chunk * block); no N x N array is formed.
+    O(N * block + chunk * block); no N x N array is formed. Integer sums are
+    exact; the rounding of other sums may depend on the shape of ``values``.
     """
     if k < 0:
         raise DataError(f"hop count must be nonnegative, got {k}")
@@ -257,9 +258,7 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
     hop = (graph.adjacency + sparse.eye_array(n, format="csr")).astype(np.float32)
     p, q = graph.edges[:, 0], graph.edges[:, 1]
     sums = np.zeros((table.shape[0], n))
-    for start in range(0, n, _REACH_BLOCK):
-        nodes = slice(start, min(start + _REACH_BLOCK, n))
-        reach = np.eye(n, nodes.stop - start, -start, dtype=np.float32)
+    for nodes, reach in identity_blocks(n, np.float32):
         for _ in range(k):
             reach = hop @ reach
             np.minimum(reach, 1.0, out=reach)

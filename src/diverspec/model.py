@@ -276,8 +276,9 @@ def ipe_step(
     ``tanh(eta1 * anchor + (1 - eta1) * ((1 + eta2) A_hat - eta2 * sim) p)``
     where ``sim = sigmoid(P W P^T)``. With ``eta2 = 0`` the similarity
     correction is skipped entirely - no N x N product is ever formed. The
-    forward runs this step only for ``eta2 != 0``; with ``eta2 = 0`` all K
-    steps are one :func:`~diverspec.autodiff.position_refinement` op.
+    forward runs all K steps as one
+    :func:`~diverspec.autodiff.position_refinement` op; this per-step tape
+    is its reference.
     """
     propagated = ad.sparse_dense_matmul(a_hat, p_prev)
     if eta2 != 0.0:
@@ -353,10 +354,10 @@ def forward(
     ``features`` is the dense array or the CSR operator of
     :func:`project_inputs`.
 
-    The K refinement steps build one stacked ((K+1)·N, d) value: with
-    ``eta2 = 0`` one :func:`~diverspec.autodiff.position_refinement` op, else
-    K :func:`ipe_step` calls joined by one stacking op. The gates read its row
-    blocks in one op, and the final state is its last block.
+    The K refinement steps, in either mode, are one
+    :func:`~diverspec.autodiff.position_refinement` op whose value stacks the
+    K+1 states as ((K+1)·N, d) row blocks. The gates read its row blocks in
+    one op, and the final state is its last block.
 
     The shared-coefficient baseline (``homogeneous=True``) and the ablation
     (``ablate_ipe``) filter with ``gamma`` itself (rectified for Bern) and
@@ -369,15 +370,7 @@ def forward(
         table = ad.relu(params.gamma) if config.backbone == "Bern" else params.gamma
         p_final = None
     else:
-        if config.eta2 == 0.0:
-            states = ad.position_refinement(p0, a_hat, config.eta1, config.K)
-        else:
-            p_list = [p0]
-            for _ in range(config.K):
-                p_list.append(
-                    ipe_step(p_list[-1], p0, a_hat, params.w_ipe, config.eta1, config.eta2)
-                )
-            states = ad.stack_rows(p_list)
+        states = ad.position_refinement(p0, a_hat, config.eta1, config.K, params.w_ipe, config.eta2)
         first = 1 if config.backbone == "Jacobi" else 0
         thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p, first)
         table = lgwd_beta(thetas, params, config)

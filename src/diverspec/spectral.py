@@ -230,23 +230,25 @@ def local_histograms(
     """Local homophily and every band's local-frequency histogram from one reach sweep.
 
     One blockwise :func:`~diverspec.graph.induced_edge_sums` pass over an
-    (E, 1 + len(bands)) value matrix: same-label indicators, then each band
-    eigenvector's per-edge terms, with no per-node BFS. The sweep makes one
-    sparse product per hop and one gathered-mask GEMM per edge chunk for all
-    columns together, so extra bands cost GEMM columns, not sweeps. Returns
+    (E, 1 + len(HISTOGRAM_BANDS)) value matrix, with no per-node BFS: column 0
+    holds the same-label indicators and column 1 + i band i's per-edge terms,
+    zeros when that band is not asked for. The matrix's shape and each band's
+    column never change, so a band's values do not depend on which other
+    bands are asked for. The sweep makes one sparse product per hop and one
+    gathered-mask GEMM per edge chunk for all columns together. Returns
     ``(node_ids, homophily, {band: FrequencyHistogram})``; every histogram
     covers ``node_ids``, the nodes with a nonempty k-hop induced edge set.
     The values equal :func:`~diverspec.graph.local_label_homophily` and
     :func:`local_graph_frequency` up to float summation order.
     """
-    same = graph.labels[graph.edges[:, 0]] == graph.labels[graph.edges[:, 1]]
-    columns, pairs = [same.astype(np.float64)], {}
+    columns, pairs = np.zeros((graph.num_edges, 1 + len(HISTOGRAM_BANDS))), {}
+    columns[:, 0] = graph.labels[graph.edges[:, 0]] == graph.labels[graph.edges[:, 1]]
     for band in bands:
-        index = band_eigen_index(graph.num_nodes, band)
+        index, column = band_eigen_index(graph.num_nodes, band), 1 + HISTOGRAM_BANDS.index(band)
         lam, vector = decomposition.pair(index)
-        pairs[band] = index, lam, len(columns)
-        columns.append(_edge_summands(graph, vector, graph.edges))
-    counts, sums = induced_edge_sums(graph, k, np.stack(columns, axis=1))
+        pairs[band] = index, lam, column
+        columns[:, column] = _edge_summands(graph, vector, graph.edges)
+    counts, sums = induced_edge_sums(graph, k, columns)
     ids = np.flatnonzero(counts)
     histograms = {
         band: FrequencyHistogram(

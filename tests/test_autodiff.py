@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -153,13 +154,14 @@ def _isolated_node_operator() -> SparseOperator:
 @pytest.mark.parametrize("eta1", [0.0, 0.3, 1.0])
 def test_position_refinement_gradients(K, eta1):
     op = _isolated_node_operator()
-    p0, weight = rng_arrays((6, 2), ((K + 1) * 6, 2), seed=K)
-    check_gradients(
-        lambda p: ad.frobenius_sq(
-            ad.hadamard(ad.position_refinement(p, op, eta1, K), ad.Value(weight))
-        ),
-        p0,
-    )
+    p0, weight, w_ipe = rng_arrays((6, 2), ((K + 1) * 6, 2), (2, 2), seed=K)
+    for eta2 in (0.0, 0.4):  # the similarity weight is a leaf only when eta2 != 0
+        check_gradients(
+            lambda p, w=None: ad.frobenius_sq(
+                ad.hadamard(ad.position_refinement(p, op, eta1, K, w, eta2), ad.Value(weight))
+            ),
+            *((p0, w_ipe) if eta2 else (p0,)),
+        )
 
 
 def test_position_refinement_states_follow_the_recurrence():
@@ -180,16 +182,31 @@ def test_position_refinement_rejects_an_operator_not_flagged_symmetric():
         ad.position_refinement(p0, flagged, 0.3, 2)
     with pytest.raises(UsageError):
         ad.position_refinement(ad.Value(np.ones((5, 2))), op, 0.3, 2)
+    for w_ipe in (None, ad.Value(np.ones((3, 3)))):  # eta2 != 0 needs a (d, d) weight
+        with pytest.raises(UsageError):
+            ad.position_refinement(p0, op, 0.3, 2, w_ipe, 0.4)
 
 
-def test_stack_rows_and_row_block_route_gradients_by_block():
-    a, b, weight = rng_arrays((2, 3), (4, 3), (3, 3), seed=8)
-    check_gradients(
-        lambda x, y: ad.frobenius_sq(
-            ad.hadamard(ad.row_block(ad.stack_rows([x, y]), 1, 4), ad.Value(weight))
-        ),
-        a, b,
-    )
+def test_position_refinement_keeps_similarity_matrices_only_on_a_tape():
+    n, d, K = 400, 3, 5
+    op, _ = normalized_operators(connected_random_graph(n, 0.02, seed=2))
+    p0, w_ipe = rng_arrays((n, d), (d, d), seed=12)
+    p0, w_ipe = ad.Value(p0, requires_grad=True), ad.Value(w_ipe, requires_grad=True)
+    for taped in (False, True):
+        tracemalloc.start()
+        try:
+            with nullcontext() if taped else ad.no_grad():
+                states = ad.position_refinement(p0, op, 0.3, K, w_ipe, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.requires_grad == taped
+        assert (peak > K * n * n * 8) == taped, peak  # the K (N, N) matrices S
+        del states
+
+
+def test_row_block_routes_gradients_by_block():
+    a, b = rng_arrays((2, 3), (4, 3), seed=8)
     stacked = ad.Value(np.vstack([a, b]), requires_grad=True)
     top, tail = ad.row_block(stacked, 0, 2), ad.row_block(stacked, 5, 6)
     ad.backward(ad.add(ad.frobenius_sq(top), ad.frobenius_sq(tail)))
@@ -199,8 +216,6 @@ def test_stack_rows_and_row_block_route_gradients_by_block():
     for start, stop in ((0, 0), (-1, 2), (4, 7)):
         with pytest.raises(UsageError):
             ad.row_block(stacked, start, stop)
-    with pytest.raises(UsageError):
-        ad.stack_rows([ad.Value(a), ad.Value(np.ones((2, 2)))])
 
 
 def test_column_dots_skips_the_blocks_before_first():

@@ -394,6 +394,25 @@ def test_train_no_ipe_flips_the_ablation_switch(dataset_dir, config_path, tmp_pa
     assert params["gamma"]["shape"] == [20, 4]  # one trained row per node
 
 
+def test_config_file_ablation_writes_the_no_ipe_outputs(dataset_dir, config_path, tmp_path):
+    # ablate_ipe = true in the config file trains and names the same run as --no-ipe.
+    ablated = tmp_path / "ablated.conf"
+    ablated.write_text(CONFIG_TEXT + "ablate_ipe = true\n", encoding="utf-8")
+    outs = {}
+    for name, config, flags in (("file", ablated, []), ("flag", config_path, ["--no-ipe"])):
+        outs[name] = tmp_path / name
+        code = main([
+            "train", "--data", str(dataset_dir), "--config", str(config),
+            "--out", str(outs[name]), "--runs", "1", "--splits", "1", "--seed", "1", *flags,
+        ])
+        assert code == 0
+    names = sorted(path.name for path in outs["flag"].iterdir())
+    assert names == sorted(path.name for path in outs["file"].iterdir())
+    assert all("-no-ipe." in name for name in names)
+    for name in names:
+        assert (outs["file"] / name).read_bytes() == (outs["flag"] / name).read_bytes(), name
+
+
 def test_train_config_hash_names_the_variant(
     train_dir, baseline_dir, dataset_dir, config_path, tmp_path
 ):

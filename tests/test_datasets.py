@@ -94,6 +94,27 @@ def test_load_reports_node_line_numbers(dataset_dir):
         load_dataset(path)
 
 
+def test_a_carriage_return_inside_a_line_does_not_shift_line_numbers(dataset_dir):
+    # Only an LF ends a line: a \r inside line 2, which int() and float()
+    # read as whitespace, leaves the bad line 4 reported as line 4.
+    path, _ = dataset_dir
+    nodes = (path / "nodes.tsv").read_text().splitlines()
+    broken = nodes[:]
+    broken[1] = broken[1].replace(",", "\r,", 1)
+    broken[3] = broken[3].replace("\t", "\t7", 1)
+    (path / "nodes.tsv").write_text("\n".join(broken) + "\n", newline="\n")
+    with pytest.raises(DataError, match=r"nodes\.tsv line 4: label 7"):
+        load_dataset(path)
+
+    (path / "nodes.tsv").write_text("\n".join(nodes) + "\n", newline="\n")
+    edges = (path / "edges.tsv").read_text().splitlines()
+    edges[1] = edges[1].replace("\t", "\t\r", 1)
+    edges[3] = "0\tx"
+    (path / "edges.tsv").write_text("\n".join(edges) + "\n", newline="\n")
+    with pytest.raises(DataError, match=r"edges\.tsv line 4: endpoints must be integers"):
+        load_dataset(path)
+
+
 def test_load_rejects_bad_label(dataset_dir):
     path, _ = dataset_dir
     lines = (path / "nodes.tsv").read_text().splitlines()
@@ -191,14 +212,12 @@ def test_synthetic_builders_are_pinned(builder, kwargs, expected):
 def per_line_nodes(path):
     """The per-line checker's reading of ``nodes.tsv``: (features, labels) or its error."""
     meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-    with open(path / "nodes.tsv", encoding="utf-8", newline="") as handle:
-        try:
-            return datasets._parse_node_lines(
-                path / "nodes.tsv", handle, meta["num_nodes"], meta["num_features"],
-                meta["num_classes"],
-            )
-        except DataError as exc:
-            return str(exc)
+    try:
+        return datasets._parse_node_lines(
+            path / "nodes.tsv", meta["num_nodes"], meta["num_features"], meta["num_classes"]
+        )
+    except DataError as exc:
+        return str(exc)
 
 
 def assert_loader_matches_per_line_checker(path):

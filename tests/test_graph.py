@@ -166,3 +166,7 @@ def test_identity_blocks_tile_the_identity_once(n):
     nodes = np.concatenate([np.arange(n)[piece] for piece, _ in blocks])
     np.testing.assert_array_equal(nodes, np.arange(n))
     np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), np.eye(n))
+    narrow = list(identity_blocks(n, np.float32))  # the reach sweep's blocks
+    assert [nodes for nodes, _ in narrow] == [nodes for nodes, _ in blocks]
+    assert all(block.dtype == np.float32 for _, block in narrow)
+    np.testing.assert_array_equal(np.hstack([block for _, block in narrow]), np.eye(n))

@@ -56,8 +56,8 @@ def assert_histograms_match_oracles(graph, k):
         assert counts[node] == edges.shape[0]
         assert sums[node] == values[inside].sum()
 
-    # One sweep over an (E, 3) matrix equals one call per column, bit for bit;
-    # an edgeless graph gives a (0, 3) matrix.
+    # One sweep over an (E, 3) matrix of integers equals one call per column,
+    # bit for bit, since their sums are exact; an edgeless graph gives (0, 3).
     matrix = np.stack([values, values[::-1], values % 3 == 0], axis=1)
     matrix_counts, matrix_sums = induced_edge_sums(graph, k, matrix)
     np.testing.assert_array_equal(matrix_counts, counts)
@@ -91,6 +91,21 @@ def assert_histograms_match_oracles(graph, k):
 @given(graph=small_graphs(), k=st.integers(0, 3))
 def test_histograms_match_per_node_oracles(graph, k):
     assert_histograms_match_oracles(graph, k)
+
+
+def test_a_band_does_not_depend_on_the_other_bands_asked_for():
+    # On this star-like graph a band's sums carried rounding from the other
+    # columns of the GEMM when each call packed only the bands it was asked for.
+    hub = [(0, node) for node in range(1, 10)]
+    graph = toy_graph(hub + [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 8), (3, 4)], [0] * 10, 3)
+    indices = [band_eigen_index(graph.num_nodes, band) for band in HISTOGRAM_BANDS]
+    decomposition = eigendecompose(normalized_operators(graph)[1], indices=indices)
+    for k in (1, 2):
+        every = local_histograms(graph, k, decomposition, HISTOGRAM_BANDS)[2]
+        for band in HISTOGRAM_BANDS:
+            for bands in ((band,), HISTOGRAM_BANDS[::-1]):
+                alone = local_histograms(graph, k, decomposition, bands)[2][band]
+                np.testing.assert_array_equal(alone.values, every[band].values)
 
 
 def test_histograms_match_oracles_across_reach_blocks():

@@ -217,19 +217,28 @@ def test_forward_projects_through_the_operand_graph_inputs_built(sparse_input, m
     assert [k for k, _ in calls].count("spmm") == int(sparse_input)
 
 
-@pytest.mark.parametrize("backbone", ["GPR", "Bern", "Jacobi"])
-def test_position_refinement_matches_the_ipe_step_loop(backbone):
+@pytest.mark.parametrize(
+    "backbone, mode",
+    [(backbone, mode) for mode in "RI" for backbone in ("GPR", "Bern", "Jacobi")],
+    ids=["GPR", "Bern", "Jacobi", "GPR-I", "Bern-I", "Jacobi-I"],
+)
+def test_position_refinement_matches_the_ipe_step_loop(backbone, mode):
     g = two_block_graph(8, seed=9)
-    cfg = config(K=4, d=5, mode="R", backbone=backbone, lambda_orth=0.2)
+    eta2 = 0.4 if mode == "I" else 0.0
+    cfg = config(K=4, d=5, mode=mode, eta2=eta2, backbone=backbone, lambda_orth=0.2)
     a_hat, _ = normalized_operators(g)
     params = init_params(cfg, g.num_features, g.num_classes, make_rng(4), g.num_nodes)
+    assert (params.w_ipe is None) == (mode == "R")
     rng = make_rng(5)
     p0_data = np.tanh(rng.standard_normal((g.num_nodes, cfg.d)))
     weight = Value(rng.standard_normal((g.num_nodes, params.gate_w.shape[1])))
     first = 1 if backbone == "Jacobi" else 0
 
-    p0 = Value(p0_data.copy(), requires_grad=True)
-    states = ad.position_refinement(p0, a_hat, cfg.eta1, cfg.K)
+    def fresh_w_ipe():
+        return None if params.w_ipe is None else Value(params.w_ipe.data.copy(), requires_grad=True)
+
+    p0, w_fused = Value(p0_data.copy(), requires_grad=True), fresh_w_ipe()
+    states = ad.position_refinement(p0, a_hat, cfg.eta1, cfg.K, w_fused, eta2)
     n = g.num_nodes
     fused = (
         node_theta(states, params.gate_w, params.gate_b, cfg.sigma_p, first),
@@ -238,10 +247,10 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone):
     fused_loss = ad.add(ad.frobenius_sq(ad.hadamard(fused[0], weight)), orth_penalty(fused[1]))
     ad.backward(fused_loss)
 
-    q0 = Value(p0_data.copy(), requires_grad=True)
+    q0, w_loop = Value(p0_data.copy(), requires_grad=True), fresh_w_ipe()
     p_list = [q0]
     for _ in range(cfg.K):
-        p_list.append(ipe_step(p_list[-1], q0, a_hat, None, cfg.eta1, 0.0))
+        p_list.append(ipe_step(p_list[-1], q0, a_hat, w_loop, cfg.eta1, eta2))
     columns = [
         node_theta(p_list[first + j], Value(params.gate_w.data[:, [j]]),
                    Value(params.gate_b.data[:, [j]]), cfg.sigma_p)
@@ -258,6 +267,9 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone):
     assert np.array_equal(fused[1].data, p_list[-1].data)
     assert abs(fused_loss.data[0, 0] - ref_loss.data[0, 0]) < 1e-12
     assert np.abs(p0.grad - q0.grad).max() < 1e-12 * max(1.0, np.abs(q0.grad).max())
+    if mode == "I":
+        scale = max(1.0, np.abs(w_loop.grad).max())
+        assert np.abs(w_fused.grad - w_loop.grad).max() < 1e-12 * scale
 
 
 def test_ipe_step_eta1_one_ignores_graph(k2):
@@ -471,18 +483,19 @@ def test_forward_equal_positional_rows_share_weights():
         assert np.array_equal(result.betas[0], result.betas[1])
 
 
-def tape_shapes(value: Value) -> set[tuple[int, int]]:
-    seen: set[int] = set()
-    shapes: set[tuple[int, int]] = set()
+def tape_nodes(value: Value) -> list[Value]:
+    seen: dict[int, Value] = {}
     stack = [value]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        shapes.add(node.data.shape)
-        stack.extend(node._parents)
-    return shapes
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def tape_shapes(value: Value) -> set[tuple[int, int]]:
+    return {node.data.shape for node in tape_nodes(value)}
 
 
 def test_mode_r_never_materializes_pairwise_similarity():
@@ -495,11 +508,15 @@ def test_mode_r_never_materializes_pairwise_similarity():
     loss = total_loss(result, targets, np.ones(n, dtype=bool), cfg_r)
     assert (n, n) not in tape_shapes(loss)
 
-    cfg_i = config(mode="I", eta2=0.4)
-    a_hat, positional, params = build_model(g, cfg_i, seed=19)
-    result = forward(a_hat, g.features, positional, params, cfg_i)
-    loss = total_loss(result, targets, np.ones(n, dtype=bool), cfg_i)
-    assert (n, n) in tape_shapes(loss)
+    # Mode I refines in the same one op: its train forward records as many
+    # ops as mode R's without the penalty.
+    counts = []
+    for cfg in (config(mode="R", dropout_p=0.3), config(mode="I", eta2=0.4, dropout_p=0.3)):
+        a_hat, positional, params = build_model(g, cfg, seed=19)
+        result = forward(a_hat, g.features, positional, params, cfg, train=True, rng=make_rng(2))
+        loss = total_loss(result, targets, np.ones(n, dtype=bool), cfg)
+        counts.append(sum(1 for node in tape_nodes(loss) if node._parents))
+    assert counts[0] == counts[1]
 
 
 def test_forward_ablation_reads_free_weight_table():
