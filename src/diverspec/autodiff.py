@@ -13,7 +13,8 @@ adjoint backward), a few elementwise nonlinearities, masked cross-entropy,
 and a column-normalization used by the orthogonality penalty. Gradients
 never flow into sparse operators.
 Inside :func:`no_grad` no op records its parents, so a pass whose gradient
-nobody reads (the per-epoch evaluation) builds no tape.
+nobody reads (the per-epoch evaluation) builds no tape. :func:`backward`
+frees the tape it sweeps, node by node, so a graph is differentiated once.
 
 Randomness (initialization, dropout masks) always comes from explicitly
 passed generators built on a counter-based Philox stream, so every run is
@@ -48,7 +49,7 @@ def make_rng(*entropy: int) -> np.random.Generator:
 class Value:
     """Node in the autodiff graph: data, accumulated gradient, provenance."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_released")
 
     def __init__(
         self,
@@ -67,7 +68,7 @@ class Value:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward_fn = _backward_fn
-        self._backward_done = False
+        self._released = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -294,7 +295,10 @@ def position_refinement(
 
 
 def row_block(x: Value, start: int, stop: int) -> Value:
-    """Rows ``start:stop`` of ``x`` (a view); the gradient adds into those rows of x's buffer."""
+    """Rows ``start:stop`` of ``x``, copied; the gradient adds into those rows of x's buffer.
+
+    A copy, not a view, so a caller that keeps the block does not keep all of ``x``.
+    """
     if not 0 <= start < stop <= x.shape[0]:
         raise UsageError(f"row_block: rows {start}:{stop} of {x.shape}")
 
@@ -302,7 +306,7 @@ def row_block(x: Value, start: int, stop: int) -> Value:
         if x.requires_grad:
             x.accumulate_rows(start, grad)
 
-    return _make(x.data[start:stop], (x,), backward_fn)
+    return _make(x.data[start:stop].copy(), (x,), backward_fn)
 
 
 def column_dots(stacked: Value, w: Value, first: int = 0) -> Value:
@@ -475,17 +479,22 @@ def softmax_cross_entropy(logits: Value, targets: np.ndarray, mask: np.ndarray) 
 
 
 def backward(loss: Value) -> None:
-    """Accumulate d(loss)/d(leaf) into every tracked leaf's ``grad``.
+    """Accumulate d(loss)/d(leaf) into every tracked leaf's ``grad``, freeing the tape.
 
-    ``loss`` must be 1x1. Each graph node is visited exactly once; running
-    backward twice from the same node without rebuilding the graph is an
-    error (gradients would silently double).
+    ``loss`` must be 1x1. Each graph node is visited exactly once, in reverse
+    topological order. Once a node's backward has run (or was skipped, its
+    grad being ``None``), the sweep releases it: its ``grad``, closure and
+    parents are dropped, so the memory of the tape is reused by the gradients
+    formed later in the same sweep. Its ``data`` stays readable. Leaves keep
+    their grads. A later backward whose graph reaches a released node, such
+    as a second call on the same loss, raises :class:`UsageError` before any
+    gradient moves (the old intermediate gradients would have doubled them).
     """
     if loss.shape != (1, 1):
         raise UsageError(f"backward requires a 1x1 loss, got shape {loss.shape}")
-    if loss._backward_done:
+    if loss._released:
         raise UsageError("backward was already called on this loss; rebuild the graph")
-    loss._backward_done = True
+    loss._released = True
     if not loss.requires_grad:
         return
 
@@ -502,13 +511,18 @@ def backward(loss: Value) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
+            if parent._released:
+                raise UsageError("backward reached a node that an earlier backward released")
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
     loss.accumulate(np.ones((1, 1)))
     for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+        if node._backward_fn is None:
+            continue  # a leaf keeps its grad
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad, node._backward_fn, node._parents, node._released = None, None, (), True
 
 
 def zero_grad(params: dict[str, Value]) -> None:

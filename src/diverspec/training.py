@@ -152,9 +152,10 @@ def train_once(
     (ties keep the earlier epoch) together with the logits and beta table of the
     eval pass that selected them; the test accuracy and betas come from that
     pass. The eval pass runs under :func:`~diverspec.autodiff.no_grad`, so it
-    records no tape; only the train pass is differentiated. A non-finite loss
-    or gradient aborts with :class:`NumericalError` before the optimizer
-    step. ``init_hook``, when given, may edit the freshly initialized
+    records no tape; only the train pass is differentiated, and its backward
+    frees the train tape as it sweeps, so no tape outlives its epoch. A
+    non-finite loss or gradient aborts with :class:`NumericalError` before the
+    optimizer step. ``init_hook``, when given, may edit the freshly initialized
     parameters in place (e.g. pin a group of weights) before the first epoch.
     """
     a_hat, features, positional = inputs

@@ -213,6 +213,7 @@ def test_row_block_routes_gradients_by_block():
     expected = np.zeros((6, 3))
     expected[:2], expected[5:] = 2 * a, 2 * b[3:]
     assert np.array_equal(stacked.grad, expected)
+    assert not np.shares_memory(top.data, stacked.data)
     for start, stop in ((0, 0), (-1, 2), (4, 7)):
         with pytest.raises(UsageError):
             ad.row_block(stacked, start, stop)
@@ -408,6 +409,73 @@ def test_backward_twice_is_an_error():
     x = ad.Value(np.ones((1, 1)), requires_grad=True)
     loss = ad.frobenius_sq(x)
     ad.backward(loss)
+    with pytest.raises(UsageError):
+        ad.backward(loss)
+
+
+def test_backward_through_a_released_subgraph_raises_and_moves_no_gradient():
+    x = ad.Value(np.array([[0.3, -1.2]]), requires_grad=True)
+    w = ad.Value(np.array([[2.0, 0.5]]), requires_grad=True)
+    y = ad.tanh(x)
+    ad.backward(ad.frobenius_sq(y))
+    first = x.grad.copy()
+    # y still holds its value, but not the gradient of the first loss: a
+    # second sweep through it would have added that gradient again.
+    assert np.array_equal(y.data, np.tanh(x.data)) and y.grad is None
+    second = ad.frobenius_sq(ad.hadamard(y, w))
+    with pytest.raises(UsageError, match="released"):
+        ad.backward(second)
+    assert np.array_equal(x.grad, first) and w.grad is None
+    x.grad = None
+    with pytest.raises(UsageError, match="released"):
+        ad.backward(ad.frobenius_sq(y))
+    assert x.grad is None
+
+
+def tape_walk(loss: ad.Value) -> list[ad.Value]:
+    """The reverse topological order that ``ad.backward`` sweeps, loss last."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
+    return topo
+
+
+def unreleased_backward(loss: ad.Value) -> None:
+    """The same sweep as ``ad.backward`` in the same order, keeping the whole tape."""
+    loss.accumulate(np.ones((1, 1)))
+    for node in reversed(tape_walk(loss)):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+@pytest.mark.parametrize("backbone", ["GPR", "Bern", "Jacobi"])
+def test_backward_releases_the_tape_and_keeps_leaf_gradients(backbone):
+    g = two_block_graph(6, seed=3)
+    cfg = DsfConfig(K=3, d=4, f_p=4, mode="R", lambda_orth=0.05, dropout_p=0.3, backbone=backbone)
+    a_hat, features, positional = graph_inputs(g, cfg)
+    targets = one_hot(g.labels, g.num_classes)
+
+    def train_loss():
+        params = init_params(cfg, g.num_features, g.num_classes, ad.make_rng(0), num_nodes=g.num_nodes)
+        result = forward(a_hat, features, positional, params, cfg, train=True, rng=ad.make_rng(1))
+        return params.as_dict(), total_loss(result, targets, np.ones(g.num_nodes, dtype=bool), cfg)
+
+    reference, loss = train_loss()
+    unreleased_backward(loss)
+    params, loss = train_loss()
+    interior = [node for node in tape_walk(loss) if node._backward_fn is not None]
+    assert len(interior) > 20
+    ad.backward(loss)
+    for node in interior:
+        assert node.grad is None and node._backward_fn is None and node._parents == ()
+    for name, p in params.items():
+        assert p.grad is not None and np.array_equal(p.grad, reference[name].grad), name
     with pytest.raises(UsageError):
         ad.backward(loss)
 

@@ -519,6 +519,28 @@ def test_mode_r_never_materializes_pairwise_similarity():
     assert counts[0] == counts[1]
 
 
+def test_forward_positional_holds_only_the_final_state(monkeypatch):
+    g = two_block_graph(7, seed=7)
+    n = g.num_nodes
+    cfg = config(mode="R", lambda_orth=0.1, dropout_p=0.3)
+    a_hat, positional, params = build_model(g, cfg, seed=19)
+    stacked = []
+    real = ad.position_refinement
+
+    def spy(*args, **kwargs):
+        stacked.append(real(*args, **kwargs))
+        return stacked[-1]
+
+    monkeypatch.setattr(ad, "position_refinement", spy)
+    train = forward(a_hat, g.features, positional, params, cfg, train=True, rng=make_rng(2))
+    with ad.no_grad():
+        evaluated = forward(a_hat, g.features, positional, params, cfg)
+    # A view would keep all K + 1 stacked states alive for as long as the result.
+    for result, states in zip((train, evaluated), stacked):
+        assert np.array_equal(result.positional.data, states.data[cfg.K * n :])
+        assert not np.shares_memory(result.positional.data, states.data)
+
+
 def test_forward_ablation_reads_free_weight_table():
     g = two_block_graph(6, seed=8)
     cfg = config(ablate_ipe=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,25 @@ def test_train_once_tapes_only_the_train_pass(monkeypatch):
     cfg = small_config()
     train_once(g, graph_inputs(g, cfg), cfg, TrainConfig(epochs=3, patience=3), split, (0, 0, 0))
     assert tracked == {True: [True] * 3, False: [False] * 3}
+
+
+@pytest.mark.parametrize("backbone", ["GPR", "Bern", "Jacobi"])
+def test_train_once_memory_does_not_grow_with_epochs(backbone):
+    g = random_graph(600, 0.01, num_classes=3, num_features=32, seed=3)
+    split = make_splits(g, "dense", 1, seed=0)[0]
+    cfg = DsfConfig(K=10, d=32, f_p=8, lambda_orth=0.001, backbone=backbone)
+    inputs = graph_inputs(g, cfg)
+    peaks = []
+    for epochs in (1, 4):
+        tracemalloc.start()
+        try:
+            train_once(g, inputs, cfg, TrainConfig(epochs=epochs, patience=epochs), split, (0, 0, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # A tape kept from one epoch into the next (with its gradients) shows as
+    # a later epoch peaking above the first: about 1.33x here.
+    assert peaks[1] <= 1.15 * peaks[0], peaks
 
 
 @pytest.mark.parametrize(
