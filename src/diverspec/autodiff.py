@@ -75,8 +75,9 @@ class Value:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` in; the first is adopted, not copied, so no one else may hold it."""
         if self.grad is None:
-            self.grad = grad.copy()  # ops such as ``add`` hand one array to several parents
+            self.grad = grad
         else:
             self.grad += grad
 
@@ -140,9 +141,9 @@ def add(a: Value, b: Value) -> Value:
 
     def backward_fn(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate(_unbroadcast(grad, a.shape))
+            a.accumulate(_unbroadcast(grad, a.shape).copy())
         if b.requires_grad:
-            b.accumulate(_unbroadcast(grad, b.shape))
+            b.accumulate(_unbroadcast(grad, b.shape).copy())
 
     return _make(a.data + b.data, (a, b), backward_fn)
 
@@ -152,7 +153,7 @@ def sub(a: Value, b: Value) -> Value:
 
     def backward_fn(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate(_unbroadcast(grad, a.shape))
+            a.accumulate(_unbroadcast(grad, a.shape).copy())
         if b.requires_grad:
             b.accumulate(-_unbroadcast(grad, b.shape))
 
@@ -389,7 +390,7 @@ def relu(x: Value) -> Value:
 def transpose(x: Value) -> Value:
     def backward_fn(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate(grad.T)
+            x.accumulate(grad.T.copy())
 
     return _make(x.data.T.copy(), (x,), backward_fn)
 

@@ -35,7 +35,7 @@ from .datasets import load_dataset
 from .domains import DOMAINS, check_domains
 from .errors import DataError, DiverspecError, NumericalError, UsageError
 from .graph import edge_homophily
-from .model import DsfConfig
+from .model import DsfConfig, direct_table
 from .polynomials import Bernstein, Jacobi, Monomial, filter_response, rescale_coefficients
 from .spectral import HISTOGRAM_BANDS, band_eigen_index, eigendecompose, local_histograms
 from .graph import normalized_operators
@@ -177,13 +177,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     model_cfg, train_cfg = load_config(args.config)
-    graph = load_dataset(args.data)
-    if args.mode is not None:
-        model_cfg = model_cfg.with_mode(args.mode)
     if args.no_ipe:
         model_cfg = dataclasses.replace(model_cfg, ablate_ipe=True)
     # The ablation is read from the resolved config: a config file may ask for it too.
     variant = "baseline" if args.baseline else "no-ipe" if model_cfg.ablate_ipe else "dsf"
+    direct_table(model_cfg, args.baseline)  # a conflicting variant is rejected before any input
+    graph = load_dataset(args.data)
 
     splits = make_splits(graph, args.split_mode, args.splits, args.seed)
     grid = run_grid(
@@ -372,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-mode", choices=DOMAINS["split_mode"], default="dense", dest="split_mode")
-    p.add_argument("--mode", choices=DOMAINS["mode"], default=None,
-                   help="override the config's variant (R pins eta2 to 0)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--baseline", action="store_true",
                        help="train the shared-coefficient backbone: one trained "

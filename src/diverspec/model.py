@@ -16,7 +16,7 @@ regularizes positional columns toward orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class DsfConfig:
         if self.backbone == "Bern":
             return Bernstein(self.K)
         return Jacobi(self.jacobi_a, self.jacobi_b)
-
-    def with_mode(self, mode: str) -> "DsfConfig":
-        """Copy with a different variant; mode R forces eta2 back to zero."""
-        eta2 = 0.0 if mode == "R" else self.eta2
-        return replace(self, mode=mode, eta2=eta2)
 
 
 @dataclass

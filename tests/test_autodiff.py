@@ -260,6 +260,11 @@ def test_tanh_gradient_at_zero_is_one():
 def test_transpose_and_column_normalize_gradients():
     x, c = rng_arrays((4, 3), (4, 3), seed=4)
     check_gradients(lambda v: ad.frobenius_sq(ad.transpose(v)), x)
+    # The Gram matrix: v reaches the loss through its transpose and directly.
+    weight = ad.Value(rng_arrays((3, 3), seed=5)[0])
+    check_gradients(
+        lambda v: ad.frobenius_sq(ad.hadamard(ad.matmul(ad.transpose(v), v), weight)), x
+    )
     # weight the normalized output so the loss is not the constant d
     weight = ad.Value(c)
     check_gradients(
@@ -389,6 +394,46 @@ def test_gradient_accumulates_over_reuse():
     z = ad.Value(np.array([[5.0]]), requires_grad=True)
     ad.backward(ad.add(ad.add(x, z), x))
     assert (x.grad[0, 0], z.grad[0, 0]) == (2.0, 1.0)
+
+
+def weighted_sum(y: ad.Value, w: ad.Value) -> ad.Value:
+    """1ᵀ (y ⊙ w) 1, whose gradient with respect to y is exactly w."""
+    rows, cols = y.shape
+    left, right = ad.Value(np.ones((1, rows))), ad.Value(np.ones((cols, 1)))
+    return ad.matmul(ad.matmul(left, ad.hadamard(y, w)), right)
+
+
+def test_add_and_sub_of_a_value_with_itself():
+    g = ad.Value(rng_arrays((3, 2), seed=9)[0])
+    for op, expected in ((ad.add, 2.0 * g.data), (ad.sub, np.zeros((3, 2)))):
+        x = ad.Value(np.ones((3, 2)), requires_grad=True)
+        ad.backward(weighted_sum(op(x, x), g))
+        assert np.array_equal(x.grad, expected), op.__name__
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_add_whose_parents_are_both_reused_keeps_both_gradients(add_first):
+    # p and q each take a gradient from the add and from the product, in either order.
+    def build(x, y):
+        p, q = ad.tanh(x), ad.sigmoid(y)
+        terms = (ad.frobenius_sq(ad.add(p, q)), ad.frobenius_sq(ad.hadamard(p, q)))
+        return ad.add(*terms) if add_first else ad.add(*terms[::-1])
+
+    check_gradients(build, *rng_arrays((3, 2), (3, 2), seed=10))
+
+
+def test_backward_keeps_a_fresh_gradient_without_copying_it():
+    # The leaf adopts the array scalar_mul's backward makes; a copy of it would be a third array.
+    x = ad.Value(np.ones((500, 400)), requires_grad=True)
+    loss = ad.frobenius_sq(ad.scalar_mul(x, 3.0))
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.data.nbytes, peak  # the output's gradient and the leaf's
+    assert np.array_equal(x.grad, np.full((500, 400), 18.0))
 
 
 def test_detached_leaf_gets_no_gradient():

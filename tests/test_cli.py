@@ -432,16 +432,35 @@ def test_train_config_hash_names_the_variant(
     assert len(digests) == 3
 
 
-def test_train_mode_override_is_recorded(dataset_dir, config_path, tmp_path):
+def test_train_mode_flag_is_rejected(dataset_dir, config_path, tmp_path, capsys):
+    # mode and eta2 come from the config file alone.
+    out = tmp_path / "out"
     code = main([
         "train", "--data", str(dataset_dir), "--config", str(config_path),
-        "--out", str(tmp_path), "--runs", "1", "--splits", "1", "--seed", "1",
-        "--mode", "I",
+        "--out", str(out), "--mode", "I",
     ])
-    assert code == 0
-    metrics = json.loads((tmp_path / "metrics-dsf.json").read_text())
-    assert metrics["mode"] == "I"
-    assert metrics["config"]["mode"] == "I"
+    assert code == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --mode I\n"
+    assert not out.exists()
+
+
+def test_train_baseline_with_an_ablating_config_exits_one_before_reading_data(
+    tmp_path, monkeypatch, capsys
+):
+    ablated = tmp_path / "ablated.conf"
+    ablated.write_text(CONFIG_TEXT + "ablate_ipe = true\n", encoding="utf-8")
+    loader = mock.Mock(wraps=cli.load_dataset)
+    monkeypatch.setattr(cli, "load_dataset", loader)
+    out = tmp_path / "out"
+    code = main([
+        "train", "--data", str(tmp_path / "nowhere"), "--config", str(ablated),
+        "--out", str(out), "--baseline",
+    ])
+    # Exit 1 for the conflict, not the missing dataset's 2.
+    assert code == 1
+    assert "exclude each other" in capsys.readouterr().err
+    loader.assert_not_called()
+    assert not out.exists()
 
 
 def test_train_reruns_are_byte_identical(dataset_dir, config_path, tmp_path):

@@ -87,13 +87,6 @@ def test_config_range_validation():
         config(dropout_p=1.0)
 
 
-def test_config_with_mode_round_trip():
-    cfg = config(mode="I", eta2=0.4, lambda_orth=0.2)
-    r_cfg = cfg.with_mode("R")
-    assert r_cfg.mode == "R" and r_cfg.eta2 == 0.0
-    assert cfg.eta2 == 0.4  # original untouched
-
-
 # --- positional initialization ----------------------------------------------
 
 
