@@ -7,6 +7,9 @@ training trajectory: initialization, dropout masks, and the split itself.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -248,6 +251,13 @@ class GridResult:
     last_run: RunResult
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(
     graph: Graph,
     config: DsfConfig,
@@ -262,31 +272,129 @@ def run_grid(
     Cell (r, s) trains under the entropy tuple (base_seed, r, s), so any
     cell can be reproduced in isolation. The graph inputs are built once,
     by :func:`graph_inputs`, and shared by every cell.
+
+    The cells train in up to ``min(cells, usable_cpus())`` processes: this
+    one and workers forked after the graph inputs are built, which inherit
+    them. The calling process trains the last cell, so ``last_run`` never
+    crosses a pipe; workers send back only the cell records. Each process
+    holds one cell's tape at a time, so total RSS grows by up to that many
+    tapes. Results do not depend on the number of processes; with one cell
+    or one usable CPU (``taskset -c 0``) nothing is forked. A failing cell
+    stops the grid, and the error raised is that of the first failing cell
+    in (run, split) order, as in a serial loop.
     """
     check_domains({"runs": runs})
     inputs = graph_inputs(graph, config, homogeneous)
-    cells = []
-    accs = []
-    last: RunResult | None = None
-    for run_idx in range(runs):
-        for split_idx, split in enumerate(splits):
-            record = train_once(
-                graph, inputs, config, train_config, split,
-                seed_entropy=(base_seed, run_idx, split_idx),
-                homogeneous=homogeneous,
-            )
-            cells.append(
-                {
-                    "run": run_idx,
-                    "split": split_idx,
-                    "seed": [base_seed, run_idx, split_idx],
-                    "test_acc": record.test_acc,
-                    "best_val_acc": record.best_val_acc,
-                    "best_epoch": record.best_epoch,
-                    "epochs_run": record.epochs_run,
-                }
-            )
-            accs.append(record.test_acc)
-            last = record
-    mean, ci = aggregate(accs)
+    seeds = [
+        (base_seed, run_idx, split_idx)
+        for run_idx in range(runs)
+        for split_idx in range(len(splits))
+    ]
+
+    def train_cell(index: int) -> tuple[dict, RunResult]:
+        seed = seeds[index]
+        result = train_once(
+            graph, inputs, config, train_config, splits[seed[2]],
+            seed_entropy=seed, homogeneous=homogeneous,
+        )
+        record = {
+            "run": seed[1],
+            "split": seed[2],
+            "seed": list(seed),
+            "test_acc": result.test_acc,
+            "best_val_acc": result.best_val_acc,
+            "best_epoch": result.best_epoch,
+            "epochs_run": result.epochs_run,
+        }
+        return record, result
+
+    processes = min(len(seeds), usable_cpus())
+    can_fork = (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon  # a pool worker may not fork
+        and threading.active_count() == 1  # a fork keeps locks other threads hold, locked
+    )
+    if processes > 1 and can_fork:
+        cells, last = _train_in_processes(train_cell, len(seeds), processes)
+    else:
+        cells, last = [], None
+        for index in range(len(seeds)):
+            record, last = train_cell(index)
+            cells.append(record)
+    mean, ci = aggregate([cell["test_acc"] for cell in cells])
     return GridResult(mean_acc=mean, ci95=ci, cells=cells, last_run=last)
+
+
+def _train_in_processes(
+    train_cell: Callable[[int], tuple[dict, RunResult]], count: int, processes: int
+) -> tuple[list[dict], RunResult]:
+    """Cell records in index order and the last cell's result, from ``processes`` processes.
+
+    ``processes - 1`` workers are forked before any cell trains. This process
+    trains the last cell first; then every process claims the lowest
+    unclaimed cell from a shared counter until none is left. A failure
+    empties the counter, so every cell below the first failing one has
+    trained when the error is raised. Every worker has exited on return or
+    raise.
+    """
+    context = multiprocessing.get_context("fork")
+    last = count - 1
+    next_cell = context.Value("i", 0)
+
+    def claim() -> int | None:
+        with next_cell.get_lock():
+            index = next_cell.value
+            next_cell.value += 1
+        return index if index < last else None
+
+    def train_claimed(outcomes: dict) -> dict:
+        for index in iter(claim, None):
+            try:
+                outcomes[index] = train_cell(index)[0]
+            except Exception as exc:
+                outcomes[index] = exc
+                with next_cell.get_lock():
+                    next_cell.value = last
+        return outcomes
+
+    def work(sender) -> None:  # a worker's whole life
+        sender.send(train_claimed({}))
+
+    receivers, workers = [], []
+    try:
+        for _ in range(processes - 1):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=work, args=(sender,), daemon=True)
+            worker.start()
+            sender.close()  # the worker holds the only write end: its exit ends recv
+            receivers.append(receiver)
+            workers.append(worker)
+        try:
+            record, last_run = train_cell(last)
+            outcomes = {last: record}
+        except Exception as exc:
+            outcomes = {last: exc}
+        train_claimed(outcomes)
+        for receiver, worker in zip(receivers, workers):
+            try:
+                outcomes.update(receiver.recv())
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"a grid worker exited with code {worker.exitcode} before sending its cells"
+                ) from None
+            worker.join()
+    finally:
+        for worker in workers:
+            if worker.is_alive():  # only when this process is raising
+                worker.terminate()
+            worker.join()
+            worker.close()
+        for receiver in receivers:
+            receiver.close()
+    cells = []
+    for index in range(count):
+        if isinstance(outcomes[index], Exception):
+            raise outcomes[index]
+        cells.append(outcomes[index])
+    return cells, last_run

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import tempfile
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,14 +316,19 @@ def test_small_graphs_train_every_cell_or_fail_up_front(
 ):
     # Edgeless graphs, isolated nodes and tiny N give flat positional
     # columns and dropped-out ones; none of them may stop a grid mid-way.
-    calls = []
+    # Cells may train in forked workers, so each call appends a line to a
+    # file that every process shares.
     real_train_once = training.train_once
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real_train_once(*args, **kwargs)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        log = Path(tmp) / "calls"
+        log.touch()
 
-    with pytest.MonkeyPatch.context() as patch:
+        def counting(*args, **kwargs):
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write("call\n")
+            return real_train_once(*args, **kwargs)
+
         patch.setattr(training, "train_once", counting)
         try:
             cfg = DsfConfig(
@@ -331,8 +342,11 @@ def test_small_graphs_train_every_cell_or_fail_up_front(
                 homogeneous=variant == "baseline",
             )
         except (UsageError, DataError):  # ConfigError is a UsageError
-            assert not calls
-            return
+            grid = None
+        calls = log.read_text(encoding="utf-8").splitlines()
+    if grid is None:
+        assert not calls
+        return
     assert len(grid.cells) == len(calls) == 2
 
 
@@ -370,6 +384,250 @@ def test_run_grid_covers_runs_times_splits():
     assert 0.0 <= grid.mean_acc <= 1.0
     assert grid.ci95 >= 0.0
     assert grid.last_run.betas.shape == (20, cfg.K + 1)
+
+
+def wait_for(condition, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_usable_cpus_follows_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert training.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert training.usable_cpus() == 5
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to log each child pid; the list fills in this process."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_run_grid_results_do_not_depend_on_the_cpu_count(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    tc = TrainConfig(epochs=10, patience=3)  # early stopping: cells differ in length
+    forks = counting_forks(monkeypatch)
+    grids = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(training, "usable_cpus", lambda cpus=cpus: cpus)
+        grids.append(run_grid(g, small_config(), tc, runs=3, splits=splits, base_seed=5))
+        assert len(forks) == cpus - 1
+        assert not multiprocessing.active_children()
+        forks.clear()
+    serial = grids[0]
+    assert len({cell["epochs_run"] for cell in serial.cells}) > 1
+    for grid in grids[1:]:
+        assert grid.cells == serial.cells
+        assert (grid.mean_acc, grid.ci95) == (serial.mean_acc, serial.ci95)
+        assert grid.last_run.params.keys() == serial.last_run.params.keys()
+        for name, value in serial.last_run.params.items():
+            assert np.array_equal(grid.last_run.params[name], value)
+        assert np.array_equal(grid.last_run.betas, serial.last_run.betas)
+        assert grid.last_run.val_history == serial.last_run.val_history
+
+
+def test_run_grid_trains_the_last_cell_in_the_calling_process(monkeypatch, tmp_path):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    log = tmp_path / "pids"
+    log.touch()
+    real_train_once = training.train_once
+
+    def logging(*args, seed_entropy, **kwargs):
+        if seed_entropy[1:] == (0, 1):  # let the worker claim cell 0 first
+            wait_for(lambda: log.read_text(encoding="utf-8"))
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{seed_entropy[1]} {seed_entropy[2]} {os.getpid()}\n")
+        return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
+
+    monkeypatch.setattr(training, "train_once", logging)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    run_grid(g, small_config(), TrainConfig(epochs=4, patience=4), 1, splits, 5)
+    pids = dict(line.rsplit(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())
+    assert pids.keys() == {"0 0", "0 1"}
+    assert int(pids["0 1"]) == os.getpid() != int(pids["0 0"])
+
+
+def test_run_grid_trains_every_cell_once_with_more_processes_than_cpus(monkeypatch, tmp_path):
+    # The processes claim cells from one shared counter; a lost update would
+    # train a cell twice or skip it.
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    log = tmp_path / "cells"
+    real_train_once = training.train_once
+
+    def logging(*args, seed_entropy, **kwargs):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{seed_entropy[1]} {seed_entropy[2]}\n")
+        return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
+
+    monkeypatch.setattr(training, "train_once", logging)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2 * os.cpu_count() + 2)
+    grid = run_grid(g, small_config(), TrainConfig(epochs=1, patience=1), 12, splits, 5)
+    trained = sorted(log.read_text(encoding="utf-8").splitlines())
+    assert trained == sorted(f"{r} {s}" for r in range(12) for s in range(2))
+    assert [(cell["run"], cell["split"]) for cell in grid.cells] == [
+        (r, s) for r in range(12) for s in range(2)
+    ]
+    assert not multiprocessing.active_children()
+
+
+def test_run_grid_with_one_cell_forks_nothing(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 1, seed=4)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 8)
+    forks = counting_forks(monkeypatch)
+    grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
+    assert len(grid.cells) == 1 and not forks
+
+
+def test_run_grid_in_a_daemonic_process_trains_serially(monkeypatch):
+    # A multiprocessing pool worker is daemonic and may not start children.
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+
+    def daemon():
+        grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
+        sender.send(len(grid.cells))
+
+    process = context.Process(target=daemon, daemon=True)
+    process.start()
+    sender.close()
+    try:
+        assert receiver.poll(60) and receiver.recv() == 2
+    finally:
+        process.join(60)
+        assert not process.is_alive()
+        process.close()
+        receiver.close()
+
+
+def test_run_grid_beside_another_thread_trains_serially(monkeypatch):
+    # fork copies only the calling thread; a lock another thread holds
+    # would stay locked in the worker forever.
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    forks = counting_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
+    finally:
+        release.set()
+        thread.join(60)
+    assert len(grid.cells) == 2 and not forks
+
+
+def test_run_grid_without_splits_raises_before_forking(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_grid forked"))
+    with pytest.raises(DataError, match="cannot aggregate zero runs"):
+        run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, [], 5)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "cpus, runs, failing, first",
+    [(2, 1, {0, 1}, 0), (2, 1, {0}, 0), (2, 1, {1}, 1), (3, 2, {1, 2, 3}, 1), (3, 2, {3}, 3)],
+)
+def test_run_grid_raises_the_first_failing_cell(monkeypatch, cpus, runs, failing, first):
+    # With 2 CPUs and 2 cells the caller trains cell 1 and, unless it is
+    # first to claim it, a worker cell 0; either way cell 0's error wins.
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    real_train_once = training.train_once
+
+    def failing_cells(*args, seed_entropy, **kwargs):
+        index = 2 * seed_entropy[1] + seed_entropy[2]
+        if index in failing:
+            raise NumericalError(f"cell {index} diverged")
+        return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
+
+    monkeypatch.setattr(training, "train_once", failing_cells)
+    monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+    with pytest.raises(NumericalError, match=f"^cell {first} diverged$"):
+        run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), runs, splits, 5)
+    assert not multiprocessing.active_children()
+
+
+def test_a_failing_cell_stops_the_grid(monkeypatch, tmp_path):
+    # Cell 0 fails at once. Besides it and the caller's last cell, at most
+    # one cell claimed before the stop may train; the other 7 must not.
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    log = tmp_path / "cells"
+    real_train_once = training.train_once
+
+    def first_cell_fails(*args, seed_entropy, **kwargs):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{seed_entropy}\n")
+        if seed_entropy[1:] == (0, 0):
+            raise NumericalError("cell 0 diverged")
+        return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
+
+    monkeypatch.setattr(training, "train_once", first_cell_fails)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    with pytest.raises(NumericalError, match="cell 0 diverged"):
+        run_grid(g, small_config(), TrainConfig(epochs=20, patience=20), 5, splits, 5)
+    assert len(log.read_text(encoding="utf-8").splitlines()) <= 3
+    assert not multiprocessing.active_children()
+
+
+def test_run_grid_reports_a_worker_that_dies(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    caller = os.getpid()
+    real_train_once = training.train_once
+
+    def dying_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(7)
+        wait_for(lambda: not multiprocessing.active_children())
+        return real_train_once(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_once", dying_worker)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
+    assert not multiprocessing.active_children()
+
+
+def test_run_grid_stops_its_workers_when_the_caller_is_interrupted(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    caller = os.getpid()
+
+    def stuck_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "train_once", stuck_worker)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
+    assert time.perf_counter() - start < 30
+    assert not multiprocessing.active_children()
 
 
 def test_run_grid_baseline_flag_pins_gates():
