@@ -281,7 +281,8 @@ def run_grid(
     tapes. Results do not depend on the number of processes; with one cell
     or one usable CPU (``taskset -c 0``) nothing is forked. A failing cell
     stops the grid, and the error raised is that of the first failing cell
-    in (run, split) order, as in a serial loop.
+    in (run, split) order, as in a serial loop. If this process is killed
+    outright, each worker stops after its current cell.
     """
     check_domains({"runs": runs})
     inputs = graph_inputs(graph, config, homogeneous)
@@ -340,8 +341,11 @@ def _train_in_processes(
     context = multiprocessing.get_context("fork")
     last = count - 1
     next_cell = context.Value("i", 0)
+    caller = os.getpid()
 
     def claim() -> int | None:
+        if os.getpid() != caller and os.getppid() != caller:
+            return None  # the caller was killed: its orphaned workers stop
         with next_cell.get_lock():
             index = next_cell.value
             next_cell.value += 1

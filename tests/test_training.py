@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -628,6 +629,55 @@ def test_run_grid_stops_its_workers_when_the_caller_is_interrupted(monkeypatch):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
     assert time.perf_counter() - start < 30
     assert not multiprocessing.active_children()
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie counts as ended)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_workers_stop_after_their_cell_when_the_caller_is_killed(monkeypatch, tmp_path):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    log = tmp_path / "pids"
+    log.touch()
+    real_train_once = training.train_once
+
+    def slow_cells(*args, **kwargs):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        time.sleep(0.3)
+        return real_train_once(*args, **kwargs)
+
+    def started():
+        return log.read_text(encoding="utf-8").split()
+
+    monkeypatch.setattr(training, "train_once", slow_cells)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    context = multiprocessing.get_context("fork")
+    caller = context.Process(
+        target=run_grid, args=(g, small_config(), TrainConfig(epochs=2, patience=2), 20, splits, 5)
+    )
+    caller.start()
+    wait_for(lambda: len(set(started())) == 2)  # the caller and its worker are training
+    os.kill(caller.pid, signal.SIGKILL)
+    caller.join()
+    cells_at_kill = len(started())
+    workers = {int(pid) for pid in started()} - {caller.pid}
+    caller.close()
+    try:
+        wait_for(lambda: not any(running(pid) for pid in workers), timeout=60)
+        # A worker may start a cell it claimed just before the kill, no more.
+        assert len(started()) <= cells_at_kill + 1
+    finally:
+        for pid in workers:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_run_grid_baseline_flag_pins_gates():
