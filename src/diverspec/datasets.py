@@ -51,13 +51,29 @@ def _require(condition: bool, message: str) -> None:
         raise DataError(message)
 
 
-def _require_utf8(path: Path, lineno: int, line: str) -> None:
-    """Reject a line, read with ``errors="surrogateescape"``, that was not UTF-8."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError(f"{path} line {lineno}: not valid UTF-8") from None
+def _tab_lines(path: Path, layout: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(lineno, line, fields)`` for each nonblank line of ``path``, numbered from 1.
+
+    Each line must be UTF-8 (the file is read with ``errors="surrogateescape"``)
+    and hold the tab-separated fields that ``layout`` names, e.g. ``"src<TAB>dst"``;
+    otherwise :class:`DataError` names the file and line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"{path} line {lineno}: not valid UTF-8") from None
+            parts = line.split("\t")
+            _require(
+                len(parts) == layout.count("<TAB>") + 1,
+                f"{path} line {lineno}: expected '{layout}', got {line!r}",
+            )
+            yield lineno, line, parts
 
 
 def load_dataset(directory: str | Path) -> Graph:
@@ -153,28 +169,18 @@ def _read_edges(edges_path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
 def _parse_edge_lines(edges_path: Path, n: int) -> list[tuple[int, int]]:
     """Line-by-line parse of ``edges.tsv`` that names the file and line of each problem."""
     edges = []
-    with open(edges_path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            _require_utf8(edges_path, lineno, line)
-            parts = line.split("\t")
-            _require(
-                len(parts) == 2,
-                f"{edges_path} line {lineno}: expected 'src<TAB>dst', got {line!r}",
-            )
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{edges_path} line {lineno}: endpoints must be integers, got {line!r}"
-                ) from None
-            _require(
-                0 <= src < n and 0 <= dst < n,
-                f"{edges_path} line {lineno}: endpoint outside [0, {n})",
-            )
-            edges.append((src, dst))
+    for lineno, line, parts in _tab_lines(edges_path, "src<TAB>dst"):
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(
+                f"{edges_path} line {lineno}: endpoints must be integers, got {line!r}"
+            ) from None
+        _require(
+            0 <= src < n and 0 <= dst < n,
+            f"{edges_path} line {lineno}: endpoint outside [0, {n})",
+        )
+        edges.append((src, dst))
     return edges
 
 
@@ -260,41 +266,29 @@ def _parse_node_lines(
     by ``n`` before the file has proven it.
     """
     rows: dict[int, tuple[int, np.ndarray]] = {}
-    with open(nodes_path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            _require_utf8(nodes_path, lineno, line)
-            parts = line.split("\t")
-            _require(
-                len(parts) == 3,
-                f"{nodes_path} line {lineno}: expected 'id<TAB>label<TAB>features', got {line!r}",
-            )
-            try:
-                node = int(parts[0])
-                label = int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{nodes_path} line {lineno}: id and label must be integers"
-                ) from None
-            _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
-            _require(node not in rows, f"{nodes_path} line {lineno}: duplicate id {node}")
-            _require(
-                0 <= label < num_classes,
-                f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
-            )
-            fields = parts[2].split(",") if parts[2] else []
-            _require(
-                len(fields) == num_features,
-                f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
-            )
-            try:
-                rows[node] = label, np.array([float(f) for f in fields])
-            except ValueError:
-                raise DataError(
-                    f"{nodes_path} line {lineno}: features must be decimal numbers"
-                ) from None
+    for lineno, _, parts in _tab_lines(nodes_path, "id<TAB>label<TAB>features"):
+        try:
+            node = int(parts[0])
+            label = int(parts[1])
+        except ValueError:
+            raise DataError(f"{nodes_path} line {lineno}: id and label must be integers") from None
+        _require(0 <= node < n, f"{nodes_path} line {lineno}: id {node} outside [0, {n})")
+        _require(node not in rows, f"{nodes_path} line {lineno}: duplicate id {node}")
+        _require(
+            0 <= label < num_classes,
+            f"{nodes_path} line {lineno}: label {label} outside [0, {num_classes})",
+        )
+        fields = parts[2].split(",") if parts[2] else []
+        _require(
+            len(fields) == num_features,
+            f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
+        )
+        try:
+            rows[node] = label, np.array([float(f) for f in fields])
+        except ValueError:
+            raise DataError(
+                f"{nodes_path} line {lineno}: features must be decimal numbers"
+            ) from None
 
     if len(rows) < n:
         missing = next(node for node in range(n) if node not in rows)

@@ -181,8 +181,7 @@ def train_once(
 
     best_val = -np.inf
     best_epoch = 0
-    best_snapshot = params.snapshot()
-    best_logits = best_betas = None
+    best_snapshot = best_logits = best_betas = None
     val_history: list[float] = []
     epoch = 0
 
@@ -275,16 +274,21 @@ def run_grid(
 
     The cells train in up to ``min(cells, usable_cpus())`` processes: this
     one and workers forked after the graph inputs are built, which inherit
-    them. The calling process trains the last cell, so ``last_run`` never
-    crosses a pipe; workers send back only the cell records. Each process
-    holds one cell's tape at a time, so total RSS grows by up to that many
-    tapes. Results do not depend on the number of processes; with one cell
-    or one usable CPU (``taskset -c 0``) nothing is forked. A failing cell
-    stops the grid, and the error raised is that of the first failing cell
-    in (run, split) order, as in a serial loop. If this process is killed
-    outright, each worker stops after its current cell.
+    them. Every grid goes through the same claim loop: this process trains
+    the last cell first, so ``last_run`` never crosses a pipe, and then every
+    process claims the lowest unclaimed cell; workers send back only the
+    cell records. Each process holds one cell's tape at a time, so total RSS
+    grows by up to that many tapes. Results do not depend on the number of
+    processes. Nothing is forked with one cell, one usable CPU
+    (``taskset -c 0``), no ``fork`` start method, in a daemonic process or
+    beside other threads. A failing cell stops the grid, and the error
+    raised is that of the first failing cell in (run, split) order; in one
+    process it is raised after the last cell, which trains first. If this
+    process is killed outright, each worker stops after its current cell.
     """
     check_domains({"runs": runs})
+    if not splits:
+        raise DataError("cannot aggregate zero runs")
     inputs = graph_inputs(graph, config, homogeneous)
     seeds = [
         (base_seed, run_idx, split_idx)
@@ -309,44 +313,39 @@ def run_grid(
         }
         return record, result
 
-    processes = min(len(seeds), usable_cpus())
-    can_fork = (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon  # a pool worker may not fork
-        and threading.active_count() == 1  # a fork keeps locks other threads hold, locked
-    )
-    if processes > 1 and can_fork:
-        cells, last = _train_in_processes(train_cell, len(seeds), processes)
-    else:
-        cells, last = [], None
-        for index in range(len(seeds)):
-            record, last = train_cell(index)
-            cells.append(record)
+    cells, last = _train_in_processes(train_cell, len(seeds))
     mean, ci = aggregate([cell["test_acc"] for cell in cells])
     return GridResult(mean_acc=mean, ci95=ci, cells=cells, last_run=last)
 
 
 def _train_in_processes(
-    train_cell: Callable[[int], tuple[dict, RunResult]], count: int, processes: int
+    train_cell: Callable[[int], tuple[dict, RunResult]], count: int
 ) -> tuple[list[dict], RunResult]:
-    """Cell records in index order and the last cell's result, from ``processes`` processes.
+    """Cell records in index order and the last cell's result.
 
-    ``processes - 1`` workers are forked before any cell trains. This process
-    trains the last cell first; then every process claims the lowest
-    unclaimed cell from a shared counter until none is left. A failure
-    empties the counter, so every cell below the first failing one has
-    trained when the error is raised. Every worker has exited on return or
-    raise.
+    Up to ``min(count, usable_cpus()) - 1`` workers are forked before any
+    cell trains, and none where forking is unsafe. This process trains the
+    last cell first; then every process claims the lowest unclaimed cell
+    from a shared counter until none is left. A failure empties the counter,
+    so every cell below the first failing one has trained when the error is
+    raised. Every worker has exited on return or raise.
     """
-    context = multiprocessing.get_context("fork")
+    can_fork = (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon  # a pool worker may not fork
+        and threading.active_count() == 1  # a fork keeps locks other threads hold, locked
+    )
+    processes = min(count, usable_cpus()) if can_fork else 1
+    context = multiprocessing.get_context("fork") if processes > 1 else None
     last = count - 1
-    next_cell = context.Value("i", 0)
+    next_cell = multiprocessing.RawValue("i", 0)  # memory that forked workers share
+    lock = context.Lock() if context else threading.Lock()
     caller = os.getpid()
 
     def claim() -> int | None:
         if os.getpid() != caller and os.getppid() != caller:
             return None  # the caller was killed: its orphaned workers stop
-        with next_cell.get_lock():
+        with lock:
             index = next_cell.value
             next_cell.value += 1
         return index if index < last else None
@@ -357,7 +356,7 @@ def _train_in_processes(
                 outcomes[index] = train_cell(index)[0]
             except Exception as exc:
                 outcomes[index] = exc
-                with next_cell.get_lock():
+                with lock:
                     next_cell.value = last
         return outcomes
 

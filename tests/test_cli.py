@@ -754,6 +754,11 @@ def _swap_rows(lines: list[str]) -> None:
     lines[2], lines[3] = lines[3], lines[2]
 
 
+def _blank_then_nan(lines: list[str]) -> None:
+    lines.insert(2, "")  # skipped, but still counted as line 3
+    _set_field(lines, 4, 1, "nan")
+
+
 @pytest.mark.parametrize(
     "corrupt, line, message",
     [
@@ -764,8 +769,16 @@ def _swap_rows(lines: list[str]) -> None:
         (_swap_rows, 3, "node_id '2', expected 1"),
         (lambda lines: _set_field(lines, 4, 0, "3.0"), 5, "node_id '3.0', expected 3"),
         (lambda lines: lines.pop(3), 4, "node_id '3', expected 2"),
+        (lambda lines: _set_field(lines, 0, 0, "id"), 1, "expected header node_id,beta_0,..."),
+        (lambda lines: lines.__setitem__(0, "node_id"), 1, "expected header node_id,beta_0,..."),
+        (_blank_then_nan, 5, "non-finite weight"),
+        (lambda lines: _set_field(lines, 2, 3, "0.5x"), 3, "non-numeric weight"),
+        (lambda lines: lines.__delitem__(slice(1, None)), None, "holds no weight rows"),
     ],
-    ids=["nan", "inf", "minus-inf", "starts-at-1", "out-of-order", "float-id", "gap"],
+    ids=[
+        "nan", "inf", "minus-inf", "starts-at-1", "out-of-order", "float-id", "gap",
+        "bad-header", "header-without-weights", "blank-line", "non-numeric", "header-only",
+    ],
 )
 def test_analyze_rejects_bad_beta_rows_before_any_output(
     train_dir, tmp_path, capsys, corrupt, line, message
@@ -779,9 +792,33 @@ def test_analyze_rejects_bad_beta_rows_before_any_output(
     beta.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "ana"
     assert main(["analyze", "--run-dir", str(run), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {beta} line {line}: {message}\n"
+    where = f"{beta} line {line}:" if line else str(beta)
+    assert capsys.readouterr().err == f"error: {where} {message}\n"
     assert not out.exists()
     assert sorted(p.name for p in run.iterdir()) == ["beta-dsf.csv", "metrics-dsf.json"]
+
+
+@pytest.mark.parametrize("broken", ["missing-beta", "metrics-not-json"])
+def test_analyze_rejects_a_missing_table_or_bad_metrics_before_any_output(
+    train_dir, tmp_path, capsys, broken
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    metrics, beta = run / "metrics-dsf.json", run / "beta-dsf.csv"
+    metrics.write_bytes((train_dir / "metrics-dsf.json").read_bytes())
+    beta.write_bytes((train_dir / "beta-dsf.csv").read_bytes())
+    if broken == "missing-beta":
+        beta.unlink()
+        expected = f"error: missing weight table {beta}\n"
+    else:
+        metrics.write_text('{"config": ', encoding="utf-8")
+        expected = f"error: {metrics}: invalid JSON (Expecting value: line 1 column 12 (char 11))\n"
+    before = sorted(p.name for p in run.iterdir())
+    out = tmp_path / "ana"
+    assert main(["analyze", "--run-dir", str(run), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+    assert sorted(p.name for p in run.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from diverspec import (
 )
 from diverspec import autodiff as ad
 from diverspec.autodiff import Value, make_rng
-from diverspec.errors import ConfigError, DataError
+from diverspec.errors import ConfigError, DataError, UsageError
 from diverspec.graph import SparseOperator
 from diverspec.model import (
     ipe_step,
@@ -30,6 +30,7 @@ from diverspec.model import (
     one_hot,
     orth_penalty,
     project_inputs,
+    shared_coefficients,
 )
 from tests.conftest import toy_graph
 
@@ -85,6 +86,29 @@ def test_config_range_validation():
         config(backbone="Cheb")
     with pytest.raises(ConfigError):
         config(dropout_p=1.0)
+
+
+def test_uniform_gamma_init_is_exactly_one_over_k_plus_one():
+    cfg = config(K=6, gamma_init="uniform")
+    assert np.array_equal(shared_coefficients(cfg), np.full(7, 1.0 / 7))
+    params = init_params(cfg, num_features=5, num_classes=3, rng=make_rng(0))
+    assert np.array_equal(params.gamma.data, np.full((1, 7), 1.0 / 7))
+
+
+def test_random_gamma_init_is_seeded_uniform_noise():
+    cfg = config(K=200, gamma_init="random")
+    gamma = shared_coefficients(cfg, make_rng(3))
+    assert gamma.shape == (201,) and np.all((-0.5 < gamma) & (gamma < 0.5))
+    assert gamma.min() < -0.4 and gamma.max() > 0.4  # spans the interval, not a point
+    assert np.array_equal(shared_coefficients(cfg, make_rng(3)), gamma)
+    assert not np.array_equal(shared_coefficients(cfg, make_rng(4)), gamma)
+    with pytest.raises(UsageError, match="needs a generator"):
+        shared_coefficients(cfg)
+    first, second = (
+        init_params(cfg, num_features=5, num_classes=3, rng=make_rng(3)).gamma.data
+        for _ in range(2)
+    )
+    assert np.array_equal(first, second) and np.all(np.abs(first) < 0.5)
 
 
 # --- positional initialization ----------------------------------------------

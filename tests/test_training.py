@@ -486,13 +486,17 @@ def test_run_grid_trains_every_cell_once_with_more_processes_than_cpus(monkeypat
     assert not multiprocessing.active_children()
 
 
+def failing_forks(monkeypatch) -> None:
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_grid forked"))
+
+
 def test_run_grid_with_one_cell_forks_nothing(monkeypatch):
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 1, seed=4)
     monkeypatch.setattr(training, "usable_cpus", lambda: 8)
-    forks = counting_forks(monkeypatch)
+    failing_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
-    assert len(grid.cells) == 1 and not forks
+    assert len(grid.cells) == 1
 
 
 def test_run_grid_in_a_daemonic_process_trains_serially(monkeypatch):
@@ -504,6 +508,7 @@ def test_run_grid_in_a_daemonic_process_trains_serially(monkeypatch):
     receiver, sender = context.Pipe(duplex=False)
 
     def daemon():
+        failing_forks(monkeypatch)  # in the daemon only: it has already forked
         grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
         sender.send(len(grid.cells))
 
@@ -525,7 +530,7 @@ def test_run_grid_beside_another_thread_trains_serially(monkeypatch):
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
-    forks = counting_forks(monkeypatch)
+    failing_forks(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
@@ -534,13 +539,43 @@ def test_run_grid_beside_another_thread_trains_serially(monkeypatch):
     finally:
         release.set()
         thread.join(60)
-    assert len(grid.cells) == 2 and not forks
+    assert len(grid.cells) == 2
+
+
+def test_run_grid_without_fork_trains_in_one_process(monkeypatch):
+    # Where the fork start method does not exist, no fork context is made.
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: pytest.fail("got a context"))
+    failing_forks(monkeypatch)
+    grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, splits, 5)
+    assert [(cell["run"], cell["split"]) for cell in grid.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_run_grid_in_one_process_trains_the_last_cell_first(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    trained = []
+    real_train_once = training.train_once
+
+    def logging(*args, seed_entropy, **kwargs):
+        trained.append(seed_entropy[1:])
+        return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
+
+    monkeypatch.setattr(training, "train_once", logging)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+    failing_forks(monkeypatch)
+    grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, splits, 5)
+    assert trained == [(1, 1), (0, 0), (0, 1), (1, 0)]
+    assert [(cell["run"], cell["split"]) for cell in grid.cells] == sorted(trained)
 
 
 def test_run_grid_without_splits_raises_before_forking(monkeypatch):
     g = two_block_graph(10, seed=8)
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_grid forked"))
+    failing_forks(monkeypatch)
     with pytest.raises(DataError, match="cannot aggregate zero runs"):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, [], 5)
     assert not multiprocessing.active_children()
@@ -548,11 +583,15 @@ def test_run_grid_without_splits_raises_before_forking(monkeypatch):
 
 @pytest.mark.parametrize(
     "cpus, runs, failing, first",
-    [(2, 1, {0, 1}, 0), (2, 1, {0}, 0), (2, 1, {1}, 1), (3, 2, {1, 2, 3}, 1), (3, 2, {3}, 3)],
+    [
+        (2, 1, {0, 1}, 0), (2, 1, {0}, 0), (2, 1, {1}, 1), (3, 2, {1, 2, 3}, 1), (3, 2, {3}, 3),
+        (1, 1, {0, 1}, 0), (1, 1, {0}, 0), (1, 1, {1}, 1), (1, 2, {1, 2, 3}, 1), (1, 2, {3}, 3),
+    ],
 )
 def test_run_grid_raises_the_first_failing_cell(monkeypatch, cpus, runs, failing, first):
     # With 2 CPUs and 2 cells the caller trains cell 1 and, unless it is
     # first to claim it, a worker cell 0; either way cell 0's error wins.
+    # With 1 CPU the caller trains the last cell first, then the rest in order.
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
     real_train_once = training.train_once
@@ -678,6 +717,17 @@ def test_workers_stop_after_their_cell_when_the_caller_is_killed(monkeypatch, tm
         for pid in workers:
             if running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("gamma_init", ["uniform", "random"])
+def test_run_grid_trains_a_gpr_grid_under_each_gamma_init(gamma_init):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    cfg = small_config(gamma_init=gamma_init)
+    grid = run_grid(g, cfg, TrainConfig(epochs=5, patience=5), 1, splits, 5)
+    assert len(grid.cells) == 2 and 0.0 <= grid.mean_acc <= 1.0
+    assert grid.last_run.params["gamma"].shape == (1, cfg.K + 1)
+    assert np.isfinite(grid.last_run.betas).all()
 
 
 def test_run_grid_baseline_flag_pins_gates():
