@@ -5,13 +5,13 @@ build a DAG; :func:`backward` replays it once in reverse topological order,
 accumulating gradients into the leaves. The op set is exactly what the
 filter model needs - dense linear algebra, a sparse-times-dense product (the
 graph operator, or CSR input features), one fused ``position_refinement``
-(the K IPE states of either mode, with or without the similarity term, in
-one stacked value; their adjoint recurrence backward),
-``column_dots``, ``row_block`` and ``prefix_product`` for the gate table, one
-fused ``polynomial_filter`` (the :mod:`.polynomials` recurrence forward, its
-adjoint backward), a few elementwise nonlinearities, masked cross-entropy,
-and a column-normalization used by the orthogonality penalty. Gradients
-never flow into sparse operators.
+(the K IPE steps of either mode, with or without the similarity term, read
+out as the gate pre-activations next to the last state; their adjoint
+recurrence backward), ``column_slice`` to split that readout,
+``prefix_product`` for the gate table, one fused ``polynomial_filter`` (the
+:mod:`.polynomials` recurrence forward, its adjoint backward), a few
+elementwise nonlinearities, masked cross-entropy, and a column-normalization
+used by the orthogonality penalty. Gradients never flow into sparse operators.
 Inside :func:`no_grad` no op records its parents, so a pass whose gradient
 nobody reads (the per-epoch evaluation) builds no tape. :func:`backward`
 frees the tape it sweeps, node by node, so a graph is differentiated once.
@@ -80,12 +80,6 @@ class Value:
             self.grad = grad
         else:
             self.grad += grad
-
-    def accumulate_rows(self, start: int, grad: np.ndarray) -> None:
-        """Add ``grad`` into rows ``start:start + len(grad)`` of one full-size buffer."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[start : start + grad.shape[0]] += grad
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -231,26 +225,35 @@ def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperato
 
 
 def position_refinement(
-    p0: Value, op: SparseOperator, eta1: float, K: int, w_ipe: Value | None = None, eta2: float = 0.0
+    p0: Value, op: SparseOperator, eta1: float, K: int, gate_w: Value, first: int = 0,
+    w_ipe: Value | None = None, eta2: float = 0.0,
 ) -> Value:
-    """The K+1 IPE states as one ((K+1)·N, d) value whose row block k is state k.
+    """The gate readout of the K+1 IPE states next to state K, as one (N, G + d) value.
 
     State 0 is ``p0`` and state k is ``tanh(eta1 p0 + (1 - eta1) m)``, with the mix
     ``m = (1 + eta2) A_hat p - eta2 S p`` for p = p_{k-1} and S = sigmoid(p W pᵀ),
-    W = ``w_ipe``: the float operations of K ``ipe_step`` calls. With ``eta2 = 0``
-    no N x N array is formed; otherwise a tracked op keeps the K matrices S. The
-    backward runs the adjoint recurrence from k = K down to 1 with ``op`` itself,
-    which needs a symmetric ``op``. For the gradient g of a step's mix, its
-    similarity term adds -eta2 Sᵀ g + G p Wᵀ + Gᵀ p W to the gradient of p and
-    pᵀ G p to that of W, where G = -eta2 (g pᵀ) ⊙ S ⊙ (1 - S) is that of p W pᵀ.
+    W = ``w_ipe``: the float operations of K ``ipe_step`` calls. Column j < G is state
+    ``first + j`` times ``gate_w[:, j]`` for a (d, G) ``gate_w``, G = K + 1 - ``first``;
+    the last d columns are state K. With ``eta2 = 0`` no N x N array is formed;
+    otherwise a tracked op keeps the K matrices S. The backward runs the adjoint
+    recurrence from k = K down to 1 with ``op`` itself, which needs a symmetric ``op``.
+    It forms the gradient of state k as it reaches it, from the rank-1 term
+    outer(g[:, j], gate_w[:, j]) of gate j = k - first (plus the readout's gradient
+    at k = K), so no gradient of all K+1 states is ever held; ``gate_w`` gets
+    stateᵀ g[:, j]. For the gradient g of a step's mix, its similarity term adds
+    -eta2 Sᵀ g + G p Wᵀ + Gᵀ p W to the gradient of p and pᵀ G p to that of W,
+    where G = -eta2 (g pᵀ) ⊙ S ⊙ (1 - S) is that of p W pᵀ.
     """
     n, d = p0.shape
+    gates = K + 1 - first
     if not op.symmetric:
         raise UsageError("position_refinement needs a symmetric operator")
-    if K < 0 or op.shape != (n, n) or (eta2 and (w_ipe is None or w_ipe.shape != (d, d))):
-        raise UsageError(f"position_refinement: K={K} steps of {op.shape} on {p0.shape}, eta2={eta2}")
+    shapes_ok = 0 <= first <= K and op.shape == (n, n) and gate_w.shape == (d, gates)
+    if not shapes_ok or (eta2 and (w_ipe is None or w_ipe.shape != (d, d))):
+        raise UsageError(f"position_refinement: K={K} steps of {op.shape} on {p0.shape}, "
+                         f"gates {gate_w.shape} from order {first}, eta2={eta2}")
     eta1, eta2 = float(eta1), float(eta2)
-    parents = (p0, w_ipe) if eta2 else (p0,)
+    parents = (p0, gate_w, w_ipe) if eta2 else (p0, gate_w)
     keep = _grad_enabled and _tracked(*parents)
     states = np.empty((K + 1, n, d))
     states[0] = p0.data
@@ -268,73 +271,65 @@ def position_refinement(
         pre *= 1.0 - eta1
         pre += anchor
         np.tanh(pre, out=states[k])
+    w = gate_w.data
+    out = np.empty((n, gates + d))
+    for j in range(gates):
+        out[:, j] = states[first + j] @ w[:, j]
+    out[:, gates:] = states[K]
 
     def backward_fn(grad: np.ndarray) -> None:
-        g = grad.reshape(K + 1, n, d)
-        g_anchor = g[0].copy()
-        carry = 0.0  # gradient reaching state k through state k + 1
+        g_gate = grad[:, :gates]
+        if gate_w.requires_grad:
+            columns = [states[first + j].T @ g_gate[:, j] for j in range(gates)]
+            gate_w.accumulate(np.stack(columns, axis=1))
+
+        def own(k: int) -> np.ndarray:  # from state k's gate, and at k = K from the readout
+            j = k - first  # (N, 1) @ (1, d) forms np.outer's products without its ufunc buffers
+            g = g_gate[:, j, None] @ w[None, :, j] if k >= first else np.zeros((n, d))
+            return g + grad[:, gates:] if k == K else g
+
+        g = own(K)  # the gradient of state k, from its gate and from state k + 1
+        g_anchor = own(0) if K else g
         for k in range(K, 0, -1):
-            g_pre = (g[k] + carry) * (1.0 - states[k] * states[k])
-            g_anchor += eta1 * g_pre
-            g_pre *= 1.0 - eta1  # the gradient of the mix
-            carry = op.matrix @ g_pre
+            slope = states[k] * states[k]
+            g *= np.subtract(1.0, slope, out=slope)  # tanh′ = 1 - state²
+            del slope  # three (N, d) arrays at a time: g_anchor, g and one more
+            g_anchor += eta1 * g
+            g *= 1.0 - eta1  # the gradient of the mix
+            carry = op.matrix @ g
             if eta2:
-                p, sim, w = states[k - 1], sims[k - 1], w_ipe.data
-                g_sp = -eta2 * g_pre  # the gradient of S p
+                p, sim, w_sim = states[k - 1], sims[k - 1], w_ipe.data
+                g_sp = -eta2 * g  # the gradient of S p
                 carry *= 1.0 + eta2
                 carry += sim.T @ g_sp
                 g_logits = (g_sp @ p.T) * sim * (1.0 - sim)
                 g_logits_p = g_logits @ p
-                carry += g_logits_p @ w.T + g_logits.T @ (p @ w)
+                carry += g_logits_p @ w_sim.T + g_logits.T @ (p @ w_sim)
                 if w_ipe.requires_grad:
                     w_ipe.accumulate(p.T @ g_logits_p)
-        g_anchor += carry
+            g = carry
+            if k > 1:
+                g += own(k - 1)
+        if K:
+            g_anchor += g
         if p0.requires_grad:
             p0.accumulate(g_anchor)
 
-    return _make(states.reshape((K + 1) * n, d), parents, backward_fn)
+    return _make(out, parents, backward_fn)
 
 
-def row_block(x: Value, start: int, stop: int) -> Value:
-    """Rows ``start:stop`` of ``x``, copied; the gradient adds into those rows of x's buffer.
-
-    A copy, not a view, so a caller that keeps the block does not keep all of ``x``.
-    """
-    if not 0 <= start < stop <= x.shape[0]:
-        raise UsageError(f"row_block: rows {start}:{stop} of {x.shape}")
+def column_slice(x: Value, start: int, stop: int) -> Value:
+    """Columns ``start:stop`` of ``x``, copied, so that keeping them does not keep all of ``x``."""
+    if not 0 <= start < stop <= x.shape[1]:
+        raise UsageError(f"column_slice: columns {start}:{stop} of {x.shape}")
 
     def backward_fn(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_rows(start, grad)
+            full = np.zeros_like(x.data)
+            full[:, start:stop] = grad
+            x.accumulate(full)
 
-    return _make(x.data[start:stop].copy(), (x,), backward_fn)
-
-
-def column_dots(stacked: Value, w: Value, first: int = 0) -> Value:
-    """The (N, G) table whose column k is row block ``first + k`` of ``stacked`` times ``w[:, k]``.
-
-    ``stacked`` holds ``first + G`` row blocks of N rows for a (d, G) ``w``;
-    the blocks before ``first`` get no column. Each column is its own
-    matrix-vector product, so the table does not depend on the layout of ``w``.
-    """
-    gates = w.shape[1]
-    blocks = first + gates
-    if first < 0 or gates < 1 or stacked.shape[0] % blocks or stacked.shape[1] != w.shape[0]:
-        raise UsageError(
-            f"column_dots: {stacked.shape} in {blocks} row blocks does not pair with w {w.shape}"
-        )
-    n = stacked.shape[0] // blocks
-    sel = stacked.data.reshape(blocks, n, w.shape[0])[first:]
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if w.requires_grad:
-            w.accumulate(np.stack([sel[k].T @ grad[:, k] for k in range(gates)], axis=1))
-        if stacked.requires_grad:
-            for k in range(gates):
-                stacked.accumulate_rows((first + k) * n, np.outer(grad[:, k], w.data[:, k]))
-
-    out = np.stack([sel[k] @ w.data[:, k] for k in range(gates)], axis=1)
-    return _make(out, (stacked, w), backward_fn)
+    return _make(x.data[:, start:stop].copy(), (x,), backward_fn)
 
 
 def prefix_product(x: Value) -> Value:
@@ -403,13 +398,13 @@ def dropout(x: Value, p: float, train: bool, rng: np.random.Generator | None) ->
         return x
     if rng is None:
         raise UsageError("train-time dropout needs an explicit generator")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep = rng.random(x.shape) >= p  # the tape holds the boolean mask, not its scaled copy
 
     def backward_fn(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate(grad * mask)
+            x.accumulate(grad * (keep / (1.0 - p)))
 
-    return _make(x.data * mask, (x,), backward_fn)
+    return _make(x.data * (keep / (1.0 - p)), (x,), backward_fn)
 
 
 def frobenius_sq(x: Value) -> Value:

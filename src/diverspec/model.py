@@ -289,15 +289,14 @@ def ipe_step(
     )
 
 
-def node_theta(
-    states: Value, gate_w: Value, gate_b: Value, sigma_p: str, first: int = 0
-) -> Value:
-    """The (N, G) gate table: column k is sigma_p(P^(first+k) w_k + b_k).
+def node_theta(pre: Value, gate_b: Value, sigma_p: str) -> Value:
+    """The (N, G) gate table sigma_p(pre + b) from the gate pre-activations.
 
-    ``states`` stacks the IPE states p_0..p_K as row blocks (one block for a
-    single state); Jacobi passes ``first = 1``, since its order 0 has no gate.
+    Column k of ``pre`` is P^(first+k) w_k, as
+    :func:`~diverspec.autodiff.position_refinement` reads it out of the IPE
+    states; Jacobi has ``first = 1``, since its order 0 has no gate.
     """
-    pre = ad.add(ad.column_dots(states, gate_w, first), gate_b)
+    pre = ad.add(pre, gate_b)
     return ad.sigmoid(pre) if sigma_p == "Sigmoid" else ad.tanh(pre)
 
 
@@ -349,10 +348,12 @@ def forward(
     ``features`` is the dense array or the CSR operator of
     :func:`project_inputs`.
 
-    The K refinement steps, in either mode, are one
-    :func:`~diverspec.autodiff.position_refinement` op whose value stacks the
-    K+1 states as ((K+1)·N, d) row blocks. The gates read its row blocks in
-    one op, and the final state is its last block.
+    The K refinement steps, in either mode, and the gates' matrix-vector
+    products are one :func:`~diverspec.autodiff.position_refinement` op. Its
+    value holds the (N, G) gate pre-activations next to the final state, and
+    two column slices split it: :func:`node_theta` activates the first, and
+    the second is the final state. The tape keeps the K+1 states for tanh′
+    but never a gradient of all of them.
 
     The shared-coefficient baseline (``homogeneous=True``) and the ablation
     (``ablate_ipe``) filter with ``gamma`` itself (rectified for Bern) and
@@ -365,12 +366,14 @@ def forward(
         table = ad.relu(params.gamma) if config.backbone == "Bern" else params.gamma
         p_final = None
     else:
-        states = ad.position_refinement(p0, a_hat, config.eta1, config.K, params.w_ipe, config.eta2)
         first = 1 if config.backbone == "Jacobi" else 0
-        thetas = node_theta(states, params.gate_w, params.gate_b, config.sigma_p, first)
+        refined = ad.position_refinement(
+            p0, a_hat, config.eta1, config.K, params.gate_w, first, params.w_ipe, config.eta2
+        )
+        gates = params.gate_w.shape[1]
+        thetas = node_theta(ad.column_slice(refined, 0, gates), params.gate_b, config.sigma_p)
         table = lgwd_beta(thetas, params, config)
-        n = p0.shape[0]
-        p_final = ad.row_block(states, config.K * n, (config.K + 1) * n)
+        p_final = ad.column_slice(refined, gates, refined.shape[1])
 
     z = ad.polynomial_filter(table, ad.matmul(h0, params.w_out), config.basis(), a_hat)
     logits = ad.add(z, params.b_out)

@@ -126,22 +126,6 @@ def test_polynomial_filter_rejects_row_mismatch():
         ad.polynomial_filter(ad.Value(np.ones((2, 3))), ad.Value(np.ones((3, 1))), Monomial(), op)
 
 
-def test_column_dots_values_and_gradients():
-    s0, s1, s2, w = rng_arrays((4, 3), (4, 3), (4, 3), (3, 3), seed=5)
-    out = ad.column_dots(ad.Value(np.vstack([s0, s1, s2])), ad.Value(w))
-    expected = np.stack([s0 @ w[:, 0], s1 @ w[:, 1], s2 @ w[:, 2]], axis=1)
-    assert np.abs(out.data - expected).max() < 1e-12
-    weight = ad.Value(rng_arrays((4, 3), seed=6)[0])
-    check_gradients(
-        lambda s, v: ad.frobenius_sq(ad.hadamard(ad.column_dots(s, v), weight)),
-        np.vstack([s0, s1, s2]), w,
-    )
-    with pytest.raises(UsageError):
-        ad.column_dots(ad.Value(np.vstack([s0, s1])), ad.Value(w))
-    with pytest.raises(UsageError):
-        ad.column_dots(ad.Value(np.vstack([s0, s1, s2[:3]])), ad.Value(w))
-
-
 def _isolated_node_operator() -> SparseOperator:
     # Node 5 has no edge, so its row and column of A_hat are zero.
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)]
@@ -150,86 +134,157 @@ def _isolated_node_operator() -> SparseOperator:
     return a_hat
 
 
-@pytest.mark.parametrize("K", [1, 3])
+def _reference_states(p0, op, eta1, K):
+    """The K + 1 IPE states of mode R, step by step on dense arrays."""
+    states = [p0]
+    for _ in range(K):
+        states.append(np.tanh(eta1 * p0 + (1 - eta1) * (op.dense() @ states[-1])))
+    return states
+
+
+def test_position_refinement_reads_out_each_gate_from_its_state():
+    op = _isolated_node_operator()
+    p0, w = rng_arrays((6, 3), (3, 3), seed=5)
+    out = ad.position_refinement(ad.Value(p0), op, 0.3, 2, ad.Value(w))
+    states = _reference_states(p0, op, 0.3, 2)
+    expected = np.stack([states[0] @ w[:, 0], states[1] @ w[:, 1], states[2] @ w[:, 2]], axis=1)
+    assert out.shape == (6, 3 + 3)
+    assert np.abs(out.data[:, :3] - expected).max() < 1e-12
+    assert np.abs(out.data[:, 3:] - states[2]).max() < 1e-12
+    weight = ad.Value(rng_arrays((6, 6), seed=6)[0])
+    check_gradients(
+        lambda p, v: ad.frobenius_sq(ad.hadamard(ad.position_refinement(p, op, 0.3, 2, v), weight)),
+        p0, w,
+    )
+    for bad in (w[:, :2], w[:2]):  # one gate per state, each as wide as a state
+        with pytest.raises(UsageError):
+            ad.position_refinement(ad.Value(p0), op, 0.3, 2, ad.Value(bad))
+
+
+@pytest.mark.parametrize("K", [0, 1, 3])
 @pytest.mark.parametrize("eta1", [0.0, 0.3, 1.0])
 def test_position_refinement_gradients(K, eta1):
     op = _isolated_node_operator()
-    p0, weight, w_ipe = rng_arrays((6, 2), ((K + 1) * 6, 2), (2, 2), seed=K)
-    for eta2 in (0.0, 0.4):  # the similarity weight is a leaf only when eta2 != 0
-        check_gradients(
-            lambda p, w=None: ad.frobenius_sq(
-                ad.hadamard(ad.position_refinement(p, op, eta1, K, w, eta2), ad.Value(weight))
-            ),
-            *((p0, w_ipe) if eta2 else (p0,)),
-        )
+    p0, w_ipe = rng_arrays((6, 2), (2, 2), seed=K)
+    for first in range(min(K, 1) + 1):  # Jacobi's order 0 has no gate, and K = 0 leaves none
+        gate_w, weight = rng_arrays((2, K + 1 - first), (6, K + 1 - first + 2), seed=10 + first)
+        for eta2 in (0.0, 0.4):  # the similarity weight is a leaf only when a step uses it
+            fixed = ad.Value(w_ipe) if eta2 else None
+            check_gradients(
+                lambda p, v, w=fixed: ad.frobenius_sq(ad.hadamard(
+                    ad.position_refinement(p, op, eta1, K, v, first, w, eta2), ad.Value(weight)
+                )),
+                *((p0, gate_w, w_ipe) if eta2 and K else (p0, gate_w)),
+            )
 
 
 def test_position_refinement_states_follow_the_recurrence():
     op = _isolated_node_operator()
     (p0,) = rng_arrays((6, 3), seed=4)
-    states = ad.position_refinement(ad.Value(p0), op, 0.3, 2).data.reshape(3, 6, 3)
-    assert np.array_equal(states[0], p0)
+    # State k is the readout's last columns after k steps; the first k steps of
+    # a longer refinement run the same float operations.
+    readouts = [ad.position_refinement(ad.Value(p0), op, 0.3, k, ad.Value(np.ones((3, k + 1))))
+                for k in (0, 1, 2)]
+    final = [readout.data[:, k + 1 :] for k, readout in enumerate(readouts)]
+    assert np.array_equal(final[0], p0)
     for k in (1, 2):
-        assert np.allclose(states[k], np.tanh(0.3 * p0 + 0.7 * (op.dense() @ states[k - 1])))
-    assert np.array_equal(states[1:, 5], np.tanh(0.3 * p0[[5, 5]]))  # no neighbours
+        assert np.allclose(final[k], np.tanh(0.3 * p0 + 0.7 * (op.dense() @ final[k - 1])))
+        assert np.array_equal(final[k][5], np.tanh(0.3 * p0[5]))  # no neighbours
 
 
 def test_position_refinement_rejects_an_operator_not_flagged_symmetric():
     op = _isolated_node_operator()
     flagged = SparseOperator(op.matrix, symmetric=False)
     p0 = ad.Value(np.ones((6, 2)), requires_grad=True)
+    gate_w = ad.Value(np.ones((2, 3)))
     with pytest.raises(UsageError, match="symmetric"):
-        ad.position_refinement(p0, flagged, 0.3, 2)
+        ad.position_refinement(p0, flagged, 0.3, 2, gate_w)
     with pytest.raises(UsageError):
-        ad.position_refinement(ad.Value(np.ones((5, 2))), op, 0.3, 2)
+        ad.position_refinement(ad.Value(np.ones((5, 2))), op, 0.3, 2, gate_w)
+    for first in (-1, 1, 3):  # G = K + 1 - first gates, at least one
+        with pytest.raises(UsageError):
+            ad.position_refinement(p0, op, 0.3, 2, gate_w, first)
+    with pytest.raises(UsageError):
+        ad.position_refinement(p0, op, 0.3, 0, ad.Value(np.ones((2, 0))), 1)
     for w_ipe in (None, ad.Value(np.ones((3, 3)))):  # eta2 != 0 needs a (d, d) weight
         with pytest.raises(UsageError):
-            ad.position_refinement(p0, op, 0.3, 2, w_ipe, 0.4)
+            ad.position_refinement(p0, op, 0.3, 2, gate_w, 0, w_ipe, 0.4)
 
 
 def test_position_refinement_keeps_similarity_matrices_only_on_a_tape():
     n, d, K = 400, 3, 5
     op, _ = normalized_operators(connected_random_graph(n, 0.02, seed=2))
-    p0, w_ipe = rng_arrays((n, d), (d, d), seed=12)
+    p0, w_ipe, gate_w = rng_arrays((n, d), (d, d), (d, K + 1), seed=12)
     p0, w_ipe = ad.Value(p0, requires_grad=True), ad.Value(w_ipe, requires_grad=True)
     for taped in (False, True):
         tracemalloc.start()
         try:
             with nullcontext() if taped else ad.no_grad():
-                states = ad.position_refinement(p0, op, 0.3, K, w_ipe, 0.4)
+                refined = ad.position_refinement(p0, op, 0.3, K, ad.Value(gate_w), 0, w_ipe, 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert states.requires_grad == taped
+        assert refined.requires_grad == taped
         assert (peak > K * n * n * 8) == taped, peak  # the K (N, N) matrices S
-        del states
+        del refined
 
 
-def test_row_block_routes_gradients_by_block():
-    a, b = rng_arrays((2, 3), (4, 3), seed=8)
-    stacked = ad.Value(np.vstack([a, b]), requires_grad=True)
-    top, tail = ad.row_block(stacked, 0, 2), ad.row_block(stacked, 5, 6)
-    ad.backward(ad.add(ad.frobenius_sq(top), ad.frobenius_sq(tail)))
-    expected = np.zeros((6, 3))
-    expected[:2], expected[5:] = 2 * a, 2 * b[3:]
-    assert np.array_equal(stacked.grad, expected)
-    assert not np.shares_memory(top.data, stacked.data)
+@pytest.mark.parametrize("first", [0, 1])
+def test_position_refinement_backward_holds_no_gradient_of_all_states(first):
+    # Each gate adds a rank-1 term to the gradient of one state, so the backward
+    # needs no ((K + 1) N, d) buffer: 563 200 bytes at these sizes, and the bound
+    # is half of it. The op holds the (N, G + d) readout gradient (86 400 bytes
+    # for G = 11) and at most three (N, d) arrays (51 200 bytes each) at once:
+    # 244 152 bytes traced for first = 0, 0.43 of the buffer. A backward that
+    # fills the buffer through per-state ops on a stacked ((K + 1) N, d) value
+    # peaked at 875 052 bytes, 1.55 times it.
+    n, d, K = 400, 16, 10
+    op, _ = normalized_operators(connected_random_graph(n, 0.02, seed=3))
+    p0, gate_w = rng_arrays((n, d), (d, K + 1 - first), seed=13)
+    p0, gate_w = ad.Value(p0, requires_grad=True), ad.Value(gate_w, requires_grad=True)
+    loss = ad.frobenius_sq(ad.position_refinement(p0, op, 0.3, K, gate_w, first))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < (K + 1) * n * d * 8 / 2, peak
+    assert p0.grad.shape == (n, d) and gate_w.grad.shape == (d, K + 1 - first)
+
+
+def test_column_slice_routes_gradients_by_columns():
+    (x,) = rng_arrays((4, 6), seed=8)
+    fused = ad.Value(x, requires_grad=True)
+    left, tail = ad.column_slice(fused, 0, 2), ad.column_slice(fused, 5, 6)
+    ad.backward(ad.add(ad.frobenius_sq(left), ad.frobenius_sq(tail)))
+    expected = np.zeros((4, 6))
+    expected[:, :2], expected[:, 5:] = 2 * x[:, :2], 2 * x[:, 5:]
+    assert np.array_equal(fused.grad, expected)
+    assert not np.shares_memory(left.data, fused.data)
     for start, stop in ((0, 0), (-1, 2), (4, 7)):
         with pytest.raises(UsageError):
-            ad.row_block(stacked, start, stop)
+            ad.column_slice(fused, start, stop)
 
 
-def test_column_dots_skips_the_blocks_before_first():
-    s0, s1, s2, w = rng_arrays((4, 3), (4, 3), (4, 3), (3, 2), seed=9)
-    out = ad.column_dots(ad.Value(np.vstack([s0, s1, s2])), ad.Value(w), first=1)
-    assert np.array_equal(out.data, np.stack([s1 @ w[:, 0], s2 @ w[:, 1]], axis=1))
-    weight = ad.Value(rng_arrays((4, 2), seed=10)[0])
+def test_position_refinement_skips_the_states_before_first():
+    op = _isolated_node_operator()
+    p0, w = rng_arrays((6, 3), (3, 2), seed=9)
+    out = ad.position_refinement(ad.Value(p0), op, 0.3, 2, ad.Value(w), first=1)
+    states = _reference_states(p0, op, 0.3, 2)
+    expected = np.stack([states[1] @ w[:, 0], states[2] @ w[:, 1]], axis=1)
+    assert out.shape == (6, 2 + 3)
+    assert np.abs(out.data[:, :2] - expected).max() < 1e-12
+    weight = ad.Value(rng_arrays((6, 5), seed=10)[0])
     check_gradients(
-        lambda s, v: ad.frobenius_sq(ad.hadamard(ad.column_dots(s, v, first=1), weight)),
-        np.vstack([s0, s1, s2]), w,
+        lambda p, v: ad.frobenius_sq(
+            ad.hadamard(ad.position_refinement(p, op, 0.3, 2, v, first=1), weight)
+        ),
+        p0, w,
     )
-    # The table does not depend on the memory layout of w.
-    fortran = ad.column_dots(ad.Value(np.vstack([s0, s1, s2])), ad.Value(np.asfortranarray(w)), 1)
+    # The readout does not depend on the memory layout of w.
+    fortran = ad.position_refinement(ad.Value(p0), op, 0.3, 2, ad.Value(np.asfortranarray(w)), 1)
     assert np.array_equal(fortran.data, out.data)
 
 
@@ -337,6 +392,21 @@ def test_dropout_train_scales_surviving_entries():
     kept = out != 0.0
     assert np.allclose(out[kept], 1.0 / 0.75)
     assert 0.6 < kept.mean() < 0.9  # ~75% keep rate
+
+
+def test_dropout_keeps_a_boolean_mask_on_the_tape():
+    x = ad.Value(np.ones((500, 400)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.dropout(x, 0.5, train=True, rng=ad.make_rng(3))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # The output (8 bytes an entry) and a 1-byte mask; a float64 mask would double it.
+    assert held < 1.25 * x.data.nbytes, held
+    ad.backward(ad.frobenius_sq(out))
+    assert np.array_equal(x.grad, 2 * out.data * (out.data != 0) / 0.5)
 
 
 def test_dropout_probability_validation():

@@ -255,11 +255,12 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone, mode):
         return None if params.w_ipe is None else Value(params.w_ipe.data.copy(), requires_grad=True)
 
     p0, w_fused = Value(p0_data.copy(), requires_grad=True), fresh_w_ipe()
-    states = ad.position_refinement(p0, a_hat, cfg.eta1, cfg.K, w_fused, eta2)
-    n = g.num_nodes
+    gate_w = Value(params.gate_w.data.copy(), requires_grad=True)
+    gates = gate_w.shape[1]
+    refined = ad.position_refinement(p0, a_hat, cfg.eta1, cfg.K, gate_w, first, w_fused, eta2)
     fused = (
-        node_theta(states, params.gate_w, params.gate_b, cfg.sigma_p, first),
-        ad.row_block(states, cfg.K * n, (cfg.K + 1) * n),
+        node_theta(ad.column_slice(refined, 0, gates), params.gate_b, cfg.sigma_p),
+        ad.column_slice(refined, gates, refined.shape[1]),
     )
     fused_loss = ad.add(ad.frobenius_sq(ad.hadamard(fused[0], weight)), orth_penalty(fused[1]))
     ad.backward(fused_loss)
@@ -268,10 +269,11 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone, mode):
     p_list = [q0]
     for _ in range(cfg.K):
         p_list.append(ipe_step(p_list[-1], q0, a_hat, w_loop, cfg.eta1, eta2))
+    gate_cols = [Value(params.gate_w.data[:, [j]].copy(), requires_grad=True) for j in range(gates)]
     columns = [
-        node_theta(p_list[first + j], Value(params.gate_w.data[:, [j]]),
+        node_theta(ad.matmul(p_list[first + j], gate_cols[j]),
                    Value(params.gate_b.data[:, [j]]), cfg.sigma_p)
-        for j in range(params.gate_w.shape[1])
+        for j in range(gates)
     ]
     ref_loss = orth_penalty(p_list[-1])
     for j, column in enumerate(columns):
@@ -279,11 +281,12 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone, mode):
         ref_loss = ad.add(ref_loss, term)
     ad.backward(ref_loss)
 
-    assert np.array_equal(states.data, np.vstack([p.data for p in p_list]))
     assert np.array_equal(fused[0].data, np.hstack([c.data for c in columns]))
     assert np.array_equal(fused[1].data, p_list[-1].data)
     assert abs(fused_loss.data[0, 0] - ref_loss.data[0, 0]) < 1e-12
     assert np.abs(p0.grad - q0.grad).max() < 1e-12 * max(1.0, np.abs(q0.grad).max())
+    loop_gate_w = np.hstack([c.grad for c in gate_cols])
+    assert np.abs(gate_w.grad - loop_gate_w).max() < 1e-12 * max(1.0, np.abs(loop_gate_w).max())
     if mode == "I":
         scale = max(1.0, np.abs(w_loop.grad).max())
         assert np.abs(w_fused.grad - w_loop.grad).max() < 1e-12 * scale
@@ -327,12 +330,19 @@ def test_ipe_step_similarity_term_matches_definition(c3):
     assert np.allclose(out.data, np.tanh(eta1 * anchor + (1 - eta1) * mix))
 
 
+def gate_table(p: Value, w: Value, b: Value, sigma_p: str) -> Value:
+    """node_theta on the gate readout of one state (K = 0), as forward applies it."""
+    op = SparseOperator(sparse.csr_array(np.eye(p.shape[0])))
+    readout = ad.position_refinement(p, op, 0.3, 0, w)
+    return node_theta(ad.column_slice(readout, 0, w.shape[1]), b, sigma_p)
+
+
 def test_node_theta_zero_parameters_hit_codomain_centers():
     p = Value(np.random.default_rng(0).standard_normal((4, 3)))
     w = Value(np.zeros((3, 1)))
     b = Value(np.zeros((1, 1)))
-    assert np.all(node_theta(p, w, b, "Sigmoid").data == 0.5)
-    assert np.all(node_theta(p, w, b, "Tanh").data == 0.0)
+    assert np.all(gate_table(p, w, b, "Sigmoid").data == 0.5)
+    assert np.all(gate_table(p, w, b, "Tanh").data == 0.0)
 
 
 def test_node_theta_depends_only_on_position_row():
@@ -340,7 +350,7 @@ def test_node_theta_depends_only_on_position_row():
     rng = np.random.default_rng(1)
     w = Value(rng.standard_normal((2, 1)))
     b = Value(rng.standard_normal((1, 1)))
-    theta = node_theta(p, w, b, "Tanh").data
+    theta = gate_table(p, w, b, "Tanh").data
     assert theta[0, 0] == theta[2, 0]
     assert theta[0, 0] != theta[1, 0]
 
@@ -541,21 +551,22 @@ def test_forward_positional_holds_only_the_final_state(monkeypatch):
     n = g.num_nodes
     cfg = config(mode="R", lambda_orth=0.1, dropout_p=0.3)
     a_hat, positional, params = build_model(g, cfg, seed=19)
-    stacked = []
+    readouts = []
     real = ad.position_refinement
 
     def spy(*args, **kwargs):
-        stacked.append(real(*args, **kwargs))
-        return stacked[-1]
+        readouts.append(real(*args, **kwargs))
+        return readouts[-1]
 
     monkeypatch.setattr(ad, "position_refinement", spy)
     train = forward(a_hat, g.features, positional, params, cfg, train=True, rng=make_rng(2))
     with ad.no_grad():
         evaluated = forward(a_hat, g.features, positional, params, cfg)
-    # A view would keep all K + 1 stacked states alive for as long as the result.
-    for result, states in zip((train, evaluated), stacked):
-        assert np.array_equal(result.positional.data, states.data[cfg.K * n :])
-        assert not np.shares_memory(result.positional.data, states.data)
+    # A view would keep the gate readout alive for as long as the result.
+    for result, readout in zip((train, evaluated), readouts):
+        assert readout.shape == (n, cfg.K + 1 + cfg.d)
+        assert np.array_equal(result.positional.data, readout.data[:, cfg.K + 1 :])
+        assert not np.shares_memory(result.positional.data, readout.data)
 
 
 def test_forward_ablation_reads_free_weight_table():
