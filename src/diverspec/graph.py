@@ -7,6 +7,7 @@ filtering, homophily diagnostics) works off this one representation.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +17,7 @@ from scipy import sparse
 
 from .errors import DataError
 
-_REACH_BLOCK = 512  # identity columns a blockwise sweep holds densely at once
+_REACH_BLOCK = 512  # identity columns the reach sweep holds densely at once
 _EDGE_CHUNK = 1024  # canonical edges induced_edge_sums gathers per contraction
 
 
@@ -223,15 +224,38 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, induced
 
 
-def identity_blocks(n: int, dtype: type = np.float64) -> Iterator[tuple[slice, np.ndarray]]:
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the CPU count.
+
+    It bounds the threads of the RWPE sweep and the processes of the
+    training grid; neither count changes any result.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_RWPE_BLOCK = 32  # identity columns one RWPE thread holds densely at once
+
+
+def identity_blocks(
+    n: int, dtype: type = np.float64, width: int = _REACH_BLOCK, join_lone: bool = False
+) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(nodes, block)`` with ``block`` the dense (N, b) identity columns ``nodes``.
 
-    The slices tile ``0..n-1`` in order, ``_REACH_BLOCK`` columns at a time,
-    so a sweep over them holds O(N * block) entries of ``dtype``, not N^2.
+    The slices tile ``0..n-1`` in order, ``width`` columns at a time, so a
+    sweep over them holds O(N * width) entries of ``dtype``, not N^2. With
+    ``join_lone`` a lone last column joins the block before it, so only a
+    one-node graph has a one-column block. The RWPE sweep of
+    :func:`~diverspec.model.init_positional` hands these blocks to up to
+    :func:`usable_cpus` threads and gets the same bytes for any count; the
+    reach sweep of :func:`induced_edge_sums` runs on the calling thread.
     """
-    for start in range(0, n, _REACH_BLOCK):
-        width = min(_REACH_BLOCK, n - start)
-        yield slice(start, start + width), np.eye(n, width, -start, dtype=dtype)
+    starts = list(range(0, n, width))
+    if join_lone and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        yield slice(start, stop), np.eye(n, stop - start, -start, dtype=dtype)
 
 
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

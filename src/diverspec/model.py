@@ -16,6 +16,7 @@ regularizes positional columns toward orthogonality.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Value
 from .domains import check_domains
 from .errors import ConfigError, UsageError
-from .graph import SparseOperator, identity_blocks
+from .graph import _RWPE_BLOCK, SparseOperator, identity_blocks, usable_cpus
 from .polynomials import Bernstein, BasisKind, Jacobi, Monomial
 from .spectral import SpectralDecomposition
 
@@ -199,6 +200,16 @@ def init_positional(
     ceil(f_p / 2) sparse-times-dense products and holds two (N, block)
     arrays, so memory is O(N * block) rather than the N^2 fill-in of
     explicit matrix powers.
+
+    The blocks are ``_RWPE_BLOCK`` columns wide. This thread and up to
+    ``usable_cpus() - 1`` helper threads each claim one block at a time and
+    write only its rows, and the sparse products and column sums run outside
+    the GIL. Each thread holds O(N * _RWPE_BLOCK) floats. A lone last column
+    joins the block before it, since numpy sums a single column in another
+    order than a wider block's; so every entry is the row-order sum of its
+    column, and the bytes do not depend on the thread count or block width.
+    Every helper has joined when this returns or raises, and the first
+    error of any thread is raised here.
     """
     n = a_hat.shape[0]
     if config.f_p > n:
@@ -216,14 +227,40 @@ def init_positional(
         return decomposition.eigenvectors[:, start : start + config.f_p].copy()
 
     positional = np.empty((n, config.f_p))
-    for nodes, low in identity_blocks(n):
-        high = a_hat.dot(low)  # Q_0 = E and Q_1
-        for m in range(1, config.f_p + 1):
-            if m % 2 == 0:
-                low = high  # Q_{m/2} twice
-            elif m > 1:
-                high = a_hat.dot(low)  # Q_{(m-1)/2} and Q_{(m+1)/2}
-            positional[nodes, m - 1] = np.einsum("ij,ij->j", low, high)
+    blocks = identity_blocks(n, width=_RWPE_BLOCK, join_lone=True)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def claim() -> tuple[slice, np.ndarray] | None:
+        with lock:
+            return None if failures else next(blocks, None)
+
+    def sweep() -> None:
+        try:
+            for nodes, low in iter(claim, None):
+                high = a_hat.dot(low)  # Q_0 = E and Q_1
+                for m in range(1, config.f_p + 1):
+                    if m % 2 == 0:
+                        low = high  # Q_{m/2} twice
+                    elif m > 1:
+                        high = a_hat.dot(low)  # Q_{(m-1)/2} and Q_{(m+1)/2}
+                    positional[nodes, m - 1] = np.einsum("ij,ij->j", low, high)
+        except BaseException as exc:  # raised below; an interrupt stops the helpers too
+            with lock:
+                failures.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(-(-n // _RWPE_BLOCK), usable_cpus()) - 1):
+            helper = threading.Thread(target=sweep, name="rwpe")
+            helper.start()
+            helpers.append(helper)
+        sweep()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     return positional
 
 

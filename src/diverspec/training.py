@@ -19,7 +19,7 @@ from scipy import sparse
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .domains import check_domains
 from .errors import DataError, NumericalError
-from .graph import Graph, SparseOperator, normalized_operators
+from .graph import Graph, SparseOperator, normalized_operators, usable_cpus
 from .model import (
     DsfConfig,
     DsfParams,
@@ -124,7 +124,9 @@ def graph_inputs(graph: Graph, config: DsfConfig, homogeneous: bool = False) -> 
     symmetric) when at most ``SPARSE_FEATURE_DENSITY`` of its entries are
     nonzero, and the dense array otherwise. ``positional`` is ``None`` for
     the baseline and the ablation; the dense eigendecomposition is built
-    only for gated LapPE and dropped after use.
+    only for gated LapPE and dropped after use. RWPE is swept on up to
+    ``usable_cpus()`` threads, all joined before this returns, so
+    :func:`run_grid` may still fork; its bytes do not depend on the count.
     Equal positional rows (RWPE on a cycle, complete graph or hypercube) are
     legal: the orthogonality penalty counts each flat column as 1.
     """
@@ -248,13 +250,6 @@ class GridResult:
     ci95: float
     cells: list[dict]
     last_run: RunResult
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run_grid(

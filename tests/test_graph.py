@@ -13,7 +13,7 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
-from diverspec.graph import _REACH_BLOCK, identity_blocks
+from diverspec.graph import _REACH_BLOCK, _RWPE_BLOCK, identity_blocks
 from tests.conftest import toy_graph
 
 
@@ -156,6 +156,23 @@ def test_build_graph_adopts_a_read_only_array_it_can_own():
     features.flags.writeable = False
     g = build_graph([(0, 1)], 3, features, np.array([0, 1, 0]), 2)
     assert g.features is features
+
+
+W = _RWPE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "n, widths",
+    [(1, [1]), (2, [2]), (W, [W]), (W + 1, [W + 1])]
+    + [(2 * W + 1, [W, W + 1]), (2 * W + 2, [W, W, 2])],
+)
+def test_identity_blocks_join_a_lone_last_column(n, widths):
+    blocks = list(identity_blocks(n, width=W, join_lone=True))
+    assert [block.shape[1] for _, block in blocks] == widths
+    assert [nodes.stop - nodes.start for nodes, _ in blocks] == widths
+    np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), np.eye(n))
+    plain = [block.shape[1] for _, block in identity_blocks(n, width=W)]
+    assert plain == widths or plain == [*widths[:-1], W, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2 * _REACH_BLOCK - 1, 2 * _REACH_BLOCK, 2 * _REACH_BLOCK + 1])

@@ -26,7 +26,7 @@ from diverspec import (
     train_once,
     two_block_graph,
 )
-from diverspec import training
+from diverspec import model, training
 from diverspec.errors import ConfigError, DataError, NumericalError, UsageError
 from diverspec.autodiff import make_rng
 from diverspec.model import accuracy, forward, init_params
@@ -438,6 +438,28 @@ def test_run_grid_results_do_not_depend_on_the_cpu_count(monkeypatch):
             assert np.array_equal(grid.last_run.params[name], value)
         assert np.array_equal(grid.last_run.betas, serial.last_run.betas)
         assert grid.last_run.val_history == serial.last_run.val_history
+
+
+def test_run_grid_forks_after_a_threaded_rwpe_build(monkeypatch):
+    # RWPE runs on helper threads in the calling process; they are all joined
+    # before the grid decides whether it may fork.
+    g = random_graph(3 * model._RWPE_BLOCK, 0.05, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    started = []
+
+    class LoggingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", LoggingThread)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    forks = counting_forks(monkeypatch)
+    grid = run_grid(g, small_config(), TrainConfig(epochs=2, patience=2), 1, splits, 5)
+    assert started == ["rwpe"] and len(forks) == 1
+    assert len(grid.cells) == 2
+    assert not multiprocessing.active_children()
 
 
 def test_run_grid_trains_the_last_cell_in_the_calling_process(monkeypatch, tmp_path):
