@@ -14,6 +14,7 @@ atomically (temporary file + rename in the target directory).
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import itertools
 import json
@@ -70,6 +71,9 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give; mkstemp's is 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,30 +87,22 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, itertools.chain(chunks, ["\n"]))
 
 
-# Floats per C-encoder call in the checkpoint: large enough to amortize the
-# call, small enough that no tensor's text exists as one string.
-_CHECKPOINT_CHUNK = 4096
-
-
 def _checkpoint_chunks(config_hash: str, params: dict[str, np.ndarray]) -> Iterator[str]:
-    """The checkpoint document as text chunks, one line per tensor.
+    """The JSON checkpoint as text chunks, one line per tensor, in name order.
 
-    The keys, values and layout are those of ``_write_json`` on
-    ``{"config_hash": ..., "params": {name: {"data": [...], "shape": [...]}}}``,
-    only each tensor sits on one line. ``JSONEncoder(indent=2)`` never uses the
-    C encoder, so ``data`` is encoded without indent, slice by slice. NaN and
-    infinity are not JSON, so they raise ``ValueError``.
+    Each tensor is ``{"data": ..., "dtype": "<f8", "shape": [...]}``, with ``data``
+    the base64 of its row-major little-endian float64 bytes, so every value is
+    exact. NaN and infinity raise ``ValueError``, as in every JSON output.
     """
-    encode = json.JSONEncoder(allow_nan=False).encode
+    encode = json.JSONEncoder().encode
     yield '{\n  "config_hash": ' + encode(config_hash) + ',\n  "params": {'
     for i, name in enumerate(sorted(params)):
-        arr = params[name]
-        flat = arr.ravel()
-        yield ("," if i else "") + "\n    " + encode(name) + ': {"data": ['
-        for start in range(0, flat.size, _CHECKPOINT_CHUNK):
-            piece = encode(flat[start:start + _CHECKPOINT_CHUNK].tolist())[1:-1]
-            yield (", " if start else "") + piece
-        yield '], "shape": ' + encode(list(arr.shape)) + "}"
+        arr = np.asarray(params[name], dtype="<f8", order="C")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter {name!r} holds a non-finite value")
+        yield ("," if i else "") + "\n    " + encode(name) + ': {"data": "'
+        yield base64.b64encode(arr.data).decode("ascii")
+        yield '", "dtype": "<f8", "shape": ' + encode(list(arr.shape)) + "}"
     yield "\n  }\n}\n"
 
 

@@ -9,6 +9,7 @@ to keep the suite fast.
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import dataclasses
 import io
@@ -99,6 +100,18 @@ def baseline_dir(dataset_dir, config_path, tmp_path_factory) -> Path:
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def decode_params(params: dict) -> dict[str, np.ndarray]:
+    """Every checkpoint tensor from its base64 float64 bytes, with the byte count checked."""
+    tensors = {}
+    for name, entry in params.items():
+        assert set(entry) == {"data", "dtype", "shape"}
+        assert entry["dtype"] == "<f8"
+        raw = base64.b64decode(entry["data"], validate=True)
+        assert len(raw) == 8 * int(np.prod(entry["shape"])), name
+        tensors[name] = np.frombuffer(raw, "<f8").reshape(entry["shape"])
+    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +285,8 @@ def test_train_checkpoint_holds_every_parameter(train_dir):
     params = checkpoint["params"]
     expected = {"w_in", "b_in", "w_pos", "b_pos", "gate_w", "gate_b", "gamma", "w_out", "b_out"}
     assert set(params) == expected
-    for entry in params.values():
-        assert len(entry["data"]) == int(np.prod(entry["shape"]))
+    tensors = decode_params(params)
+    assert all(np.isfinite(t).all() for t in tensors.values())
     assert params["gamma"]["shape"] == [1, 4]
     assert params["gate_w"]["shape"] == [8, 4]  # d x (K + 1)
     assert params["w_pos"]["shape"] == [4, 8]  # f_p -> d
@@ -300,10 +313,10 @@ def test_train_checkpoint_round_trips_exactly(dataset_dir, config_path, tmp_path
     text = (out / f"checkpoint-{variant}.json").read_text(encoding="utf-8")
     params = json.loads(text)["params"]
     assert set(params) == set(run.params)
+    stored = decode_params(params)
     for name, arr in run.params.items():
         assert params[name]["shape"] == list(arr.shape)
-        stored = np.array(params[name]["data"]).reshape(params[name]["shape"])
-        assert stored.dtype == arr.dtype and np.array_equal(stored, arr)
+        assert arr.dtype == np.float64 and stored[name].tobytes() == arr.tobytes()
     # One line per tensor, plus the opening and closing lines, not one per float.
     assert text.count("\n") == len(run.params) + 5
     # The weight table is the text of the per-value ``repr(float(x))`` formatter.
@@ -316,33 +329,47 @@ def test_train_checkpoint_round_trips_exactly(dataset_dir, config_path, tmp_path
 def test_checkpoint_loads_as_the_json_writer_output(tmp_path):
     rng = np.random.default_rng(0)
     params = {
-        "w": rng.standard_normal((3 * cli._CHECKPOINT_CHUNK + 5, 2)) * 1e-300,
-        "a": np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]]),
+        "w": rng.standard_normal((1000, 2)) * 1e-300,  # subnormals too
+        "a": np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308, -0.1]]),
         "empty": np.zeros((0, 4)),
+        "t": np.asfortranarray(rng.standard_normal((3, 5))),  # stored row-major all the same
     }
     cli._write_text(tmp_path / "new.json", cli._checkpoint_chunks("abc", params))
+    new = (tmp_path / "new.json").read_text(encoding="utf-8")
+    stored = decode_params(json.loads(new)["params"])
+    for name, arr in params.items():
+        assert stored[name].shape == arr.shape
+        assert stored[name].tobytes() == arr.tobytes(), name  # C order
+    # The keys, values and nesting are those of the JSON writer's document.
     _write_json(
         tmp_path / "old.json",
         {
             "config_hash": "abc",
             "params": {
-                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                name: {
+                    "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+                    "dtype": "<f8",
+                    "shape": list(arr.shape),
+                }
                 for name, arr in params.items()
             },
         },
     )
     old = (tmp_path / "old.json").read_text(encoding="utf-8")
-    new = (tmp_path / "new.json").read_text(encoding="utf-8")
     assert json.loads(new) == json.loads(old)
-    assert new.count("\n") == len(params) + 5
+    # One line per tensor, in name order, plus the opening and closing lines.
+    lines = new.splitlines()
+    assert len(lines) == len(params) + 5
+    assert [line.split('"')[1] for line in lines[3:-2]] == sorted(params)
 
 
 def test_checkpoint_with_a_nan_parameter_leaves_no_file(tmp_path):
-    # The NaN sits in the last tensor, after several chunks have been written.
-    params = {"a": np.ones((2 * cli._CHECKPOINT_CHUNK, 3)), "z": np.array([[1.0, np.nan]])}
-    with pytest.raises(ValueError):
-        cli._write_text(tmp_path / "checkpoint-dsf.json", cli._checkpoint_chunks("abc", params))
-    assert list(tmp_path.iterdir()) == []
+    # The bad value sits in the last tensor, after a large one has been written.
+    for bad in (np.nan, np.inf, -np.inf):
+        params = {"a": np.ones((8192, 3)), "z": np.array([[1.0, bad]])}
+        with pytest.raises(ValueError, match="'z'"):
+            cli._write_text(tmp_path / "checkpoint-dsf.json", cli._checkpoint_chunks("abc", params))
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_json_outputs_are_streamed_atomically(tmp_path):
@@ -355,6 +382,27 @@ def test_json_outputs_are_streamed_atomically(tmp_path):
         _write_json(path, {"a": [1.0] * 1000, "z": object()})
     assert json.loads(path.read_text(encoding="utf-8")) == obj
     assert [p.name for p in path.parent.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_take_the_umask(dataset_dir, config_path, tmp_path, umask, mode):
+    # The temp file behind each atomic write is created 0o600; the output is not.
+    run, ana, diag = tmp_path / "run", tmp_path / "ana", tmp_path / "diag"
+    previous = os.umask(umask)
+    try:
+        assert main([
+            "train", "--data", str(dataset_dir), "--config", str(config_path),
+            "--out", str(run), "--runs", "1", "--splits", "1", "--seed", "2",
+        ]) == 0
+        assert main(["analyze", "--run-dir", str(run), "--clusters", "2", "--out", str(ana)]) == 0
+        assert main(["diagnose", "--data", str(dataset_dir), "--out", str(diag)]) == 0
+    finally:
+        os.umask(previous)
+    outputs = [path for out in (run, ana, diag) for path in out.iterdir()]
+    assert len(outputs) == 3 + 3 + 8
+    assert {path.name: oct(path.stat().st_mode & 0o777) for path in outputs} == {
+        path.name: oct(mode) for path in outputs
+    }
 
 
 def test_train_beta_table_shape(train_dir):
@@ -375,7 +423,7 @@ def test_train_baseline_rows_are_shared(baseline_dir):
     params = json.loads((baseline_dir / "checkpoint-baseline.json").read_text())["params"]
     assert set(params) == {"w_in", "b_in", "w_out", "b_out", "gamma"}
     assert params["gamma"]["shape"] == [1, 4]
-    assert params["gamma"]["data"] == table[0].tolist()
+    assert decode_params(params)["gamma"][0].tobytes() == table[0].tobytes()
 
 
 def test_train_no_ipe_flips_the_ablation_switch(dataset_dir, config_path, tmp_path):
