@@ -20,6 +20,14 @@ stream does not take, or with any problem, is read again by a per-line
 checker, which gives the same arrays or raises the first problem in line
 order. No array is sized by a ``meta.json`` count
 before the files have proven it.
+
+:func:`load_dataset` is the one loader of ``train`` and ``analyze``. It is
+:func:`read_structure` (the directory, ``meta.json`` and ``edges.tsv``)
+followed by the node-table check. ``diagnose`` reads no feature, so it calls
+the halves itself: :func:`read_structure`, then :func:`read_labels`, which
+makes the same node-table check and keeps only the labels. With two usable
+CPUs it runs that check in a forked process; its error still wins over any
+later one.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import json
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -76,21 +84,26 @@ def _tab_lines(path: Path, layout: str) -> Iterator[tuple[int, str, list[str]]]:
             yield lineno, line, parts
 
 
-def load_dataset(directory: str | Path) -> Graph:
-    """Read a dataset directory into a :class:`Graph`.
+class DatasetMeta(NamedTuple):
+    """The checked counts of a dataset directory's ``meta.json``."""
 
-    Raises :class:`DataError` with the offending file and line for any
-    structural problem (missing files, bytes that are not UTF-8, bad field
-    counts, out-of-range ids or labels, feature-width mismatches, duplicate
-    or missing node rows). The graph's feature array is the parsed one,
-    read-only; nothing else holds it.
+    num_nodes: int
+    num_features: int
+    num_classes: int
+
+
+def read_structure(directory: str | Path) -> tuple[DatasetMeta, np.ndarray | list[tuple[int, int]]]:
+    """The ``meta.json`` counts and ``edges.tsv`` pairs of a dataset directory.
+
+    These are the first checks of :func:`load_dataset`, in its order: the
+    directory, all three files (``nodes.tsv`` must exist but is not read),
+    ``meta.json``, then ``edges.tsv``. :func:`read_labels` completes them.
     """
     directory = Path(directory)
     _require(directory.is_dir(), f"{directory} is not a directory")
     meta_path = directory / "meta.json"
     edges_path = directory / "edges.tsv"
-    nodes_path = directory / "nodes.tsv"
-    for path in (meta_path, edges_path, nodes_path):
+    for path in (meta_path, edges_path, directory / "nodes.tsv"):
         _require(path.is_file(), f"missing dataset file {path}")
 
     try:
@@ -107,17 +120,33 @@ def load_dataset(directory: str | Path) -> Graph:
             isinstance(meta[key], int) and not isinstance(meta[key], bool),
             f"{meta_path}: {key} must be an integer",
         )
-    n = meta["num_nodes"]
-    num_features = meta["num_features"]
-    num_classes = meta["num_classes"]
-    _require(n > 0, f"{meta_path}: num_nodes must be positive")
-    _require(num_features > 0, f"{meta_path}: num_features must be positive")
-    _require(num_classes > 0, f"{meta_path}: num_classes must be positive")
+    counts = DatasetMeta(*(meta[key] for key in META_KEYS[1:]))
+    for key, count in zip(META_KEYS[1:], counts):
+        _require(count > 0, f"{meta_path}: {key} must be positive")
+    return counts, _read_edges(edges_path, counts.num_nodes)
 
-    edges = _read_edges(edges_path, n)
-    features, labels = _read_nodes(nodes_path, n, num_features, num_classes)
+
+def read_labels(directory: str | Path, meta: DatasetMeta) -> np.ndarray:
+    """The labels of ``nodes.tsv``, after every check :func:`load_dataset` makes of it.
+
+    Every feature is parsed and checked, then dropped.
+    """
+    return _read_nodes(Path(directory) / "nodes.tsv", *meta)[1]
+
+
+def load_dataset(directory: str | Path) -> Graph:
+    """Read a dataset directory into a :class:`Graph`.
+
+    Raises :class:`DataError` with the offending file and line for any
+    structural problem (missing files, bytes that are not UTF-8, bad field
+    counts, out-of-range ids or labels, feature-width mismatches, duplicate
+    or missing node rows). The graph's feature array is the parsed one,
+    read-only; nothing else holds it.
+    """
+    meta, edges = read_structure(directory)
+    features, labels = _read_nodes(Path(directory) / "nodes.tsv", *meta)
     features.flags.writeable = False  # fresh and unshared: build_graph adopts it
-    return build_graph(edges, n, features, labels, num_classes)
+    return build_graph(edges, meta.num_nodes, features, labels, meta.num_classes)
 
 
 def _plain_lines(handle: BinaryIO, plain: bytes) -> Iterator[bytes]:

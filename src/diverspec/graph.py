@@ -7,7 +7,9 @@ filtering, homophily diagnostics) works off this one representation.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -228,11 +230,28 @@ def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, else the CPU count.
 
     It bounds the threads of the RWPE sweep and the processes of the
-    training grid; neither count changes any result.
+    training grid; with more than one, ``diagnose`` checks its node table
+    in a second process. No count changes any result.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def can_fork() -> bool:
+    """Whether this process may fork a worker safely.
+
+    The ``fork`` start method must exist, this process must not be daemonic
+    (a pool worker may not have children), and no other thread may run: a
+    fork copies only the calling thread, so a lock another thread holds would
+    stay locked in the child. The training grid and ``diagnose``'s node-table
+    check both ask it before they fork.
+    """
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+    )
 
 
 _RWPE_BLOCK = 32  # identity columns one RWPE thread holds densely at once

@@ -19,7 +19,7 @@ from scipy import sparse
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .domains import check_domains
 from .errors import DataError, NumericalError
-from .graph import Graph, SparseOperator, normalized_operators, usable_cpus
+from .graph import Graph, SparseOperator, can_fork, normalized_operators, usable_cpus
 from .model import (
     DsfConfig,
     DsfParams,
@@ -325,12 +325,7 @@ def _train_in_processes(
     so every cell below the first failing one has trained when the error is
     raised. Every worker has exited on return or raise.
     """
-    can_fork = (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon  # a pool worker may not fork
-        and threading.active_count() == 1  # a fork keeps locks other threads hold, locked
-    )
-    processes = min(count, usable_cpus()) if can_fork else 1
+    processes = min(count, usable_cpus()) if can_fork() else 1
     context = multiprocessing.get_context("fork") if processes > 1 else None
     last = count - 1
     next_cell = multiprocessing.RawValue("i", 0)  # memory that forked workers share

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 from pathlib import Path
 
@@ -53,6 +54,20 @@ def connected_random_graph(num_nodes: int, edge_prob: float, seed: int) -> Graph
     chain = np.stack([order[:-1], order[1:]], axis=1)
     edges = np.concatenate([base.edges, chain]) if base.edges.size else chain
     return build_graph(edges, num_nodes, base.features, base.labels, base.num_classes)
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to log each child pid; the list fills in this process."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 # Vertex-transitive graphs: every RWPE row is equal, so every positional

@@ -14,10 +14,13 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -37,7 +40,7 @@ from diverspec.graph import build_graph, edge_homophily, local_label_homophily
 from diverspec.model import DsfConfig
 from diverspec.training import TrainConfig
 
-from conftest import EQUAL_RWPE_ROWS, toy_graph
+from conftest import EQUAL_RWPE_ROWS, counting_forks, toy_graph
 
 CONFIG_TEXT = """\
 # model
@@ -202,8 +205,12 @@ def test_diagnose_unknown_band_exits_one_before_reading_data(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edges, extra, code",
-    [([], [], 2), ([(0, 1), (2, 3)], ["--dense-limit", "3"], 1)],
-    ids=["edgeless", "over-dense-limit"],
+    [
+        ([], [], 2),
+        ([(0, 1), (2, 3)], ["--dense-limit", "3"], 1),
+        ([], ["--dense-limit", "3"], 2),
+    ],
+    ids=["edgeless", "over-dense-limit", "edgeless-over-dense-limit"],
 )
 def test_diagnose_rejected_input_writes_nothing(tmp_path, capsys, edges, extra, code):
     data = tmp_path / "graph4"
@@ -220,35 +227,157 @@ def test_diagnose_missing_dataset_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_diagnose_holds_one_feature_table_at_most(tmp_path, capsys):
+def test_diagnose_outputs_do_not_depend_on_where_the_nodes_are_checked(tmp_path, monkeypatch):
+    # Two usable CPUs fork the node-table check, one runs it here first.
+    # 1100 nodes span three 512-node reach blocks.
+    data = tmp_path / "random1100"
+    save_dataset(random_graph(1100, 0.005, num_classes=4, num_features=3, seed=5), "r", data)
+    outputs = {}
+    forks = counting_forks(monkeypatch)
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["diagnose", "--data", str(data), "--out", str(out)]) == 0
+        outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(forks) == 1 and not multiprocessing.active_children()
+    assert len(outputs[1]) == 8
+    assert outputs[2] == outputs[1]
+
+
+def corrupt_node_line(data: Path, edit) -> None:
+    """Replace line 3 of ``nodes.tsv`` (node 2) by ``edit(fields)``; ``None`` drops it."""
+    path = data / "nodes.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    edited = edit(lines[2].rstrip("\n").split("\t"))
+    lines[2] = "" if edited is None else "\t".join(edited) + "\n"
+    path.write_text("".join(lines), encoding="utf-8", newline="\n")
+
+
+def bad_feature(fields: list[str]) -> list[str]:
+    return [fields[0], fields[1], "x" + fields[2][fields[2].index(","):]]
+
+
+BAD_NODE_LINES = {
+    "non-numeric-feature": (bad_feature, " line 3: features must be decimal numbers"),
+    "duplicate-id": (lambda f: ["1", *f[1:]], " line 3: duplicate id 1"),
+    "label-out-of-range": (lambda f: [f[0], "2", f[2]], " line 3: label 2 outside [0, 2)"),
+    "missing-row": (lambda f: None, ": no row for node 2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NODE_LINES)
+def test_diagnose_bad_node_table_fails_alike_on_both_paths(
+    dataset_dir, tmp_path, monkeypatch, capsys, case
+):
+    edit, message = BAD_NODE_LINES[case]
+    data = tmp_path / "bad"
+    shutil.copytree(dataset_dir, data)
+    corrupt_node_line(data, edit)
+    results = []
+    forks = counting_forks(monkeypatch)
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"diag{cpus}"
+        code = main(["diagnose", "--data", str(data), "--out", str(out)])
+        results.append((code, capsys.readouterr().err))
+        assert not out.exists()
+        assert len(forks) == 1 and not multiprocessing.active_children()
+    assert results[0] == results[1] == (2, f"error: {data / 'nodes.tsv'}{message}\n")
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
+@pytest.mark.parametrize(
+    "edges, extra",
+    [([(0, 1), (2, 3)], ["--dense-limit", "3"]), ([], [])],
+    ids=["over-dense-limit", "edgeless"],
+)
+def test_diagnose_bad_node_table_beats_later_rejections(
+    tmp_path, monkeypatch, capsys, edges, extra, cpus
+):
+    # Alone, these inputs exit 1 (over --dense-limit) or 2 (edgeless graph).
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    forks = counting_forks(monkeypatch)
+    data = tmp_path / "graph4"
+    save_dataset(toy_graph(edges, [0, 1, 0, 1]), "graph4", data)
+    corrupt_node_line(data, bad_feature)
+    out = tmp_path / "diag"
+    assert main(["diagnose", "--data", str(data), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / 'nodes.tsv'} line 3: features must be decimal numbers\n"
+    )
+    assert not out.exists()
+    assert len(forks) == (cpus == 2) and not multiprocessing.active_children()
+
+
+def test_diagnose_reports_a_node_check_that_dies(dataset_dir, tmp_path, monkeypatch):
+    caller = os.getpid()
+    real_read_labels = cli.read_labels
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return real_read_labels(*args)
+
+    monkeypatch.setattr(cli, "read_labels", dying)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    out = tmp_path / "diag"
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        main(["diagnose", "--data", str(dataset_dir), "--out", str(out)])
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_diagnose_beside_another_thread_checks_the_nodes_in_process(
+    dataset_dir, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("diagnose forked"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert main(["diagnose", "--data", str(dataset_dir), "--out", str(tmp_path / "d")]) == 0
+    finally:
+        release.set()
+        thread.join(60)
+
+
+def test_diagnose_holds_one_feature_table_at_most(tmp_path, capsys, monkeypatch):
     # Wide binary features, as in Chameleon, dwarf the dense L-hat (0.7 MB
-    # here). The loader's parsed table is the only copy, and diagnose
-    # releases it before the eigen stage: the peak reads about 1.04x
-    # features.nbytes, against 2.0x when build_graph copied the table and
-    # diagnose held it throughout.
+    # here). The loader's parsed table is the only copy, and it is gone
+    # before the eigen stage: checked in this process (one usable CPU), the
+    # peak reads about 1.04x features.nbytes, against 2.0x when build_graph
+    # copied the table and diagnose held it throughout. Checked in a forked
+    # child, the table never enters this process.
     n = 300
     edges = random_graph(n, 0.02, seed=0).edges
     wide = (np.random.default_rng(0).random((n, 4000)) < 0.05).astype(np.float64)
     graph = build_graph(edges, n, wide, np.arange(n) % 3, 3)
     data = tmp_path / "wide"
     save_dataset(graph, "wide", data)
-    held = []
-
-    def eigendecompose(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return decompose(*args, **kwargs)
-
     decompose = cli.eigendecompose
-    tracemalloc.start()
-    try:
-        with mock.patch.object(cli, "eigendecompose", eigendecompose):
-            code = main(["diagnose", "--data", str(data), "--out", str(tmp_path / "diag")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0, capsys.readouterr().err
-    assert peak < 1.5 * graph.features.nbytes
-    assert held[0] < 0.5 * graph.features.nbytes  # the table is gone before the eigen stage
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+        held = []
+
+        def eigendecompose(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return decompose(*args, **kwargs)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(cli, "eigendecompose", eigendecompose):
+                code = main(["diagnose", "--data", str(data), "--out", str(tmp_path / str(cpus))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 1.5 * graph.features.nbytes
+        assert held[0] < 0.5 * graph.features.nbytes  # the table is gone before the eigen stage
+        if cpus == 2:  # the largest allocation left is the reach sweep's (1024, N) float64 chunk
+            assert peak < 0.4 * graph.features.nbytes
+        else:
+            assert peak > graph.features.nbytes  # the table was parsed here
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from diverspec.errors import ConfigError, DataError, NumericalError, UsageError
 from diverspec.autodiff import make_rng
 from diverspec.model import accuracy, forward, init_params
 from diverspec.datasets import random_graph
-from tests.conftest import EQUAL_RWPE_ROWS, toy_graph
+from tests.conftest import EQUAL_RWPE_ROWS, counting_forks, toy_graph
 from tests.test_induced_edges import small_graphs
 
 
@@ -400,20 +400,6 @@ def test_usable_cpus_follows_the_affinity_set(monkeypatch):
     assert training.usable_cpus() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert training.usable_cpus() == 5
-
-
-def counting_forks(monkeypatch) -> list[int]:
-    """Patch ``os.fork`` to log each child pid; the list fills in this process."""
-    forks, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
 
 
 def test_run_grid_results_do_not_depend_on_the_cpu_count(monkeypatch):
