@@ -19,12 +19,11 @@ import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import re
 import sys
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .config import config_hash, load_config, resolved_dict
 from .datasets import load_dataset, read_labels, read_structure
 from .domains import DOMAINS, check_domains
 from .errors import DataError, DiverspecError, NumericalError, UsageError
-from .graph import build_graph, can_fork, edge_homophily, normalized_operators, usable_cpus
+from .graph import beside, build_graph, can_fork, edge_homophily, normalized_operators, usable_cpus
 from .model import DsfConfig, direct_table
 from .polynomials import Bernstein, Jacobi, Monomial, filter_response, rescale_coefficients
 from .spectral import HISTOGRAM_BANDS, band_eigen_index, eigendecompose, local_histograms
@@ -116,68 +115,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_beside(check: Callable[[], object], work: Callable[[], object]) -> tuple:
-    """``(check(), work())``, with ``check`` in a forked child while ``work`` runs here.
-
-    The child sends back only ``check``'s result or its exception. An error
-    of ``check`` is raised in place of any error of ``work``, so the outcome
-    is that of running ``check`` first, and that is what happens on one
-    usable CPU or where forking is unsafe. The child has exited on every
-    return and raise.
-    """
-    if usable_cpus() < 2 or not can_fork():
-        checked = check()
-        return checked, work()
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_send_outcome, args=(check, sender), daemon=True)
-    child.start()
-    sender.close()  # the child holds the only write end: its exit ends recv
-    try:
-        try:
-            done, failure = work(), None
-        except Exception as exc:
-            done, failure = None, exc
-        try:
-            checked, check_failure = receiver.recv()
-        except EOFError:
-            child.join()
-            raise RuntimeError(
-                f"the node-table check exited with code {child.exitcode} before its verdict"
-            ) from None
-    finally:
-        if child.is_alive():  # only when this process is raising
-            child.terminate()
-        child.join()
-        child.close()
-        receiver.close()
-    if check_failure is not None:
-        raise check_failure
-    if failure is not None:
-        raise failure
-    return checked, done
-
-
-def _send_outcome(check: Callable[[], object], sender) -> None:  # the child's whole life
-    try:
-        outcome = check(), None
-    except Exception as exc:
-        outcome = None, exc
-    sender.send(outcome)
-
-
 def cmd_diagnose(args: argparse.Namespace) -> int:
     out = Path(args.out)
     bands = [b.strip() for b in args.bands.split(",") if b.strip()]
-    for band in bands:
+    for i, band in enumerate(bands):
         if band not in HISTOGRAM_BANDS:
             raise UsageError(f"unknown band {band!r}; choose from {','.join(HISTOGRAM_BANDS)}")
+        if band in bands[:i]:
+            raise UsageError(f"band {band!r} is given twice")
     meta, edges = read_structure(args.data)
     n = meta.num_nodes
     # No feature is read here. The node table gets load_dataset's full
-    # check, in a forked child while this process finds the band eigenpairs
-    # of L-hat, and only its labels come back. Its error wins over any below,
-    # so the command fails as if it were checked first (_check_beside).
+    # check, in a child that graph.beside forks while this process finds the
+    # band eigenpairs of L-hat; only its labels come back. Its error wins
+    # over any below, so the command fails as if it were checked first.
     structure = build_graph(edges, n, np.empty((n, 0)), np.zeros(n, np.int64), meta.num_classes)
 
     def band_pairs():
@@ -190,7 +141,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             indices=[band_eigen_index(n, band) for band in bands],
         )
 
-    labels, decomposition = _check_beside(lambda: read_labels(args.data, meta), band_pairs)
+    if usable_cpus() > 1 and can_fork():
+        decomposition, (labels,) = beside(band_pairs, lambda: read_labels(args.data, meta), 1)
+    else:
+        labels, decomposition = read_labels(args.data, meta), band_pairs()
     graph = build_graph(structure.edges, n, structure.features, labels, meta.num_classes)
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)
@@ -327,6 +281,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{metrics_path}: invalid JSON ({exc})") from exc
     try:
+        if not isinstance(metrics["config"], dict):
+            raise TypeError("not a JSON object")
         model_cfg = DsfConfig(
             **{k: v for k, v in metrics["config"].items() if k in DsfConfig.__dataclass_fields__}
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -229,9 +229,9 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, else the CPU count.
 
-    It bounds the threads of the RWPE sweep and the processes of the
-    training grid; with more than one, ``diagnose`` checks its node table
-    in a second process. No count changes any result.
+    It bounds the threads of the RWPE sweep and the processes the training
+    grid forks through :func:`beside`; with more than one, ``diagnose``
+    checks its node table there too. No count changes any result.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -245,13 +245,72 @@ def can_fork() -> bool:
     (a pool worker may not have children), and no other thread may run: a
     fork copies only the calling thread, so a lock another thread holds would
     stay locked in the child. The training grid and ``diagnose``'s node-table
-    check both ask it before they fork.
+    check both ask it before they call :func:`beside` with any children.
     """
     return (
         "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
         and threading.active_count() == 1
     )
+
+
+def beside(here: Callable[[], object], job: Callable[[], object], children: int) -> tuple:
+    """``(here(), [job(), ...])``: ``here`` runs while ``children`` forked processes run ``job``.
+
+    Each child sends back only ``job``'s result or its exception, and the
+    results come in fork order. A child's exception, the first in fork order,
+    is raised in place of any error of ``here``, and a child that exits
+    before sending raises ``RuntimeError`` with its exit code. Every child
+    has exited on return and raise; one still running when this process
+    raises is terminated. ``children=0`` forks nothing; otherwise the caller
+    has asked :func:`can_fork`.
+    """
+
+    def send(sender) -> None:  # a child's whole life
+        try:
+            outcome = job(), None
+        except Exception as exc:
+            outcome = None, exc
+        sender.send(outcome)
+
+    context = multiprocessing.get_context("fork") if children else None
+    receivers, processes = [], []
+    try:
+        for _ in range(children):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=send, args=(sender,), daemon=True)
+            process.start()
+            sender.close()  # the child holds the only write end: its exit ends recv
+            receivers.append(receiver)
+            processes.append(process)
+        try:
+            done, failure = here(), None
+        except Exception as exc:
+            done, failure = None, exc
+        results = []
+        for receiver, process in zip(receivers, processes):
+            try:
+                result, error = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"a forked child exited with code {process.exitcode} before sending its result"
+                ) from None
+            if error is not None:
+                raise error
+            results.append(result)
+            process.join()
+    finally:
+        for process in processes:
+            if process.is_alive():  # only when this process is raising
+                process.terminate()
+            process.join()
+            process.close()
+        for receiver in receivers:
+            receiver.close()
+    if failure is not None:
+        raise failure
+    return done, results
 
 
 _RWPE_BLOCK = 32  # identity columns one RWPE thread holds densely at once

@@ -19,7 +19,7 @@ from scipy import sparse
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .domains import check_domains
 from .errors import DataError, NumericalError
-from .graph import Graph, SparseOperator, can_fork, normalized_operators, usable_cpus
+from .graph import Graph, SparseOperator, beside, can_fork, normalized_operators, usable_cpus
 from .model import (
     DsfConfig,
     DsfParams,
@@ -268,17 +268,18 @@ def run_grid(
     by :func:`graph_inputs`, and shared by every cell.
 
     The cells train in up to ``min(cells, usable_cpus())`` processes: this
-    one and workers forked after the graph inputs are built, which inherit
-    them. Every grid goes through the same claim loop: this process trains
-    the last cell first, so ``last_run`` never crosses a pipe, and then every
-    process claims the lowest unclaimed cell; workers send back only the
-    cell records. Each process holds one cell's tape at a time, so total RSS
-    grows by up to that many tapes. Results do not depend on the number of
-    processes. Nothing is forked with one cell, one usable CPU
-    (``taskset -c 0``), no ``fork`` start method, in a daemonic process or
-    beside other threads. A failing cell stops the grid, and the error
-    raised is that of the first failing cell in (run, split) order; in one
-    process it is raised after the last cell, which trains first. If this
+    one and workers that :func:`~diverspec.graph.beside` forks after the
+    graph inputs are built, which inherit them. Every grid goes through the
+    same claim loop: this process trains the last cell first, so ``last_run``
+    never crosses a pipe, and then every process claims the lowest unclaimed
+    cell; workers send back only the cell records. Each process holds one
+    cell's tape at a time, so total RSS grows by up to that many tapes.
+    Results do not depend on the number of processes. Nothing is forked with
+    one cell, one usable CPU (``taskset -c 0``), no ``fork`` start method, in
+    a daemonic process or beside other threads. A failing cell stops the
+    grid, and the error raised is that of the first failing cell in (run,
+    split) order; in one process it is raised after the last cell, which
+    trains first. A worker that dies raises ``RuntimeError``. If this
     process is killed outright, each worker stops after its current cell.
     """
     check_domains({"runs": runs})
@@ -318,18 +319,18 @@ def _train_in_processes(
 ) -> tuple[list[dict], RunResult]:
     """Cell records in index order and the last cell's result.
 
-    Up to ``min(count, usable_cpus()) - 1`` workers are forked before any
-    cell trains, and none where forking is unsafe. This process trains the
-    last cell first; then every process claims the lowest unclaimed cell
-    from a shared counter until none is left. A failure empties the counter,
-    so every cell below the first failing one has trained when the error is
-    raised. Every worker has exited on return or raise.
+    Up to ``min(count, usable_cpus()) - 1`` workers are forked by
+    :func:`~diverspec.graph.beside` before any cell trains, and none where
+    forking is unsafe. This process trains the last cell first; then every
+    process claims the lowest unclaimed cell from a shared counter until none
+    is left, and the workers send back their cell records. A failure empties
+    the counter, so every cell below the first failing one has trained when
+    the error is raised. Every worker has exited on return or raise.
     """
     processes = min(count, usable_cpus()) if can_fork() else 1
-    context = multiprocessing.get_context("fork") if processes > 1 else None
     last = count - 1
     next_cell = multiprocessing.RawValue("i", 0)  # memory that forked workers share
-    lock = context.Lock() if context else threading.Lock()
+    lock = multiprocessing.get_context("fork").Lock() if processes > 1 else threading.Lock()
     caller = os.getpid()
 
     def claim() -> int | None:
@@ -350,41 +351,17 @@ def _train_in_processes(
                     next_cell.value = last
         return outcomes
 
-    def work(sender) -> None:  # a worker's whole life
-        sender.send(train_claimed({}))
-
-    receivers, workers = [], []
-    try:
-        for _ in range(processes - 1):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=work, args=(sender,), daemon=True)
-            worker.start()
-            sender.close()  # the worker holds the only write end: its exit ends recv
-            receivers.append(receiver)
-            workers.append(worker)
+    def train_here() -> tuple[dict, RunResult | None]:
         try:
             record, last_run = train_cell(last)
             outcomes = {last: record}
         except Exception as exc:
-            outcomes = {last: exc}
-        train_claimed(outcomes)
-        for receiver, worker in zip(receivers, workers):
-            try:
-                outcomes.update(receiver.recv())
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"a grid worker exited with code {worker.exitcode} before sending its cells"
-                ) from None
-            worker.join()
-    finally:
-        for worker in workers:
-            if worker.is_alive():  # only when this process is raising
-                worker.terminate()
-            worker.join()
-            worker.close()
-        for receiver in receivers:
-            receiver.close()
+            outcomes, last_run = {last: exc}, None
+        return train_claimed(outcomes), last_run
+
+    (outcomes, last_run), sent = beside(train_here, lambda: train_claimed({}), processes - 1)
+    for worker_cells in sent:
+        outcomes.update(worker_cells)
     cells = []
     for index in range(count):
         if isinstance(outcomes[index], Exception):

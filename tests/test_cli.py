@@ -195,12 +195,15 @@ def test_diagnose_negative_k_hops_is_a_usage_error(tmp_path, capsys):
 
 def test_diagnose_unknown_band_exits_one_before_reading_data(tmp_path, capsys):
     out = tmp_path / "diag"
-    code = main([
-        "diagnose", "--data", str(tmp_path / "nowhere"), "--out", str(out), "--bands", "low,ultra",
-    ])
-    assert code == 1
-    assert "unknown band" in capsys.readouterr().err
-    assert not out.exists()
+    for bands, message in [
+        ("low,ultra", "unknown band"), ("low,mid,low", "band 'low' is given twice"),
+    ]:
+        code = main([
+            "diagnose", "--data", str(tmp_path / "nowhere"), "--out", str(out), "--bands", bands,
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -889,16 +892,30 @@ def test_analyze_grid_size_below_two_is_a_usage_error(train_dir, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("K", 0), ("jacobi_a", float("nan"))])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("K", 0),
+        ("jacobi_a", float("nan")),
+        pytest.param(None, [1], id="config-list"),
+        pytest.param(None, 5, id="config-int"),
+        pytest.param(None, "x", id="config-str"),
+        pytest.param(None, None, id="config-null"),
+    ],
+)
 def test_analyze_embedded_config_out_of_its_domain_is_a_data_error(
     train_dir, tmp_path, capsys, key, value
 ):
+    # key None replaces the whole config with a value that is not a JSON object.
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     for name in ("metrics-dsf.json", "beta-dsf.csv"):
         (run_dir / name).write_bytes((train_dir / name).read_bytes())
     metrics = json.loads((run_dir / "metrics-dsf.json").read_text(encoding="utf-8"))
-    metrics["config"][key] = value
+    if key is None:
+        metrics["config"] = value
+    else:
+        metrics["config"][key] = value
     (run_dir / "metrics-dsf.json").write_text(json.dumps(metrics), encoding="utf-8")
     assert main(["analyze", "--run-dir", str(run_dir), "--out", str(tmp_path / "ana")]) == 2
     assert "metrics-dsf.json: unusable embedded config" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
-from diverspec.graph import _REACH_BLOCK, _RWPE_BLOCK, identity_blocks
-from tests.conftest import toy_graph
+from diverspec.graph import _REACH_BLOCK, _RWPE_BLOCK, beside, identity_blocks
+from tests.conftest import counting_forks, toy_graph
 
 
 def test_build_graph_canonicalizes_edges():
@@ -187,3 +190,46 @@ def test_identity_blocks_tile_the_identity_once(n):
     assert [nodes for nodes, _ in narrow] == [nodes for nodes, _ in blocks]
     assert all(block.dtype == np.float32 for _, block in narrow)
     np.testing.assert_array_equal(np.hstack([block for _, block in narrow]), np.eye(n))
+
+
+def test_beside_returns_the_children_results_in_fork_order(monkeypatch):
+    forks = counting_forks(monkeypatch)
+    assert beside(lambda: "here", os.getpid, 2) == ("here", forks)
+    assert len(forks) == 2
+    assert not multiprocessing.active_children()
+
+
+def test_beside_raises_the_first_childs_error_in_place_of_its_own(monkeypatch):
+    forks = counting_forks(monkeypatch)
+
+    def job():
+        raise ValueError(f"child {os.getpid()}")
+
+    def here():
+        raise KeyError("here")
+
+    with pytest.raises(ValueError) as raised:
+        beside(here, job, 2)
+    assert str(raised.value) == f"child {forks[0]}"
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("dies", [0, 1])
+def test_beside_reports_a_child_that_exits_before_sending(monkeypatch, dies):
+    forks = counting_forks(monkeypatch)  # a child's copy lists the children forked before it
+
+    def job():
+        if len(forks) == dies:
+            os._exit(7)
+        return 1
+
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        beside(lambda: 0, job, 2)
+    assert len(forks) == 2
+    assert not multiprocessing.active_children()
+
+
+def test_beside_with_no_children_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("beside forked"))
+    assert beside(lambda: 3, lambda: pytest.fail("job ran"), 0) == (3, [])
+    assert not multiprocessing.active_children()
