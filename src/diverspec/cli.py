@@ -126,9 +126,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     meta, edges = read_structure(args.data)
     n = meta.num_nodes
     # No feature is read here. The node table gets load_dataset's full
-    # check, in a child that graph.beside forks while this process finds the
-    # band eigenpairs of L-hat; only its labels come back. Its error wins
-    # over any below, so the command fails as if it were checked first.
+    # check in a child that graph.beside forks while this process finds the
+    # band eigenpairs of L-hat, or here before them; only its labels come
+    # back. Its error wins over any below, as if it were checked first.
     structure = build_graph(edges, n, np.empty((n, 0)), np.zeros(n, np.int64), meta.num_classes)
 
     def band_pairs():
@@ -141,10 +141,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             indices=[band_eigen_index(n, band) for band in bands],
         )
 
-    if usable_cpus() > 1 and can_fork():
-        decomposition, (labels,) = beside(band_pairs, lambda: read_labels(args.data, meta), 1)
-    else:
-        labels, decomposition = read_labels(args.data, meta), band_pairs()
+    children = 1 if usable_cpus() > 1 and can_fork() else 0
+    decomposition, (labels,) = beside(band_pairs, lambda: read_labels(args.data, meta), children)
     graph = build_graph(structure.edges, n, structure.features, labels, meta.num_classes)
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)
@@ -241,14 +239,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_beta_csv(path: Path) -> np.ndarray:
-    """The (N, K+1) weight table of ``train``: finite weights, node ids 0..N-1 in order."""
+def _load_beta_csv(path: Path, width: int) -> np.ndarray:
+    """The (N, width) weight table of ``train``: finite weights, node ids 0..N-1 in order."""
     if not path.is_file():
         raise DataError(f"missing weight table {path}")
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
         if header[:1] != ["node_id"] or len(header) < 2:
             raise DataError(f"{path} line 1: expected header node_id,beta_0,...")
+        if len(header) != width + 1:
+            raise DataError(f"{path} has {len(header) - 1} weight columns, not K + 1 = {width}")
         rows = []
         for lineno, raw in enumerate(handle, start=2):
             line = raw.rstrip("\n")
@@ -289,7 +289,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, UsageError) as exc:  # UsageError: a value out of its domain
         raise DataError(f"{metrics_path}: unusable embedded config ({exc})") from exc
 
-    weights = _load_beta_csv(run_dir / f"beta-{args.variant}.csv")
+    weights = _load_beta_csv(run_dir / f"beta-{args.variant}.csv", model_cfg.K + 1)
     clustering = cluster_weights(weights, k=args.clusters, seed=args.seed)
     grid = np.linspace(0.0, 2.0, args.grid_size)
     curves = centroid_curves(clustering.centroids, model_cfg.basis(), grid)

@@ -262,9 +262,13 @@ def beside(here: Callable[[], object], job: Callable[[], object], children: int)
     is raised in place of any error of ``here``, and a child that exits
     before sending raises ``RuntimeError`` with its exit code. Every child
     has exited on return and raise; one still running when this process
-    raises is terminated. ``children=0`` forks nothing; otherwise the caller
-    has asked :func:`can_fork`.
+    raises is terminated. ``children=0`` forks nothing: ``job`` runs once in
+    this process first, and its error is raised before ``here`` starts.
+    Otherwise the caller has asked :func:`can_fork`.
     """
+    if not children:
+        sent = [job()]
+        return here(), sent
 
     def send(sender) -> None:  # a child's whole life
         try:
@@ -273,7 +277,7 @@ def beside(here: Callable[[], object], job: Callable[[], object], children: int)
             outcome = None, exc
         sender.send(outcome)
 
-    context = multiprocessing.get_context("fork") if children else None
+    context = multiprocessing.get_context("fork")
     receivers, processes = [], []
     try:
         for _ in range(children):
@@ -341,9 +345,10 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
 
     ``values`` is (E,) or (E, c), one entry or row per canonical edge, and the
     sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a time:
-    k float32 products with the hop operator ``A + I``, each clipped back to
-    0/1 (so exact), give the dense (N, block) reach mask ``inside``. Edge
-    (p, q) is induced for block node j exactly when ``inside[p, j]`` and
+    up to k float32 products with the hop operator ``A + I``, each clipped
+    back to 0/1 (so exact) and stopped, as in :func:`k_hop`, by one that adds
+    no node, give the dense (N, block) reach mask ``inside``. Edge (p, q) is
+    induced for block node j exactly when ``inside[p, j]`` and
     ``inside[q, j]``; that gathered (chunk, block) mask, ``_EDGE_CHUNK``
     canonical edges at a time, meets the (1 + c, E) table ``[1 | values]^T``
     in one GEMM, whose ones row gives the counts. Memory is
@@ -361,9 +366,12 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
     p, q = graph.edges[:, 0], graph.edges[:, 1]
     sums = np.zeros((table.shape[0], n))
     for nodes, reach in identity_blocks(n, np.float32):
+        reached = reach.shape[1]
         for _ in range(k):
             reach = hop @ reach
             np.minimum(reach, 1.0, out=reach)
+            if reached == (reached := np.count_nonzero(reach)):
+                break  # no node added: every later product gives this mask
         inside = reach > 0
         del reach
         for first in range(0, num_edges, _EDGE_CHUNK):

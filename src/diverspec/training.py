@@ -269,17 +269,15 @@ def run_grid(
 
     The cells train in up to ``min(cells, usable_cpus())`` processes: this
     one and workers that :func:`~diverspec.graph.beside` forks after the
-    graph inputs are built, which inherit them. Every grid goes through the
-    same claim loop: this process trains the last cell first, so ``last_run``
-    never crosses a pipe, and then every process claims the lowest unclaimed
-    cell; workers send back only the cell records. Each process holds one
-    cell's tape at a time, so total RSS grows by up to that many tapes.
+    graph inputs are built, which inherit them. Each process claims the
+    lowest unclaimed cell, in (run, split) order, and holds one cell's tape
+    at a time, so total RSS grows by up to that many tapes; workers send
+    back their cell records and, if they trained it, the last cell's result.
     Results do not depend on the number of processes. Nothing is forked with
     one cell, one usable CPU (``taskset -c 0``), no ``fork`` start method, in
     a daemonic process or beside other threads. A failing cell stops the
     grid, and the error raised is that of the first failing cell in (run,
-    split) order; in one process it is raised after the last cell, which
-    trains first. A worker that dies raises ``RuntimeError``. If this
+    split) order. A worker that dies raises ``RuntimeError``. If this
     process is killed outright, each worker stops after its current cell.
     """
     check_domains({"runs": runs})
@@ -319,16 +317,13 @@ def _train_in_processes(
 ) -> tuple[list[dict], RunResult]:
     """Cell records in index order and the last cell's result.
 
-    Up to ``min(count, usable_cpus()) - 1`` workers are forked by
-    :func:`~diverspec.graph.beside` before any cell trains, and none where
-    forking is unsafe. This process trains the last cell first; then every
-    process claims the lowest unclaimed cell from a shared counter until none
-    is left, and the workers send back their cell records. A failure empties
-    the counter, so every cell below the first failing one has trained when
-    the error is raised. Every worker has exited on return or raise.
+    Every process, this one and up to ``min(count, usable_cpus()) - 1``
+    workers that :func:`~diverspec.graph.beside` forks where that is safe,
+    claims the lowest unclaimed cell from a shared counter until none is
+    left. A failure empties the counter, so every cell below the first
+    failing one has trained when the error is raised.
     """
     processes = min(count, usable_cpus()) if can_fork() else 1
-    last = count - 1
     next_cell = multiprocessing.RawValue("i", 0)  # memory that forked workers share
     lock = multiprocessing.get_context("fork").Lock() if processes > 1 else threading.Lock()
     caller = os.getpid()
@@ -339,29 +334,25 @@ def _train_in_processes(
         with lock:
             index = next_cell.value
             next_cell.value += 1
-        return index if index < last else None
+        return index if index < count else None
 
-    def train_claimed(outcomes: dict) -> dict:
+    def train_claimed() -> tuple[dict, RunResult | None]:
+        outcomes, last_run = {}, None
         for index in iter(claim, None):
             try:
-                outcomes[index] = train_cell(index)[0]
+                outcomes[index], result = train_cell(index)
+                if index == count - 1:
+                    last_run = result
             except Exception as exc:
                 outcomes[index] = exc
                 with lock:
-                    next_cell.value = last
-        return outcomes
+                    next_cell.value = count
+        return outcomes, last_run
 
-    def train_here() -> tuple[dict, RunResult | None]:
-        try:
-            record, last_run = train_cell(last)
-            outcomes = {last: record}
-        except Exception as exc:
-            outcomes, last_run = {last: exc}, None
-        return train_claimed(outcomes), last_run
-
-    (outcomes, last_run), sent = beside(train_here, lambda: train_claimed({}), processes - 1)
-    for worker_cells in sent:
+    (outcomes, last_run), sent = beside(train_claimed, train_claimed, processes - 1)
+    for worker_cells, worker_last_run in sent:
         outcomes.update(worker_cells)
+        last_run = last_run or worker_last_run
     cells = []
     for index in range(count):
         if isinstance(outcomes[index], Exception):

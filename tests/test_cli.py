@@ -948,6 +948,10 @@ def _swap_rows(lines: list[str]) -> None:
     lines[2], lines[3] = lines[3], lines[2]
 
 
+def _keep_two_weights(lines: list[str]) -> None:  # of K + 1 = 4
+    lines[:] = [",".join(line.split(",")[:3]) for line in lines]
+
+
 def _blank_then_nan(lines: list[str]) -> None:
     lines.insert(2, "")  # skipped, but still counted as line 3
     _set_field(lines, 4, 1, "nan")
@@ -968,10 +972,12 @@ def _blank_then_nan(lines: list[str]) -> None:
         (_blank_then_nan, 5, "non-finite weight"),
         (lambda lines: _set_field(lines, 2, 3, "0.5x"), 3, "non-numeric weight"),
         (lambda lines: lines.__delitem__(slice(1, None)), None, "holds no weight rows"),
+        (_keep_two_weights, None, "has 2 weight columns, not K + 1 = 4"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "starts-at-1", "out-of-order", "float-id", "gap",
         "bad-header", "header-without-weights", "blank-line", "non-numeric", "header-only",
+        "narrow",
     ],
 )
 def test_analyze_rejects_bad_beta_rows_before_any_output(

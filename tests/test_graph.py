@@ -230,6 +230,24 @@ def test_beside_reports_a_child_that_exits_before_sending(monkeypatch, dies):
 
 
 def test_beside_with_no_children_forks_nothing(monkeypatch):
+    # job runs once, in this process, before here; its error comes before here starts.
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("beside forked"))
-    assert beside(lambda: 3, lambda: pytest.fail("job ran"), 0) == (3, [])
+    calls = []
+
+    def here():
+        calls.append("here")
+        return 3
+
+    def job():
+        calls.append("job")
+        return 4
+
+    assert beside(here, job, 0) == (3, [4])
+    assert calls == ["job", "here"]
+
+    def failing_job():
+        raise ValueError("job")
+
+    with pytest.raises(ValueError, match="^job$"):
+        beside(lambda: pytest.fail("here ran"), failing_job, 0)
     assert not multiprocessing.active_children()

@@ -88,7 +88,7 @@ def assert_histograms_match_oracles(graph, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graph=small_graphs(), k=st.integers(0, 3))
+@given(graph=small_graphs(), k=st.integers(0, 3) | st.just(10**6))
 def test_histograms_match_per_node_oracles(graph, k):
     assert_histograms_match_oracles(graph, k)
 

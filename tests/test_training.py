@@ -448,26 +448,43 @@ def test_run_grid_forks_after_a_threaded_rwpe_build(monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def test_run_grid_trains_the_last_cell_in_the_calling_process(monkeypatch, tmp_path):
+def test_run_grid_brings_back_the_last_run_from_a_worker(monkeypatch, tmp_path):
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
+    tc = TrainConfig(epochs=4, patience=4)
     log = tmp_path / "pids"
     log.touch()
-    real_train_once = training.train_once
+    real_train_once, real_fork = training.train_once, os.fork
+
+    def fork():  # the worker waits until this process has started cell 0
+        pid = real_fork()
+        while not pid and not log.read_text(encoding="utf-8"):
+            time.sleep(0.01)  # no timeout here: a raising caller terminates it
+        return pid
 
     def logging(*args, seed_entropy, **kwargs):
-        if seed_entropy[1:] == (0, 1):  # let the worker claim cell 0 first
-            wait_for(lambda: log.read_text(encoding="utf-8"))
         with log.open("a", encoding="utf-8") as handle:
             handle.write(f"{seed_entropy[1]} {seed_entropy[2]} {os.getpid()}\n")
+        if seed_entropy[1:] == (0, 0):  # let the worker claim cell 1
+            wait_for(lambda: "\n0 1 " in "\n" + log.read_text(encoding="utf-8"))
         return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
 
     monkeypatch.setattr(training, "train_once", logging)
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
-    run_grid(g, small_config(), TrainConfig(epochs=4, patience=4), 1, splits, 5)
+    monkeypatch.setattr(os, "fork", fork)
+    grid = run_grid(g, small_config(), tc, 1, splits, 5)
     pids = dict(line.rsplit(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())
     assert pids.keys() == {"0 0", "0 1"}
-    assert int(pids["0 1"]) == os.getpid() != int(pids["0 0"])
+    assert int(pids["0 0"]) == os.getpid() != int(pids["0 1"])
+    assert not multiprocessing.active_children()
+
+    monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+    serial = run_grid(g, small_config(), tc, 1, splits, 5).last_run
+    assert grid.last_run.params.keys() == serial.params.keys()
+    for name, value in serial.params.items():
+        assert np.array_equal(grid.last_run.params[name], value)
+    assert np.array_equal(grid.last_run.betas, serial.betas)
+    assert grid.last_run.val_history == serial.val_history
 
 
 def test_run_grid_trains_every_cell_once_with_more_processes_than_cpus(monkeypatch, tmp_path):
@@ -562,7 +579,7 @@ def test_run_grid_without_fork_trains_in_one_process(monkeypatch):
     assert [(cell["run"], cell["split"]) for cell in grid.cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_run_grid_in_one_process_trains_the_last_cell_first(monkeypatch):
+def test_run_grid_in_one_process_trains_the_cells_in_order(monkeypatch):
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
     trained = []
@@ -576,8 +593,8 @@ def test_run_grid_in_one_process_trains_the_last_cell_first(monkeypatch):
     monkeypatch.setattr(training, "usable_cpus", lambda: 1)
     failing_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, splits, 5)
-    assert trained == [(1, 1), (0, 0), (0, 1), (1, 0)]
-    assert [(cell["run"], cell["split"]) for cell in grid.cells] == sorted(trained)
+    assert trained == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [(cell["run"], cell["split"]) for cell in grid.cells] == trained
 
 
 def test_run_grid_without_splits_raises_before_forking(monkeypatch):
@@ -597,9 +614,8 @@ def test_run_grid_without_splits_raises_before_forking(monkeypatch):
     ],
 )
 def test_run_grid_raises_the_first_failing_cell(monkeypatch, cpus, runs, failing, first):
-    # With 2 CPUs and 2 cells the caller trains cell 1 and, unless it is
-    # first to claim it, a worker cell 0; either way cell 0's error wins.
-    # With 1 CPU the caller trains the last cell first, then the rest in order.
+    # With 2 CPUs either process may claim a failing cell; the lowest one's
+    # error wins. With 1 CPU the cells train in order up to the first failure.
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
     real_train_once = training.train_once
@@ -618,8 +634,8 @@ def test_run_grid_raises_the_first_failing_cell(monkeypatch, cpus, runs, failing
 
 
 def test_a_failing_cell_stops_the_grid(monkeypatch, tmp_path):
-    # Cell 0 fails at once. Besides it and the caller's last cell, at most
-    # one cell claimed before the stop may train; the other 7 must not.
+    # Cell 0 fails at once. Besides it, the other process's cell and at
+    # most one more claimed before the stop may train; the other 7 must not.
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
     log = tmp_path / "cells"
@@ -638,6 +654,23 @@ def test_a_failing_cell_stops_the_grid(monkeypatch, tmp_path):
         run_grid(g, small_config(), TrainConfig(epochs=20, patience=20), 5, splits, 5)
     assert len(log.read_text(encoding="utf-8").splitlines()) <= 3
     assert not multiprocessing.active_children()
+
+
+def test_a_failing_cell_stops_a_one_cpu_grid_at_once(monkeypatch):
+    g = two_block_graph(10, seed=8)
+    splits = make_splits(g, "dense", 2, seed=4)
+    trained = []
+
+    def every_cell_fails(*args, seed_entropy, **kwargs):
+        trained.append(seed_entropy[1:])
+        raise NumericalError(f"cell {seed_entropy[1:]} diverged")
+
+    monkeypatch.setattr(training, "train_once", every_cell_fails)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+    failing_forks(monkeypatch)
+    with pytest.raises(NumericalError, match=r"cell \(0, 0\) diverged"):
+        run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, splits, 5)
+    assert trained == [(0, 0)]
 
 
 def test_run_grid_reports_a_worker_that_dies(monkeypatch):
