@@ -6,20 +6,24 @@ endings:
 * ``meta.json`` - ``{"name", "num_nodes", "num_features", "num_classes"}``
 * ``edges.tsv`` - one ``src<TAB>dst`` pair of 0-based ids per line
 * ``nodes.tsv`` - one ``id<TAB>label<TAB>f_1,...,f_f`` line per node, with
-  comma-separated decimal features
+  comma-separated finite decimal features
 
 Every node id must appear exactly once in ``nodes.tsv``. The loader reports
 malformed input with file names and line numbers; only an LF ends a line.
 
-``edges.tsv`` and ``nodes.tsv`` are streamed line by line into one
-``np.loadtxt`` call each. Rows of an out-of-order ``nodes.tsv`` are put
-in id order in place. The parsed feature array is marked read-only and
-handed to :func:`~diverspec.graph.build_graph`, which adopts it without a
-copy, so it stays the only allocation of file size. A file with bytes the
-stream does not take, or with any problem, is read again by a per-line
-checker, which gives the same arrays or raises the first problem in line
-order. No array is sized by a ``meta.json`` count
-before the files have proven it.
+``edges.tsv`` is streamed line by line into one ``np.loadtxt`` call.
+``nodes.tsv`` is streamed in small chunks of lines, each written straight
+into the (N, F) feature table at its rows' ids, so an out-of-order file
+needs no reordering. A row of ``D.D`` tokens (a digit, a dot, a digit, as
+``save_dataset`` writes 0/1 features) is converted from its bytes with
+integer arithmetic and one exact division; any other row goes through
+``np.loadtxt``. The feature table is marked read-only and handed to
+:func:`~diverspec.graph.build_graph`, which adopts it without a copy, so it
+stays the only allocation of file size. A file with bytes the stream does
+not take, or with any problem, is read again by a per-line checker, which
+gives the same arrays or raises the first problem in line order. No array
+is sized by a ``meta.json`` count before the files have proven it: the
+table is allocated once ``nodes.tsv`` is large enough to hold it.
 
 :func:`load_dataset` is the one loader of ``train`` and ``analyze``. It is
 :func:`read_structure` (the directory, ``meta.json`` and ``edges.tsv``)
@@ -33,6 +37,7 @@ later one.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
@@ -50,6 +55,16 @@ META_KEYS = ("name", "num_nodes", "num_features", "num_classes")
 # Other whitespace (\x0b, \x0c, \x1c-\x1f, a \r that does not end a line) and
 # ``_`` digit grouping parse differently, so such files take the per-line path.
 _PLAIN_NODE_BYTES = b"0123456789+-.eEinfatyINFATY \t\n,"
+# A feature token "a.b" of two ASCII digits is read as (10a + b) / 10: one IEEE
+# division of two exact integers, which is the double nearest the decimal, so
+# it equals float("a.b") bit for bit. The bytes of "a.b," minus _ZERO_TOKEN are
+# (a, 0, b, 0), below _TOKEN_BOUND exactly when they are a digit, a dot, a
+# digit and a comma.
+_ZERO_TOKEN = np.frombuffer(b"0.0,", np.uint8)
+_TOKEN_BOUND = np.array([10, 1, 10, 1], np.uint8)
+# Feature bytes of nodes.tsv parsed at once: a chunk's temporaries, a few
+# times its bytes, stay small next to the table.
+_CHUNK_BYTES = 1 << 16
 # Bytes of an edges.tsv whose ids ``np.loadtxt`` parses exactly as ``int`` does.
 _PLAIN_EDGE_BYTES = b"0123456789\t\n"
 
@@ -129,7 +144,8 @@ def read_structure(directory: str | Path) -> tuple[DatasetMeta, np.ndarray | lis
 def read_labels(directory: str | Path, meta: DatasetMeta) -> np.ndarray:
     """The labels of ``nodes.tsv``, after every check :func:`load_dataset` makes of it.
 
-    Every feature is parsed and checked, then dropped.
+    Every feature is parsed into the one feature table and checked, finite
+    included, then the table is dropped.
     """
     return _read_nodes(Path(directory) / "nodes.tsv", *meta)[1]
 
@@ -139,8 +155,8 @@ def load_dataset(directory: str | Path) -> Graph:
 
     Raises :class:`DataError` with the offending file and line for any
     structural problem (missing files, bytes that are not UTF-8, bad field
-    counts, out-of-range ids or labels, feature-width mismatches, duplicate
-    or missing node rows). The graph's feature array is the parsed one,
+    counts, out-of-range ids or labels, feature-width mismatches, NaN or
+    infinite features, duplicate or missing node rows). The graph's feature array is the parsed one,
     read-only; nothing else holds it.
     """
     meta, edges = read_structure(directory)
@@ -218,72 +234,104 @@ def _read_nodes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels from ``nodes.tsv``.
 
-    The file is streamed line by line, opened in binary, into one
-    ``np.loadtxt``, so the (N, F) result is the only allocation of file
-    size. Each line must hold only ``_PLAIN_NODE_BYTES``, three tab fields,
-    an integer id and label and F features; the ids must then be a
-    permutation of 0..N-1 and the labels lie in range; out-of-order rows are
-    then sorted in place by :func:`_permute_rows`. Anything else, an
-    error from ``np.loadtxt`` included, re-reads the file through
-    :func:`_parse_node_lines`, which raises the first problem in line order.
+    The file is streamed line by line, opened in binary. Once its size could
+    hold n * F features of 2 bytes each, the (N, F) table and the labels are
+    allocated, and :func:`_place_rows` writes each line at its id's row, so
+    out-of-order rows need no reordering step and the table stays the only
+    allocation of file size. Each line must hold only ``_PLAIN_NODE_BYTES``,
+    three tab fields, an integer id and label and F finite features; the ids
+    must then be a permutation of 0..N-1 and the labels lie in range.
+    Anything else, an error from ``np.loadtxt`` included, re-reads the file
+    through :func:`_parse_node_lines`, which raises the first problem in line
+    order.
     """
-    ids: list[int] = []
-    labels: list[int] = []
     try:
         with open(nodes_path, "rb") as handle:
-            features = _stream_loadtxt(
-                _feature_fields(handle, num_features, ids, labels), delimiter=","
-            )
-        ids, labels = np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64)
+            if os.fstat(handle.fileno()).st_size >= 2 * n * num_features:
+                features = np.empty((n, num_features))
+                labels = np.empty(n, dtype=np.int64)
+                if (
+                    _place_rows(_node_rows(handle, num_features), features, labels)
+                    and ((labels >= 0) & (labels < num_classes)).all()
+                ):
+                    return features, labels
     except (ValueError, OverflowError):
-        features = None
-    if (
-        features is not None
-        and len(ids) == n
-        and features.shape == (n, num_features)
-        and np.array_equal(np.sort(ids), np.arange(n))
-        and ((labels >= 0) & (labels < num_classes)).all()
-    ):
-        if (np.diff(ids) < 0).any():
-            order = np.argsort(ids)
-            _permute_rows(features, order)
-            labels = labels[order]
-        return features, labels
+        pass
     return _parse_node_lines(nodes_path, n, num_features, num_classes)
 
 
-def _permute_rows(table: np.ndarray, order: np.ndarray) -> None:
-    """Set ``table[i] = table[order[i]]`` for every row in place.
-
-    Each cycle of the permutation is followed through a one-row buffer, so
-    no second table is held, as ``table[order]`` would.
-    """
-    done = order == np.arange(len(order))
-    buffer = np.empty_like(table[0])
-    for start in np.flatnonzero(~done):
-        if done[start]:
-            continue
-        buffer[:] = table[start]
-        row = start
-        while order[row] != start:
-            table[row] = table[order[row]]
-            done[row] = True
-            row = order[row]
-        table[row] = buffer
-        done[row] = True
-
-
-def _feature_fields(
-    handle: BinaryIO, num_features: int, ids: list[int], labels: list[int]
-) -> Iterator[bytes]:
-    """The feature field of each plain ``nodes.tsv`` line; ids and labels go to the lists."""
+def _node_rows(handle: BinaryIO, num_features: int) -> Iterator[tuple[int, int, bytes]]:
+    """``(id, label, feature field)`` of each plain ``nodes.tsv`` line, the field still bytes."""
     for line in _plain_lines(handle, _PLAIN_NODE_BYTES):
         node, label, feats = line.split(b"\t")
-        ids.append(int(node))
-        labels.append(int(label))
         if not feats or feats.count(b",") + 1 != num_features:
             raise ValueError("wrong feature count")
-        yield feats
+        yield int(node), int(label), feats
+
+
+def _place_rows(
+    rows: Iterator[tuple[int, int, bytes]], features: np.ndarray, labels: np.ndarray
+) -> bool:
+    """Write each row's features and label at its id; whether each id came exactly once.
+
+    Rows are taken in chunks of about ``_CHUNK_BYTES`` feature bytes.
+    Raises ``ValueError`` for an id outside the table or a feature field
+    :func:`_parse_features` rejects.
+    """
+    n = len(labels)
+    placed = np.zeros(n, dtype=bool)
+    count = 0
+    for chunk in _chunks(rows):
+        ids, chunk_labels, fields = zip(*chunk)
+        ids = np.array(ids, dtype=np.int64)
+        if ids.min() < 0 or ids.max() >= n:
+            raise ValueError("id outside the table")
+        placed[ids] = True
+        count += len(ids)
+        labels[ids] = chunk_labels
+        _parse_features(fields, features, ids)
+    return count == n and placed.all()
+
+
+def _chunks(rows: Iterator[tuple[int, int, bytes]]) -> Iterator[list[tuple[int, int, bytes]]]:
+    """``rows`` in lists that each end once they hold ``_CHUNK_BYTES`` feature bytes."""
+    chunk, size = [], 0
+    for row in rows:
+        chunk.append(row)
+        size += len(row[2])
+        if size >= _CHUNK_BYTES:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _parse_features(fields: tuple[bytes, ...], features: np.ndarray, ids: np.ndarray) -> None:
+    """Parse the feature fields of one chunk into ``features[ids]``.
+
+    A field of F ``D.D`` tokens (an ASCII digit, a dot, a digit), 4F - 1
+    bytes long, is converted from its bytes; every other field goes through
+    one ``np.loadtxt``, whose values must be finite, or ``ValueError`` is
+    raised.
+    """
+    num_features = features.shape[1]
+    fits = [row for row, field in enumerate(fields) if len(field) == 4 * num_features - 1]
+    tenths = np.zeros(len(fields), dtype=bool)
+    if fits:
+        codes = np.frombuffer(b",".join([fields[row] for row in fits]) + b",", np.uint8)
+        offsets = codes.reshape(len(fits), -1) - np.tile(_ZERO_TOKEN, num_features)
+        layout = (offsets < np.tile(_TOKEN_BOUND, num_features)).all(axis=1)
+        tenths[fits] = layout
+        tokens = offsets[layout].reshape(-1, num_features, 4)
+        features[ids[tenths]] = (10 * tokens[:, :, 0] + tokens[:, :, 2]) / 10
+    if not tenths.all():
+        values = np.loadtxt(
+            (field for field, tenth in zip(fields, tenths) if not tenth),
+            delimiter=",", comments=None, ndmin=2,
+        )
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite feature")
+        features[ids[~tenths]] = values
 
 
 def _parse_node_lines(
@@ -313,11 +361,13 @@ def _parse_node_lines(
             f"{nodes_path} line {lineno}: expected {num_features} features, got {len(fields)}",
         )
         try:
-            rows[node] = label, np.array([float(f) for f in fields])
+            row = np.array([float(f) for f in fields])
         except ValueError:
             raise DataError(
                 f"{nodes_path} line {lineno}: features must be decimal numbers"
             ) from None
+        _require(np.isfinite(row).all(), f"{nodes_path} line {lineno}: features must be finite")
+        rows[node] = label, row
 
     if len(rows) < n:
         missing = next(node for node in range(n) if node not in rows)

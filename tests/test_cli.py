@@ -260,8 +260,13 @@ def bad_feature(fields: list[str]) -> list[str]:
     return [fields[0], fields[1], "x" + fields[2][fields[2].index(","):]]
 
 
+def non_finite_feature(token: str):
+    return lambda fields: [fields[0], fields[1], token + fields[2][fields[2].index(","):]]
+
+
 BAD_NODE_LINES = {
     "non-numeric-feature": (bad_feature, " line 3: features must be decimal numbers"),
+    "nan-feature": (non_finite_feature("nan"), " line 3: features must be finite"),
     "duplicate-id": (lambda f: ["1", *f[1:]], " line 3: duplicate id 1"),
     "label-out-of-range": (lambda f: [f[0], "2", f[2]], " line 3: label 2 outside [0, 2)"),
     "missing-row": (lambda f: None, ": no row for node 2"),
@@ -286,6 +291,25 @@ def test_diagnose_bad_node_table_fails_alike_on_both_paths(
         assert not out.exists()
         assert len(forks) == 1 and not multiprocessing.active_children()
     assert results[0] == results[1] == (2, f"error: {data / 'nodes.tsv'}{message}\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["train", "diagnose"])
+def test_a_non_finite_feature_fails_before_any_output(
+    dataset_dir, config_path, tmp_path, capsys, command, token
+):
+    # Loaded, a NaN feature made train exit 3 mid-grid ("non-finite gradient")
+    # and diagnose exit 0.
+    data = tmp_path / "bad"
+    shutil.copytree(dataset_dir, data)
+    corrupt_node_line(data, non_finite_feature(token))
+    out = tmp_path / "out"
+    extra = ["--config", str(config_path)] if command == "train" else []
+    assert main([command, "--data", str(data), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / 'nodes.tsv'} line 3: features must be finite\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
@@ -349,7 +373,7 @@ def test_diagnose_holds_one_feature_table_at_most(tmp_path, capsys, monkeypatch)
     # Wide binary features, as in Chameleon, dwarf the dense L-hat (0.7 MB
     # here). The loader's parsed table is the only copy, and it is gone
     # before the eigen stage: checked in this process (one usable CPU), the
-    # peak reads about 1.04x features.nbytes, against 2.0x when build_graph
+    # peak reads about 1.07x features.nbytes, against 2.0x when build_graph
     # copied the table and diagnose held it throughout. Checked in a forked
     # child, the table never enters this process.
     n = 300

@@ -240,6 +240,44 @@ def edit_feature(lines, row, column, token):
     lines[row] = f"{head}\t{label}\t{','.join(fields)}"
 
 
+def tenths(lines):
+    """Give every row "D.D" features (a digit, a dot, a digit), the layout parsed from bytes."""
+    for row, line in enumerate(lines):
+        head, label, feats = line.split("\t")
+        tokens = (f"{(row + 3 * col) % 10}.{(7 * row + col) % 10}" for col in range(feats.count(",") + 1))
+        lines[row] = f"{head}\t{label}\t{','.join(tokens)}"
+
+
+def then(*edits):
+    """One edit that applies ``edits`` in order."""
+    return lambda lines: [edit(lines) for edit in edits]
+
+
+def reverse(lines):
+    lines.reverse()
+
+
+def crlf(lines):
+    lines[:] = [line + "\r" for line in lines]
+
+
+def set_features(row, field):
+    return lambda lines: lines.__setitem__(row, "\t".join(lines[row].split("\t")[:2] + [field]))
+
+
+# Feature fields of 4F - 1 = 11 bytes (F = 3) that are not F "D.D" tokens:
+# valid ones take np.loadtxt, invalid ones the per-line checker.
+NOT_TENTHS = {
+    "digit-for-dot": "10.,1.0,1.0",
+    "three-digits": "1.0,1.0,123",
+    "dot-for-comma": "1.0.,1,1.00",
+    "sign": "-1.,1.0,1.0",
+    "exponent": "1.0,1e0,1.0",
+    "leading-dot": ".10,1.0,1.0",
+    "space": "1.0, 1.,1.0",
+    "nan-token": "nan,1.0,1.0",
+}
+
 NODE_EDITS = {
     "non-numeric": lambda lines: edit_feature(lines, 3, 1, "abc"),
     "hash": lambda lines: edit_feature(lines, 2, 0, "#1"),
@@ -247,8 +285,8 @@ NODE_EDITS = {
     "underscore": lambda lines: edit_feature(lines, 1, 1, "1_0"),
     "file-separator": lambda lines: edit_feature(lines, 1, 1, "\x1c1"),
     "field-count": lambda lines: lines.__setitem__(4, lines[4] + ",1.0"),
-    "out-of-order": lambda lines: lines.reverse(),
-    "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+    "out-of-order": reverse,
+    "crlf": crlf,
     "crlf-blank-line": lambda lines: lines.__setitem__(
         slice(None), [line + "\r" for line in lines] + ["\r"]
     ),
@@ -259,6 +297,19 @@ NODE_EDITS = {
     "row-beyond-num-nodes": lambda lines: lines.append(f"{len(lines)}\t0\t" + lines[0].split("\t")[2]),
     "empty": lambda lines: lines.clear(),
     "blank-lines-only": lambda lines: lines.__setitem__(slice(None), ["", "", ""]),
+    "nan": lambda lines: edit_feature(lines, 3, 1, "nan"),
+    "inf": lambda lines: edit_feature(lines, 3, 1, "inf"),
+    "-inf": lambda lines: edit_feature(lines, 3, 1, "-inf"),
+    "overflow": lambda lines: edit_feature(lines, 3, 1, "1e999"),
+    "tenths": tenths,
+    "tenths-out-of-order": then(tenths, reverse),
+    "tenths-crlf": then(tenths, crlf),
+    "tenths-nan": then(tenths, lambda lines: edit_feature(lines, 4, 2, "nan")),
+    **{
+        f"tenths-{name}{variant}": then(tenths, set_features(3, field), *extra)
+        for name, field in NOT_TENTHS.items()
+        for variant, extra in (("", ()), ("-out-of-order", (reverse,)), ("-crlf", (crlf,)))
+    },
 }
 
 
@@ -284,7 +335,7 @@ EDGE_EDITS = {
     "id-num-nodes": lambda lines: lines.__setitem__(0, "0\t12"),
     "leading-zeros": lambda lines: lines.__setitem__(0, "0003\t05"),
     "space": lambda lines: lines.__setitem__(0, " 3\t5"),
-    "crlf": lambda lines: lines.__setitem__(slice(None), [line + "\r" for line in lines]),
+    "crlf": crlf,
     "crlf-blank-line": lambda lines: lines.__setitem__(
         slice(None), [line + "\r" for line in lines] + ["\r"]
     ),
@@ -399,6 +450,67 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, data):
     )
 
 
+def counting_loadtxt():
+    """Wrap ``np.loadtxt`` in a mock that records its calls."""
+    return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
+
+
+def feature_parses(loadtxt):
+    """How many of the mock's calls parsed ``nodes.tsv`` features (``delimiter=","``)."""
+    return sum(call.kwargs.get("delimiter") == "," for call in loadtxt.call_args_list)
+
+
+def test_every_tenths_token_loads_as_its_float(tmp_path):
+    # (10a + b) / 10 is one correctly rounded division, so it equals the
+    # decimal's nearest double; (10a + b) * 0.1 differs on 35 of these tokens.
+    tokens = [f"{a}.{b}" for a in range(10) for b in range(10)]
+    save_dataset(toy_graph([(0, 9)], labels=[0] * 10), "tenths", tmp_path)
+    (tmp_path / "nodes.tsv").write_text(
+        "".join(f"{row}\t0\t{','.join(tokens[10 * row:10 * row + 10])}\n" for row in range(10))
+    )
+    with counting_loadtxt() as loadtxt, \
+            mock.patch.object(datasets, "_parse_node_lines", _no_per_line_parse):
+        loaded = load_dataset(tmp_path)
+    assert feature_parses(loadtxt) == 0
+    expected = np.array([float(token) for token in tokens]).reshape(10, 10)
+    np.testing.assert_array_equal(loaded.features.view(np.int64), expected.view(np.int64))
+
+
+tenths_tokens = st.builds("{}.{}".format, st.integers(0, 9), st.integers(0, 9))
+other_tokens = st.sampled_from(["12.0", "-1.0", "1e0", "0.25", "0.1000000000000000055511151231257827"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tenths_tables_match_the_per_line_checker(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 8))
+    f = data.draw(st.integers(1, 5))
+    mixed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = [
+        data.draw(st.lists(st.one_of(tenths_tokens, other_tokens) if mix else tenths_tokens,
+                           min_size=f, max_size=f))
+        for mix in mixed
+    ]
+    graph = toy_graph([(0, n - 1)], labels=[node % 2 for node in range(n)], features=np.zeros((n, f)))
+    path = tmp_path_factory.mktemp("tenths")
+    save_dataset(graph, "tenths", path)
+    (path / "nodes.tsv").write_text("".join(
+        f"{node}\t{node % 2}\t{','.join(rows[node])}\n"
+        for node in data.draw(st.permutations(range(n)))
+    ))
+    features, labels = datasets._parse_node_lines(path / "nodes.tsv", n, f, graph.num_classes)
+    chunk_bytes = data.draw(st.integers(1, 64))  # chunks of one row up to the whole file
+    with counting_loadtxt() as loadtxt, \
+            mock.patch.object(datasets, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(datasets, "_parse_node_lines", _no_per_line_parse):
+        loaded = load_dataset(path)
+    np.testing.assert_array_equal(loaded.features.view(np.int64), features.view(np.int64))
+    np.testing.assert_array_equal(loaded.labels, labels)
+    assert (feature_parses(loadtxt) == 0) == all(
+        len(token) == 3 and token[1] == "." for row in rows for token in row
+    )
+
+
 def save_block2k_shaped(path):
     """Save a block2k-shaped input (N = 2000, 64 Gaussian features) and return its graph."""
     rng = np.random.default_rng(0)
@@ -422,11 +534,12 @@ def traced_load(path):
 
 
 def test_load_peak_memory_is_a_small_multiple_of_the_features(tmp_path):
-    # The streamed loader peaks at about 1.6x features.nbytes: the parsed
-    # table, which build_graph adopts without a copy, plus np.loadtxt's
-    # growth slack. Copying the table in build_graph read 2.3x, and the
-    # earlier bulk parse, which held the whole file as bytes, text, lines and
-    # split fields at once, read 7.95x.
+    # The load peaks at about 1.6x features.nbytes, inside build_graph: the
+    # parsed table, which it adopts without a copy, plus its edge arrays. The
+    # parse alone peaks at about 1.25x, the table plus one chunk of lines (1.4x
+    # with one np.loadtxt and its growth slack). Copying the table in
+    # build_graph read 2.3x, and the earlier bulk parse, which held the whole
+    # file as bytes, text, lines and split fields at once, read 7.95x.
     graph = save_block2k_shaped(tmp_path)
     loaded, peak = traced_load(tmp_path)
     np.testing.assert_array_equal(loaded.features, graph.features)
@@ -452,9 +565,9 @@ def test_loaded_features_are_read_only_and_adopted_by_build_graph(dataset_dir, e
 
 
 def test_out_of_order_rows_are_reordered_in_place(tmp_path):
-    # Reordering rows with table[order] held a second table: loading the
-    # reversed file peaked at about 2.16x features.nbytes, against 1.59x for
-    # the sorted one.
+    # Each row is written at its id's row, so the reversed file peaks like the
+    # sorted one. Reordering with table[order] after the parse held a second
+    # table: about 2.16x features.nbytes, against 1.59x.
     graph = save_block2k_shaped(tmp_path)
     _, sorted_peak = traced_load(tmp_path)
     rewrite_lines(tmp_path / "nodes.tsv", NODE_EDITS["out-of-order"])
@@ -462,16 +575,6 @@ def test_out_of_order_rows_are_reordered_in_place(tmp_path):
     np.testing.assert_array_equal(loaded.features, graph.features)
     np.testing.assert_array_equal(loaded.labels, graph.labels)
     assert reversed_peak <= sorted_peak + 0.05 * graph.features.nbytes
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
-def test_permute_rows_matches_fancy_indexing(n):
-    rng = np.random.default_rng(n)
-    for order in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
-        table = rng.normal(size=(n, 3))
-        expected = table[order]
-        datasets._permute_rows(table, order)
-        np.testing.assert_array_equal(table, expected)
 
 
 def test_saved_features_match_per_value_repr(tmp_path):
