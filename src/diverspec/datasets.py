@@ -51,10 +51,11 @@ from .graph import Graph, build_graph
 
 META_KEYS = ("name", "num_nodes", "num_features", "num_classes")
 # Bytes of a nodes.tsv whose features ``np.loadtxt`` parses exactly as
-# ``float`` does: decimals, inf/nan spellings, spaces and the two separators.
+# ``float`` does: decimals, spaces and the two separators. Features must be
+# finite, so a file spelling inf or nan takes the per-line path, which rejects it.
 # Other whitespace (\x0b, \x0c, \x1c-\x1f, a \r that does not end a line) and
 # ``_`` digit grouping parse differently, so such files take the per-line path.
-_PLAIN_NODE_BYTES = b"0123456789+-.eEinfatyINFATY \t\n,"
+_PLAIN_NODE_BYTES = b"0123456789+-.eE \t\n,"
 # A feature token "a.b" of two ASCII digits is read as (10a + b) / 10: one IEEE
 # division of two exact integers, which is the double nearest the decimal, so
 # it equals float("a.b") bit for bit. The bytes of "a.b," minus _ZERO_TOKEN are

@@ -10,7 +10,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -229,9 +229,9 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, else the CPU count.
 
-    It bounds the threads of the RWPE sweep and the processes the training
-    grid forks through :func:`beside`; with more than one, ``diagnose``
-    checks its node table there too. No count changes any result.
+    It sizes the RWPE sweep's thread pool and bounds the processes the
+    training grid forks through :func:`beside`; with more than one,
+    ``diagnose`` checks its node table there too. No count changes any result.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -317,41 +317,19 @@ def beside(here: Callable[[], object], job: Callable[[], object], children: int)
     return done, results
 
 
-_RWPE_BLOCK = 32  # identity columns one RWPE thread holds densely at once
-
-
-def identity_blocks(
-    n: int, dtype: type = np.float64, width: int = _REACH_BLOCK, join_lone: bool = False
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(nodes, block)`` with ``block`` the dense (N, b) identity columns ``nodes``.
-
-    The slices tile ``0..n-1`` in order, ``width`` columns at a time, so a
-    sweep over them holds O(N * width) entries of ``dtype``, not N^2. With
-    ``join_lone`` a lone last column joins the block before it, so only a
-    one-node graph has a one-column block. The RWPE sweep of
-    :func:`~diverspec.model.init_positional` hands these blocks to up to
-    :func:`usable_cpus` threads and gets the same bytes for any count; the
-    reach sweep of :func:`induced_edge_sums` runs on the calling thread.
-    """
-    starts = list(range(0, n, width))
-    if join_lone and len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [n]):
-        yield slice(start, stop), np.eye(n, stop - start, -start, dtype=dtype)
-
-
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
 
     ``values`` is (E,) or (E, c), one entry or row per canonical edge, and the
-    sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a time:
-    up to k float32 products with the hop operator ``A + I``, each clipped
-    back to 0/1 (so exact) and stopped, as in :func:`k_hop`, by one that adds
-    no node, give the dense (N, block) reach mask ``inside``. Edge (p, q) is
-    induced for block node j exactly when ``inside[p, j]`` and
-    ``inside[q, j]``; that gathered (chunk, block) mask, ``_EDGE_CHUNK``
-    canonical edges at a time, meets the (1 + c, E) table ``[1 | values]^T``
-    in one GEMM, whose ones row gives the counts. Memory is
+    sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a time,
+    in order on the calling thread, each block's float32 identity columns
+    built as it is reached. Up to k float32 products with the hop operator
+    ``A + I``, each clipped back to 0/1 (so exact) and stopped, as in
+    :func:`k_hop`, by one that adds no node, give the dense (N, block) reach
+    mask ``inside``. Edge (p, q) is induced for block node j exactly when
+    ``inside[p, j]`` and ``inside[q, j]``; that gathered (chunk, block) mask,
+    ``_EDGE_CHUNK`` canonical edges at a time, meets the (1 + c, E) table
+    ``[1 | values]^T`` in one GEMM, whose ones row gives the counts. Memory is
     O(N * block + chunk * block); no N x N array is formed. Integer sums are
     exact; the rounding of other sums may depend on the shape of ``values``.
     """
@@ -365,7 +343,9 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
     hop = (graph.adjacency + sparse.eye_array(n, format="csr")).astype(np.float32)
     p, q = graph.edges[:, 0], graph.edges[:, 1]
     sums = np.zeros((table.shape[0], n))
-    for nodes, reach in identity_blocks(n, np.float32):
+    for start in range(0, n, _REACH_BLOCK):
+        nodes = slice(start, min(start + _REACH_BLOCK, n))
+        reach = np.eye(n, nodes.stop - start, -start, dtype=np.float32)
         reached = reach.shape[1]
         for _ in range(k):
             reach = hop @ reach

@@ -16,7 +16,7 @@ regularizes positional columns toward orthogonality.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,9 +25,11 @@ from . import autodiff as ad
 from .autodiff import Value
 from .domains import check_domains
 from .errors import ConfigError, UsageError
-from .graph import _RWPE_BLOCK, SparseOperator, identity_blocks, usable_cpus
+from .graph import SparseOperator, usable_cpus
 from .polynomials import Bernstein, BasisKind, Jacobi, Monomial
 from .spectral import SpectralDecomposition
+
+_RWPE_BLOCK = 32  # identity columns one RWPE thread holds densely at once
 
 
 @dataclass(frozen=True)
@@ -201,15 +203,17 @@ def init_positional(
     arrays, so memory is O(N * block) rather than the N^2 fill-in of
     explicit matrix powers.
 
-    The blocks are ``_RWPE_BLOCK`` columns wide. This thread and up to
-    ``usable_cpus() - 1`` helper threads each claim one block at a time and
-    write only its rows, and the sparse products and column sums run outside
-    the GIL. Each thread holds O(N * _RWPE_BLOCK) floats. A lone last column
+    The blocks are ``_RWPE_BLOCK`` columns wide, and a lone last column
     joins the block before it, since numpy sums a single column in another
     order than a wider block's; so every entry is the row-order sum of its
     column, and the bytes do not depend on the thread count or block width.
-    Every helper has joined when this returns or raises, and the first
-    error of any thread is raised here.
+    The blocks are swept on a pool of min(blocks, ``usable_cpus()``) threads
+    named ``rwpe_<i>``; each task builds its own block, holds O(N *
+    _RWPE_BLOCK) floats and writes only its rows, and the sparse products and
+    column sums run outside the GIL. Every thread has been joined when this
+    returns or raises, so :func:`~diverspec.training.run_grid` may still
+    fork. An error or interrupt cancels the blocks not yet started; the one
+    raised is the lowest failing block's, whichever thread failed first.
     """
     n = a_hat.shape[0]
     if config.f_p > n:
@@ -227,40 +231,24 @@ def init_positional(
         return decomposition.eigenvectors[:, start : start + config.f_p].copy()
 
     positional = np.empty((n, config.f_p))
-    blocks = identity_blocks(n, width=_RWPE_BLOCK, join_lone=True)
-    lock = threading.Lock()
-    failures: list[BaseException] = []
 
-    def claim() -> tuple[slice, np.ndarray] | None:
-        with lock:
-            return None if failures else next(blocks, None)
+    def sweep(start: int, stop: int) -> None:
+        low = np.eye(n, stop - start, -start)  # Q_0 = E
+        high = a_hat.dot(low)  # Q_1
+        for m in range(1, config.f_p + 1):
+            if m % 2 == 0:
+                low = high  # Q_{m/2} twice
+            elif m > 1:
+                high = a_hat.dot(low)  # Q_{(m-1)/2} and Q_{(m+1)/2}
+            positional[start:stop, m - 1] = np.einsum("ij,ij->j", low, high)
 
-    def sweep() -> None:
-        try:
-            for nodes, low in iter(claim, None):
-                high = a_hat.dot(low)  # Q_0 = E and Q_1
-                for m in range(1, config.f_p + 1):
-                    if m % 2 == 0:
-                        low = high  # Q_{m/2} twice
-                    elif m > 1:
-                        high = a_hat.dot(low)  # Q_{(m-1)/2} and Q_{(m+1)/2}
-                    positional[nodes, m - 1] = np.einsum("ij,ij->j", low, high)
-        except BaseException as exc:  # raised below; an interrupt stops the helpers too
-            with lock:
-                failures.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(min(-(-n // _RWPE_BLOCK), usable_cpus()) - 1):
-            helper = threading.Thread(target=sweep, name="rwpe")
-            helper.start()
-            helpers.append(helper)
-        sweep()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[0]
+    starts = list(range(0, n, _RWPE_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    # map submits every span at once, so each task builds its own block
+    # rather than hold them all; its results come in block order.
+    with ThreadPoolExecutor(min(len(starts), usable_cpus()), thread_name_prefix="rwpe") as pool:
+        list(pool.map(sweep, starts, starts[1:] + [n]))
     return positional
 
 

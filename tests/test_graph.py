@@ -16,7 +16,7 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
-from diverspec.graph import _REACH_BLOCK, _RWPE_BLOCK, beside, identity_blocks
+from diverspec.graph import beside
 from tests.conftest import counting_forks, toy_graph
 
 
@@ -159,37 +159,6 @@ def test_build_graph_adopts_a_read_only_array_it_can_own():
     features.flags.writeable = False
     g = build_graph([(0, 1)], 3, features, np.array([0, 1, 0]), 2)
     assert g.features is features
-
-
-W = _RWPE_BLOCK
-
-
-@pytest.mark.parametrize(
-    "n, widths",
-    [(1, [1]), (2, [2]), (W, [W]), (W + 1, [W + 1])]
-    + [(2 * W + 1, [W, W + 1]), (2 * W + 2, [W, W, 2])],
-)
-def test_identity_blocks_join_a_lone_last_column(n, widths):
-    blocks = list(identity_blocks(n, width=W, join_lone=True))
-    assert [block.shape[1] for _, block in blocks] == widths
-    assert [nodes.stop - nodes.start for nodes, _ in blocks] == widths
-    np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), np.eye(n))
-    plain = [block.shape[1] for _, block in identity_blocks(n, width=W)]
-    assert plain == widths or plain == [*widths[:-1], W, 1]
-
-
-@pytest.mark.parametrize("n", [1, 2 * _REACH_BLOCK - 1, 2 * _REACH_BLOCK, 2 * _REACH_BLOCK + 1])
-def test_identity_blocks_tile_the_identity_once(n):
-    blocks = list(identity_blocks(n))
-    assert len(blocks) == -(-n // _REACH_BLOCK)
-    assert all(block.shape == (n, _REACH_BLOCK) for _, block in blocks[:-1])
-    nodes = np.concatenate([np.arange(n)[piece] for piece, _ in blocks])
-    np.testing.assert_array_equal(nodes, np.arange(n))
-    np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), np.eye(n))
-    narrow = list(identity_blocks(n, np.float32))  # the reach sweep's blocks
-    assert [nodes for nodes, _ in narrow] == [nodes for nodes, _ in blocks]
-    assert all(block.dtype == np.float32 for _, block in narrow)
-    np.testing.assert_array_equal(np.hstack([block for _, block in narrow]), np.eye(n))
 
 
 def test_beside_returns_the_children_results_in_fork_order(monkeypatch):

@@ -108,11 +108,30 @@ def test_a_band_does_not_depend_on_the_other_bands_asked_for():
                 np.testing.assert_array_equal(alone.values, every[band].values)
 
 
-def test_histograms_match_oracles_across_reach_blocks():
-    graph = random_graph(2 * _REACH_BLOCK + 76, 4.0 / 1100, seed=11)
+def assert_histograms_match_oracles_across_reach_blocks(n, degree):
+    graph = random_graph(n, degree / n, seed=11)
     assert (graph.degrees == 0).any()
     assert graph.num_edges > 2 * _EDGE_CHUNK
     assert_histograms_match_oracles(graph, k=2)
+
+
+def test_histograms_match_oracles_across_reach_blocks():
+    assert_histograms_match_oracles_across_reach_blocks(2 * _REACH_BLOCK + 76, 4.0)
+
+
+@pytest.mark.parametrize("n", [2 * _REACH_BLOCK - 1, 2 * _REACH_BLOCK, 2 * _REACH_BLOCK + 1])
+def test_histograms_match_oracles_at_reach_block_edges(n):
+    # A last reach block one column short of full, full, and of one column.
+    assert_histograms_match_oracles_across_reach_blocks(n, 4.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_histograms_match_oracles_in_one_short_reach_block(n):
+    # One reach block of n < _REACH_BLOCK columns, over a path; a lone node has no edge.
+    graph = toy_graph([(i, i + 1) for i in range(n - 1)], [i % 3 for i in range(n)], num_classes=3)
+    assert graph.num_nodes == n < _REACH_BLOCK
+    for k in (0, 1, 2):
+        assert_histograms_match_oracles(graph, k)
 
 
 def test_induced_edge_sums_holds_no_n_by_n_array():

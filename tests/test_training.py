@@ -33,6 +33,7 @@ from diverspec.model import accuracy, forward, init_params
 from diverspec.datasets import random_graph
 from tests.conftest import EQUAL_RWPE_ROWS, counting_forks, toy_graph
 from tests.test_induced_edges import small_graphs
+from tests.test_positional import SweepOperator
 
 
 def small_config(**overrides) -> DsfConfig:
@@ -426,10 +427,11 @@ def test_run_grid_results_do_not_depend_on_the_cpu_count(monkeypatch):
         assert grid.last_run.val_history == serial.last_run.val_history
 
 
-def test_run_grid_forks_after_a_threaded_rwpe_build(monkeypatch):
-    # RWPE runs on helper threads in the calling process; they are all joined
-    # before the grid decides whether it may fork.
-    g = random_graph(3 * model._RWPE_BLOCK, 0.05, seed=8)
+def assert_grid_forks_after_rwpe(monkeypatch, n, threads):
+    # RWPE runs on pool threads of the calling process; they are all joined
+    # before the grid decides whether it may fork. Each of ``threads`` must
+    # be inside a block at once, so that many are started.
+    g = random_graph(n, 0.05, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
     started = []
 
@@ -438,14 +440,26 @@ def test_run_grid_forks_after_a_threaded_rwpe_build(monkeypatch):
             started.append(self.name)
             super().start()
 
+    def positional(a_hat, *args):
+        return model.init_positional(SweepOperator(a_hat, threads), *args)
+
     monkeypatch.setattr(threading, "Thread", LoggingThread)
+    monkeypatch.setattr(training, "init_positional", positional)
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     forks = counting_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=2, patience=2), 1, splits, 5)
-    assert started == ["rwpe"] and len(forks) == 1
+    assert started == [f"rwpe_{i}" for i in range(threads)] and len(forks) == 1
     assert len(grid.cells) == 2
     assert not multiprocessing.active_children()
+
+
+def test_run_grid_forks_after_a_threaded_rwpe_build(monkeypatch):
+    assert_grid_forks_after_rwpe(monkeypatch, 3 * model._RWPE_BLOCK, threads=2)
+
+
+def test_run_grid_forks_after_a_one_block_rwpe_build(monkeypatch):
+    assert_grid_forks_after_rwpe(monkeypatch, model._RWPE_BLOCK + 1, threads=1)
 
 
 def test_run_grid_brings_back_the_last_run_from_a_worker(monkeypatch, tmp_path):
