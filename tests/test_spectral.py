@@ -19,7 +19,7 @@ from diverspec import (
 )
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
-from diverspec.spectral import HISTOGRAM_BANDS
+from diverspec.spectral import HISTOGRAM_BANDS, _Factorization
 from tests.conftest import connected_random_graph, toy_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -168,7 +168,7 @@ def test_frequency_histogram_high_band_metadata():
     assert abs(hist.lambda_global - dec.eigenvalues[-1]) < 1e-12
 
 
-# --- band path: selected eigenpairs from one tridiagonal reduction ----------
+# --- band path: selected eigenpairs by spectrum slicing ---------------------
 
 
 def cycle_graph(n: int):
@@ -215,6 +215,130 @@ def test_band_path_returns_full_eigh_columns_for_a_repeated_eigenvalue(graph):
     chosen = list(band.indices)
     np.testing.assert_array_equal(band.eigenvalues, full.eigenvalues[chosen])
     np.testing.assert_array_equal(band.eigenvectors, full.eigenvectors[:, chosen])
+
+
+def _assert_matches_full(band, full):
+    chosen = list(band.indices)
+    np.testing.assert_allclose(band.eigenvalues, full.eigenvalues[chosen], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        band.eigenvectors, full.eigenvectors[:, chosen], rtol=0.0, atol=1e-10
+    )
+
+
+def _min_gap(values: np.ndarray, indices) -> float:
+    padded = np.concatenate([[-np.inf], values, [np.inf]])
+    return min(np.diff(padded)[i : i + 2].min() for i in indices)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_band_path_matches_full_eigh_at_300_nodes(monkeypatch, seed):
+    # Large enough for the Krylov basis to restart; 12 and 290 lie far from
+    # the first shift, so the index search takes several factorizations.
+    g = connected_random_graph(300, edge_prob=0.02, seed=seed)
+    _, l_hat = normalized_operators(g)
+    full = eigendecompose(l_hat)
+    wanted = (0, 12, 75, 149, 230, 290, 299)
+    assert _min_gap(full.eigenvalues, wanted) > 1e-3
+
+    monkeypatch.setattr(np.linalg, "eigh", _no_full_eigh)
+    band = eigendecompose(l_hat, indices=wanted)
+    assert band.indices == wanted
+    _assert_matches_full(band, full)
+
+
+def test_band_pairs_do_not_depend_on_the_other_indices():
+    g = connected_random_graph(300, edge_prob=0.02, seed=0)
+    _, l_hat = normalized_operators(g)
+    together = eigendecompose(l_hat, indices=(0, 149, 299))
+    for column, index in enumerate(together.indices):
+        alone = eigendecompose(l_hat, indices=[index])
+        np.testing.assert_array_equal(alone.eigenvalues, together.eigenvalues[[column]])
+        np.testing.assert_array_equal(alone.eigenvectors, together.eigenvectors[:, [column]])
+
+
+@pytest.mark.parametrize("seed, hub", [(0, 0), (2, 23)], ids=["zero-pivot", "tiny-pivot"])
+def test_band_path_survives_a_shift_on_an_eigenvalue(monkeypatch, seed, hub):
+    # Twin leaves on one hub give the eigenvector e_300 - e_301 with lambda = 1
+    # exactly, at index 150: the first shift, trace(L-hat) / N = 1, lands on
+    # it, so the inertia count cannot tell which side it is on. Its gapped
+    # neighbours 149 and 151 are the targets (its own vector is +-1/sqrt(2) at
+    # two nodes, so its sign convention is a rounding tie). With hub 0
+    # Bunch-Kaufman meets an exactly zero pivot; with seed 2 and hub 23 only a
+    # tiny one, and every solve is swamped by that one direction.
+    base = connected_random_graph(300, edge_prob=0.02, seed=seed)
+    g = toy_graph(base.edges.tolist() + [(hub, 300), (hub, 301)], labels=[0] * 302)
+    _, l_hat = normalized_operators(g)
+    full = eigendecompose(l_hat)
+    assert abs(full.eigenvalues[150] - 1.0) < 1e-14
+    assert _min_gap(full.eigenvalues, [149, 151]) > 1e-3
+
+    shifts = []
+    at = _Factorization.at
+    monkeypatch.setattr(_Factorization, "at", lambda self, s: shifts.append(s) or at(self, s))
+    monkeypatch.setattr(np.linalg, "eigh", _no_full_eigh)
+    band = eigendecompose(l_hat, indices=[149, 151])
+    assert shifts[0] == 1.0
+    _assert_matches_full(band, full)
+
+
+def _two_components():
+    first = connected_random_graph(60, edge_prob=0.1, seed=1)
+    second = connected_random_graph(60, edge_prob=0.1, seed=2)
+    return toy_graph(
+        first.edges.tolist() + (second.edges + 60).tolist(), labels=[0] * 120
+    )
+
+
+def _complete(n: int):
+    return toy_graph([(p, q) for p in range(n) for q in range(p + 1, n)], labels=[0] * n)
+
+
+@pytest.mark.parametrize(
+    "graph, end, value",
+    [(_two_components(), "low", 0.0), (_complete(60), "high", 60 / 59)],
+    ids=["zero-twice", "complete60-top"],
+)
+def test_band_path_returns_full_eigh_columns_for_a_repeated_end(graph, end, value):
+    # Both graphs are larger than one Krylov basis, so the end comes from block
+    # Lanczos, whose two-wide blocks see at least two copies of the eigenvalue.
+    _, l_hat = normalized_operators(graph)
+    full = eigendecompose(l_hat)
+    index = band_eigen_index(graph.num_nodes, end)
+    neighbour = 1 if end == "low" else graph.num_nodes - 2
+    np.testing.assert_allclose(full.eigenvalues[[index, neighbour]], value, atol=1e-12)
+
+    band = eigendecompose(l_hat, indices=[index])
+    np.testing.assert_array_equal(band.eigenvalues, full.eigenvalues[[index]])
+    np.testing.assert_array_equal(band.eigenvectors, full.eigenvectors[:, [index]])
+
+
+def _inertia_graph():
+    return connected_random_graph(200, edge_prob=0.03, seed=5)
+
+
+def test_inertia_count_at_the_mean_eigenvalue_uses_2x2_pivots():
+    # L-hat - I = -A_hat has a zero diagonal, so Bunch-Kaufman must take 2x2
+    # pivots; the count of negative eigenvalues of D must still match eigh's.
+    from scipy.linalg import lapack
+
+    _, l_hat = normalized_operators(_inertia_graph())
+    values = np.linalg.eigvalsh(l_hat.dense())
+    assert np.abs(values - 1.0).min() > 1e-6
+    shifted = l_hat.dense() - np.eye(200)
+    assert (lapack.dsytrf(shifted, lower=1)[1] < 0).any()
+    count, solve = _Factorization(l_hat).at(1.0)
+    assert count == np.count_nonzero(values < 1.0)
+    rhs = np.random.default_rng(0).standard_normal((200, 2))
+    np.testing.assert_allclose(shifted @ solve(rhs), rhs, rtol=0.0, atol=1e-9)
+
+
+def test_inertia_count_at_random_shifts():
+    _, l_hat = normalized_operators(_inertia_graph())
+    values = np.linalg.eigvalsh(l_hat.dense())
+    factorization = _Factorization(l_hat)
+    for shift in np.random.default_rng(3).uniform(-0.1, 2.1, size=12):
+        assert np.abs(values - shift).min() > 1e-8
+        assert factorization.at(float(shift))[0] == np.count_nonzero(values < shift)
 
 
 @pytest.mark.parametrize(
