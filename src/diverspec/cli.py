@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import base64
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from .config import config_hash, load_config, resolved_dict
 from .datasets import load_dataset, read_labels, read_structure
 from .domains import DOMAINS, check_domains
 from .errors import DataError, DiverspecError, NumericalError, UsageError
-from .graph import beside, build_graph, can_fork, edge_homophily, normalized_operators, usable_cpus
+from .graph import build_graph, edge_homophily, normalized_operators
 from .model import DsfConfig, direct_table
 from .polynomials import Bernstein, Jacobi, Monomial, filter_response, rescale_coefficients
 from .spectral import HISTOGRAM_BANDS, band_eigen_index, eigendecompose, local_histograms
@@ -126,23 +127,21 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     meta, edges = read_structure(args.data)
     n = meta.num_nodes
     # No feature is read here. The node table gets load_dataset's full
-    # check in a child that graph.beside forks while this process finds the
-    # band eigenpairs of L-hat, or here before them; only its labels come
-    # back. Its error wins over any below, as if it were checked first.
+    # check in the child that eigendecompose forks for the end eigenpairs
+    # while this process finds the interior ones, or here before them; only
+    # its labels come back. Its error wins over any below, as if it were
+    # checked first.
     structure = build_graph(edges, n, np.empty((n, 0)), np.zeros(n, np.int64), meta.num_classes)
-
-    def band_pairs():
-        if not structure.num_edges:
-            return None  # edge_homophily rejects the graph once the labels are in
-        _, l_hat = normalized_operators(structure)
-        return eigendecompose(
-            l_hat,
+    check_nodes = functools.partial(read_labels, args.data, meta)
+    if structure.num_edges:
+        decomposition, labels = eigendecompose(
+            normalized_operators(structure)[1],
             dense_limit=args.dense_limit,
             indices=[band_eigen_index(n, band) for band in bands],
+            alongside=check_nodes,
         )
-
-    children = 1 if usable_cpus() > 1 and can_fork() else 0
-    decomposition, (labels,) = beside(band_pairs, lambda: read_labels(args.data, meta), children)
+    else:  # edge_homophily rejects the graph once the labels are in
+        decomposition, labels = None, check_nodes()
     graph = build_graph(structure.edges, n, structure.features, labels, meta.num_classes)
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)

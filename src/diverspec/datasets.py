@@ -11,7 +11,8 @@ endings:
 Every node id must appear exactly once in ``nodes.tsv``. The loader reports
 malformed input with file names and line numbers; only an LF ends a line.
 
-``edges.tsv`` is streamed line by line into one ``np.loadtxt`` call.
+``edges.tsv`` is read whole, its bytes checked once, and parsed by one
+``np.loadtxt`` call.
 ``nodes.tsv`` is streamed in small chunks of lines, each written straight
 into the (N, F) feature table at its rows' ids, so an out-of-order file
 needs no reordering. A row of ``D.D`` tokens (a digit, a dot, a digit, as
@@ -36,10 +37,10 @@ later one.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections.abc import Iterator
-from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
@@ -185,28 +186,31 @@ def _plain_lines(handle: BinaryIO, plain: bytes) -> Iterator[bytes]:
             yield line
 
 
-def _stream_loadtxt(lines: Iterator[bytes], **kwargs) -> np.ndarray | None:
-    """One 2-D ``np.loadtxt`` over ``lines``; ``None`` if there are none."""
-    first = next(lines, None)
-    if first is None:
-        return None
-    return np.loadtxt(chain((first,), lines), comments=None, ndmin=2, **kwargs)
-
-
 def _read_edges(edges_path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
     """Endpoint pairs from ``edges.tsv``.
 
-    A file of digits, tabs and LF or CRLF line ends is streamed into one ``np.loadtxt``
+    The file is read whole and its bytes checked once: digits, tabs and LF
+    line ends, each LF perhaps after one ``\\r``, and no blank CRLF line.
+    Such a file goes to one ``np.loadtxt``, which skips its blank LF lines,
     followed by a shape and range check. Any other file, or any problem,
     goes through :func:`_parse_edge_lines`.
     """
-    try:
-        with open(edges_path, "rb") as handle:
-            edges = _stream_loadtxt(
-                _plain_lines(handle, _PLAIN_EDGE_BYTES), delimiter="\t", dtype=np.int64
+    with open(edges_path, "rb") as handle:
+        text = handle.read()
+    plain = True
+    if b"\r" in text:  # CRLF line ends only: each \r before an LF, no blank CRLF line
+        blank = text.startswith(b"\r\n") or b"\n\r\n" in text
+        plain = text.count(b"\r") == text.count(b"\r\n") and not blank
+        text = text.replace(b"\r\n", b"\n")
+    edges = None
+    if plain and not text.translate(None, _PLAIN_EDGE_BYTES) and text.strip(b"\n"):
+        try:
+            edges = np.loadtxt(
+                io.StringIO(text.decode("ascii")),
+                delimiter="\t", dtype=np.int64, comments=None, ndmin=2,
             )
-    except (ValueError, OverflowError):
-        edges = None
+        except (ValueError, OverflowError):
+            pass
     if edges is not None and edges.shape[1] == 2 and edges.max() < n:
         return edges
     return _parse_edge_lines(edges_path, n)

@@ -229,9 +229,11 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, else the CPU count.
 
-    It sizes the RWPE sweep's thread pool and bounds the processes the
-    training grid forks through :func:`beside`; with more than one,
-    ``diagnose`` checks its node table there too. No count changes any result.
+    It bounds the processes :func:`share` runs (the training grid's cells,
+    the reach sweep's blocks) and sizes the RWPE sweep's thread pool; with
+    more than one, :func:`~diverspec.spectral.eigendecompose` finds the end
+    pairs in a forked child beside the interior ones. No count changes any
+    result.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -244,8 +246,8 @@ def can_fork() -> bool:
     The ``fork`` start method must exist, this process must not be daemonic
     (a pool worker may not have children), and no other thread may run: a
     fork copies only the calling thread, so a lock another thread holds would
-    stay locked in the child. The training grid and ``diagnose``'s node-table
-    check both ask it before they call :func:`beside` with any children.
+    stay locked in the child. :func:`forks` asks it for every caller of
+    :func:`beside`.
     """
     return (
         "fork" in multiprocessing.get_all_start_methods()
@@ -254,9 +256,20 @@ def can_fork() -> bool:
     )
 
 
+def forks(processes: int) -> int:
+    """The children :func:`beside` may fork so that up to ``processes`` processes run.
+
+    One less than ``min(processes, usable_cpus())`` where :func:`can_fork`
+    allows it, else 0.
+    """
+    return min(processes, usable_cpus()) - 1 if processes > 1 and can_fork() else 0
+
+
 def beside(here: Callable[[], object], job: Callable[[], object], children: int) -> tuple:
     """``(here(), [job(), ...])``: ``here`` runs while ``children`` forked processes run ``job``.
 
+    It is the one place that forks: :func:`share` runs its workers through
+    it, and :func:`~diverspec.spectral.eigendecompose` its end-pair child.
     Each child sends back only ``job``'s result or its exception, and the
     results come in fork order. A child's exception, the first in fork order,
     is raised in place of any error of ``here``, and a child that exits
@@ -264,7 +277,7 @@ def beside(here: Callable[[], object], job: Callable[[], object], children: int)
     has exited on return and raise; one still running when this process
     raises is terminated. ``children=0`` forks nothing: ``job`` runs once in
     this process first, and its error is raised before ``here`` starts.
-    Otherwise the caller has asked :func:`can_fork`.
+    Otherwise the caller has asked :func:`forks` how many it may fork.
     """
     if not children:
         sent = [job()]
@@ -317,21 +330,74 @@ def beside(here: Callable[[], object], job: Callable[[], object], children: int)
     return done, results
 
 
+def share(task: Callable[[int], object], count: int) -> list:
+    """``[task(0), ..., task(count - 1)]``, run by up to ``min(count, usable_cpus())`` processes.
+
+    Every process, this one and the workers :func:`beside` forks (as many as
+    :func:`forks` allows), claims the lowest unclaimed index from a shared
+    counter until none is left; a worker inherits what this process holds
+    and sends back only its results. The results do not depend on the number
+    of processes. A failure empties the counter, so every index below the
+    first failing one has run when that index's error is raised. In one
+    process the tasks run in index order up to the first failure. A worker
+    that dies raises ``RuntimeError``; if this process is killed outright,
+    each worker stops after its current task.
+    """
+    processes = 1 + forks(count)
+    next_index = multiprocessing.RawValue("i", 0)  # memory that forked workers share
+    lock = multiprocessing.get_context("fork").Lock() if processes > 1 else threading.Lock()
+    caller = os.getpid()
+
+    def claim() -> int | None:
+        if os.getpid() != caller and os.getppid() != caller:
+            return None  # the caller was killed: its orphaned workers stop
+        with lock:
+            index = next_index.value
+            next_index.value += 1
+        return index if index < count else None
+
+    def run_claimed() -> dict:
+        outcomes = {}
+        for index in iter(claim, None):
+            try:
+                outcomes[index] = task(index), None
+            except Exception as exc:
+                outcomes[index] = None, exc
+                with lock:
+                    next_index.value = count
+        return outcomes
+
+    outcomes, sent = beside(run_claimed, run_claimed, processes - 1)
+    for worker_outcomes in sent:
+        outcomes.update(worker_outcomes)
+    results = []
+    for index in range(count):
+        result, error = outcomes[index]
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
 
     ``values`` is (E,) or (E, c), one entry or row per canonical edge, and the
-    sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a time,
-    in order on the calling thread, each block's float32 identity columns
-    built as it is reached. Up to k float32 products with the hop operator
-    ``A + I``, each clipped back to 0/1 (so exact) and stopped, as in
-    :func:`k_hop`, by one that adds no node, give the dense (N, block) reach
-    mask ``inside``. Edge (p, q) is induced for block node j exactly when
-    ``inside[p, j]`` and ``inside[q, j]``; that gathered (chunk, block) mask,
-    ``_EDGE_CHUNK`` canonical edges at a time, meets the (1 + c, E) table
-    ``[1 | values]^T`` in one GEMM, whose ones row gives the counts. Memory is
-    O(N * block + chunk * block); no N x N array is formed. Integer sums are
-    exact; the rounding of other sums may depend on the shape of ``values``.
+    sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a
+    time, each block one task of :func:`share`, so blocks run in up to
+    ``min(blocks, usable_cpus())`` processes. A block's dense float32 (N, block)
+    reach mask ``inside`` starts as its columns of the hop operator ``A + I``
+    (one hop, 0/1 already); up to k - 1 more products with it, each clipped
+    back to 0/1 (so exact) and stopped, as in :func:`k_hop`, by one that adds
+    no node, give the k-hop mask (k = 0 gives the block's identity columns).
+    Edge (p, q) is induced for block node j exactly when ``inside[p, j]``
+    and ``inside[q, j]``; that gathered (chunk, block) mask, ``_EDGE_CHUNK``
+    canonical edges at a time, meets the (1 + c, E) table ``[1 | values]^T``
+    in one GEMM, whose ones row gives the counts. Each block's GEMMs have the
+    same shapes whichever process runs it, so the bytes do not depend on the
+    process count. Memory is O(N * block + chunk * block) per process; no
+    N x N array is formed. Integer sums are exact; the rounding of other sums
+    may depend on the shape of ``values``.
     """
     if k < 0:
         raise DataError(f"hop count must be nonnegative, got {k}")
@@ -342,22 +408,32 @@ def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndar
     table[1:] = columns.T
     hop = (graph.adjacency + sparse.eye_array(n, format="csr")).astype(np.float32)
     p, q = graph.edges[:, 0], graph.edges[:, 1]
-    sums = np.zeros((table.shape[0], n))
-    for start in range(0, n, _REACH_BLOCK):
+
+    starts = range(0, n, _REACH_BLOCK)
+
+    def block_sums(block: int) -> np.ndarray:
+        start = starts[block]
         nodes = slice(start, min(start + _REACH_BLOCK, n))
-        reach = np.eye(n, nodes.stop - start, -start, dtype=np.float32)
-        reached = reach.shape[1]
-        for _ in range(k):
-            reach = hop @ reach
-            np.minimum(reach, 1.0, out=reach)
-            if reached == (reached := np.count_nonzero(reach)):
-                break  # no node added: every later product gives this mask
+        if k == 0:
+            reach = np.eye(n, nodes.stop - start, -start, dtype=np.float32)
+        else:
+            reach = hop[:, nodes].toarray()
+            reached = nodes.stop - start
+            for _ in range(k - 1):
+                if reached == (reached := np.count_nonzero(reach)):
+                    break  # no node added: every later product gives this mask
+                reach = hop @ reach
+                np.minimum(reach, 1.0, out=reach)
         inside = reach > 0
         del reach
+        sums = np.zeros((table.shape[0], nodes.stop - start))
         for first in range(0, num_edges, _EDGE_CHUNK):
             chunk = slice(first, first + _EDGE_CHUNK)
             both = inside[p[chunk]] & inside[q[chunk]]
-            sums[:, nodes] += table[:, chunk] @ both.astype(np.float64)
+            sums += table[:, chunk] @ both.astype(np.float64)
+        return sums
+
+    sums = np.hstack(share(block_sums, len(starts)))
     return sums[0].astype(np.int64), np.ascontiguousarray(sums[1:].T).reshape(n, *values.shape[1:])
 
 

@@ -11,17 +11,19 @@ sparse L-hat. An interior index takes the spectral-transformation Lanczos
 method of Ericsson and Ruhe (1980): one dense LDL^T factorization of
 L-hat - sigma I counts, by Sylvester's law of inertia, the eigenvalues below
 sigma, and block Lanczos on (L-hat - sigma I)^-1 finds those nearest sigma.
+Where two CPUs are usable, the ends are found in a forked child while this
+process factors.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .graph import Graph, SparseOperator, induced_edge_sums, k_hop
+from .graph import Graph, SparseOperator, beside, forks, induced_edge_sums, k_hop
 
 HISTOGRAM_BANDS = ("low", "mid", "high")
 # A computed eigenvector is fixed only to about eps * ||L|| / gap, where gap is
@@ -93,71 +95,80 @@ def eigendecompose(
     l_hat: SparseOperator,
     dense_limit: int = 20000,
     indices: Iterable[int] | None = None,
-) -> SpectralDecomposition:
+    alongside: Callable[[], object] | None = None,
+) -> SpectralDecomposition | tuple[SpectralDecomposition, object]:
     """Symmetric eigendecomposition of the normalized Laplacian.
 
     Densifies the operator, so its size is capped at ``dense_limit``. With
     ``indices=None`` every pair comes from ``np.linalg.eigh`` (LAPACK
     ``syevd``: tridiagonalization, then divide and conquer). Otherwise only
     the pairs at those 0-based ascending positions are computed, by
-    spectrum slicing in :func:`_selected_pairs`, which holds at most one
-    dense N x N array and factors it in place. If one of them may lie within
+    spectrum slicing. Pairs 0 and N - 1 come from block Lanczos on the
+    sparse operator (:func:`_end_pair`). An interior one is placed by
+    Sylvester's law of inertia (:func:`_inner_pair`): an LDL^T factorization
+    of L-hat - sigma I, in place on one dense N x N array, has as many
+    negative pivots as L-hat has eigenvalues below sigma, and shift-invert
+    block Lanczos finds every eigenvalue from sigma to the index's two
+    neighbours, so each one's index follows from that count. Each pair is
+    computed on its own from the same seeded start, so its bits do not
+    depend on the other indices. If one of them may lie within
     ``_BAND_GAP`` of a neighbouring eigenvalue, or no shift proves its
-    index, the full ``eigh`` columns are returned instead. Raises
-    :class:`UsageError` for a non-symmetric operator, one over the cap, or
-    an index outside ``[0, N)``.
-    """
-    if not l_hat.symmetric:
-        raise UsageError("eigendecompose requires a symmetric operator")
-    n = l_hat.shape[0]
-    if n > dense_limit:
-        raise UsageError(
-            f"operator has {n} nodes, over the dense eigensolver cap {dense_limit}"
-        )
-    if indices is None:
-        values, vectors = np.linalg.eigh(l_hat.dense())
-        return SpectralDecomposition(eigenvalues=values, eigenvectors=_fix_signs(vectors))
+    index, the full ``eigh`` columns are returned for every index instead.
+    Raises :class:`UsageError` for a non-symmetric operator, one over the
+    cap, or an index outside ``[0, N)``.
 
-    indices = tuple(sorted({int(i) for i in indices}))
-    if indices and not 0 <= indices[0] <= indices[-1] < n:
-        raise UsageError(f"eigenpair indices {indices} outside [0, {n})")
-    pairs = _selected_pairs(l_hat, indices)
-    if pairs is None:
-        values, vectors = np.linalg.eigh(l_hat.dense())
-        pairs = values[list(indices)], vectors[:, list(indices)]
-    return SpectralDecomposition(pairs[0], _fix_signs(pairs[1]), indices)
-
-
-def _selected_pairs(
-    l_hat: SparseOperator, indices: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenpairs at ``indices`` by spectrum slicing; ``None`` when one is not gapped.
-
-    Indices 0 and N - 1 come from block Lanczos on the sparse operator. An
-    interior index is placed by Sylvester's law of inertia: an LDL^T
-    factorization of L-hat - sigma I has as many negative pivots as L-hat
-    has eigenvalues below sigma. Shift-invert block Lanczos then finds
-    every eigenvalue from sigma to the index's two neighbours, so each one's
-    index follows from that count. Each pair is computed on its own, from
-    the same seeded start, so its bits do not depend on the other indices.
-    Returns ``None`` when a requested eigenvalue may lie within
-    ``_BAND_GAP`` of a neighbour, or when no shift proves an index.
+    With ``indices``, the two kinds of pair run in two processes where
+    :func:`~diverspec.graph.forks` allows a child: the one that
+    :func:`~diverspec.graph.beside` forks runs ``alongside`` (a job of no
+    arguments), if given, and then finds the end pairs, while this process
+    factors for the interior ones. Otherwise ``alongside`` and then the end
+    pairs run here first, before the dense buffer exists. With
+    ``alongside`` the result is ``(decomposition, alongside())``, and its
+    error is raised in place of any other, as if it ran first. No pair's
+    bits depend on the process that computed it.
     """
     n = l_hat.shape[0]
-    pairs, factorization = {}, _Factorization(l_hat)
-    for index in (i for i in indices if 0 < i < n - 1):
-        pairs[index] = _inner_pair(factorization, index, np.random.default_rng(0))
-        if pairs[index] is None:
+
+    def checked() -> tuple[int, ...] | None:
+        if not l_hat.symmetric:
+            raise UsageError("eigendecompose requires a symmetric operator")
+        if n > dense_limit:
+            raise UsageError(
+                f"operator has {n} nodes, over the dense eigensolver cap {dense_limit}"
+            )
+        if indices is None:
             return None
-    # The dense buffer goes before the ends run, so their temporaries do not
-    # stack on it (the heap keeps some of them resident).
-    del factorization
-    for index in (i for i in indices if i in (0, n - 1)):
-        pairs[index] = _end_pair(l_hat, index, np.random.default_rng(0))
-        if pairs[index] is None:
-            return None
-    values = np.array([pairs[i][0] for i in indices])
-    return values, np.array([pairs[i][1] for i in indices]).reshape(len(indices), n).T
+        wanted = tuple(sorted({int(i) for i in indices}))
+        if wanted and not 0 <= wanted[0] <= wanted[-1] < n:
+            raise UsageError(f"eigenpair indices {wanted} outside [0, {n})")
+        return wanted
+
+    def ends() -> tuple[object, dict]:
+        done = alongside() if alongside is not None else None
+        wanted = [i for i in checked() or () if i in (0, n - 1)]
+        return done, {i: _end_pair(l_hat, i, np.random.default_rng(0)) for i in wanted}
+
+    def inner() -> tuple[tuple[int, ...] | None, dict]:
+        wanted, factorization, pairs = checked(), _Factorization(l_hat), {}
+        for index in (i for i in wanted or () if 0 < i < n - 1):
+            pairs[index] = _inner_pair(factorization, index, np.random.default_rng(0))
+            if pairs[index] is None:
+                break
+        return wanted, pairs
+
+    (wanted, pairs), [(done, end_pairs)] = beside(
+        inner, ends, forks(2) if indices is not None else 0
+    )
+    pairs.update(end_pairs)
+    if wanted is None or None in pairs.values():
+        values, vectors = np.linalg.eigh(l_hat.dense())
+        if wanted is not None:
+            values, vectors = values[list(wanted)], vectors[:, list(wanted)]
+    else:
+        values = np.array([pairs[i][0] for i in wanted])
+        vectors = np.array([pairs[i][1] for i in wanted]).reshape(len(wanted), n).T
+    decomposition = SpectralDecomposition(values, _fix_signs(vectors), wanted)
+    return decomposition if alongside is None else (decomposition, done)
 
 
 def _end_pair(l_hat: SparseOperator, index: int, rng) -> tuple[float, np.ndarray] | None:
@@ -503,7 +514,9 @@ def local_histograms(
     zeros when that band is not asked for. The matrix's shape and each band's
     column never change, so a band's values do not depend on which other
     bands are asked for. The sweep makes one sparse product per hop and one
-    gathered-mask GEMM per edge chunk for all columns together. Returns
+    gathered-mask GEMM per edge chunk for all columns together, one reach
+    block per task of :func:`~diverspec.graph.share`, so its blocks run in
+    up to ``min(blocks, usable_cpus())`` processes with the same bytes. Returns
     ``(node_ids, homophily, {band: FrequencyHistogram})``; every histogram
     covers ``node_ids``, the nodes with a nonempty k-hop induced edge set.
     The values equal :func:`~diverspec.graph.local_label_homophily` and

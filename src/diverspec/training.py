@@ -7,9 +7,6 @@ training trajectory: initialization, dropout masks, and the split itself.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -19,7 +16,7 @@ from scipy import sparse
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .domains import check_domains
 from .errors import DataError, NumericalError
-from .graph import Graph, SparseOperator, beside, can_fork, normalized_operators, usable_cpus
+from .graph import Graph, SparseOperator, normalized_operators, share
 from .model import (
     DsfConfig,
     DsfParams,
@@ -267,18 +264,19 @@ def run_grid(
     cell can be reproduced in isolation. The graph inputs are built once,
     by :func:`graph_inputs`, and shared by every cell.
 
-    The cells train in up to ``min(cells, usable_cpus())`` processes: this
-    one and workers that :func:`~diverspec.graph.beside` forks after the
-    graph inputs are built, which inherit them. Each process claims the
-    lowest unclaimed cell, in (run, split) order, and holds one cell's tape
-    at a time, so total RSS grows by up to that many tapes; workers send
-    back their cell records and, if they trained it, the last cell's result.
-    Results do not depend on the number of processes. Nothing is forked with
-    one cell, one usable CPU (``taskset -c 0``), no ``fork`` start method, in
-    a daemonic process or beside other threads. A failing cell stops the
-    grid, and the error raised is that of the first failing cell in (run,
-    split) order. A worker that dies raises ``RuntimeError``. If this
-    process is killed outright, each worker stops after its current cell.
+    The cells are the tasks of :func:`~diverspec.graph.share`: they train in
+    up to ``min(cells, usable_cpus())`` processes, this one and workers
+    forked after the graph inputs are built, which inherit them. Each
+    process claims the lowest unclaimed cell, in (run, split) order, and
+    holds one cell's tape at a time, so total RSS grows by up to that many
+    tapes; workers send back their cell records and, if they trained it, the
+    last cell's result. Results do not depend on the number of processes.
+    Nothing is forked with one cell, one usable CPU (``taskset -c 0``), no
+    ``fork`` start method, in a daemonic process or beside other threads. A
+    failing cell stops the grid, and the error raised is that of the first
+    failing cell in (run, split) order. A worker that dies raises
+    ``RuntimeError``. If this process is killed outright, each worker stops
+    after its current cell.
     """
     check_domains({"runs": runs})
     if not splits:
@@ -290,7 +288,7 @@ def run_grid(
         for split_idx in range(len(splits))
     ]
 
-    def train_cell(index: int) -> tuple[dict, RunResult]:
+    def train_cell(index: int) -> tuple[dict, RunResult | None]:
         seed = seeds[index]
         result = train_once(
             graph, inputs, config, train_config, splits[seed[2]],
@@ -305,57 +303,9 @@ def run_grid(
             "best_epoch": result.best_epoch,
             "epochs_run": result.epochs_run,
         }
-        return record, result
+        return record, result if index == len(seeds) - 1 else None
 
-    cells, last = _train_in_processes(train_cell, len(seeds))
+    cells, last_runs = zip(*share(train_cell, len(seeds)))
     mean, ci = aggregate([cell["test_acc"] for cell in cells])
-    return GridResult(mean_acc=mean, ci95=ci, cells=cells, last_run=last)
+    return GridResult(mean_acc=mean, ci95=ci, cells=list(cells), last_run=last_runs[-1])
 
-
-def _train_in_processes(
-    train_cell: Callable[[int], tuple[dict, RunResult]], count: int
-) -> tuple[list[dict], RunResult]:
-    """Cell records in index order and the last cell's result.
-
-    Every process, this one and up to ``min(count, usable_cpus()) - 1``
-    workers that :func:`~diverspec.graph.beside` forks where that is safe,
-    claims the lowest unclaimed cell from a shared counter until none is
-    left. A failure empties the counter, so every cell below the first
-    failing one has trained when the error is raised.
-    """
-    processes = min(count, usable_cpus()) if can_fork() else 1
-    next_cell = multiprocessing.RawValue("i", 0)  # memory that forked workers share
-    lock = multiprocessing.get_context("fork").Lock() if processes > 1 else threading.Lock()
-    caller = os.getpid()
-
-    def claim() -> int | None:
-        if os.getpid() != caller and os.getppid() != caller:
-            return None  # the caller was killed: its orphaned workers stop
-        with lock:
-            index = next_cell.value
-            next_cell.value += 1
-        return index if index < count else None
-
-    def train_claimed() -> tuple[dict, RunResult | None]:
-        outcomes, last_run = {}, None
-        for index in iter(claim, None):
-            try:
-                outcomes[index], result = train_cell(index)
-                if index == count - 1:
-                    last_run = result
-            except Exception as exc:
-                outcomes[index] = exc
-                with lock:
-                    next_cell.value = count
-        return outcomes, last_run
-
-    (outcomes, last_run), sent = beside(train_claimed, train_claimed, processes - 1)
-    for worker_cells, worker_last_run in sent:
-        outcomes.update(worker_cells)
-        last_run = last_run or worker_last_run
-    cells = []
-    for index in range(count):
-        if isinstance(outcomes[index], Exception):
-            raise outcomes[index]
-        cells.append(outcomes[index])
-    return cells, last_run

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diverspec import Graph, build_graph, random_graph
+from diverspec import graph as graph_module
 
 DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
 
@@ -54,6 +55,11 @@ def connected_random_graph(num_nodes: int, edge_prob: float, seed: int) -> Graph
     chain = np.stack([order[:-1], order[1:]], axis=1)
     edges = np.concatenate([base.edges, chain]) if base.edges.size else chain
     return build_graph(edges, num_nodes, base.features, base.labels, base.num_classes)
+
+
+def set_usable_cpus(monkeypatch, count: int) -> None:
+    """Patch the CPU count every forking stage reads (``graph.usable_cpus``)."""
+    monkeypatch.setattr(graph_module, "usable_cpus", lambda: count)
 
 
 def counting_forks(monkeypatch) -> list[int]:

@@ -31,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diverspec
-from diverspec import cli, errors
+from diverspec import cli, errors, spectral
 from diverspec.analysis import homophily_histogram
 from diverspec.cli import _write_json, main
 from diverspec.datasets import load_dataset, random_graph, save_dataset, two_block_graph
@@ -40,7 +40,7 @@ from diverspec.graph import build_graph, edge_homophily, local_label_homophily
 from diverspec.model import DsfConfig
 from diverspec.training import TrainConfig
 
-from conftest import EQUAL_RWPE_ROWS, counting_forks, toy_graph
+from conftest import EQUAL_RWPE_ROWS, counting_forks, set_usable_cpus, toy_graph
 
 CONFIG_TEXT = """\
 # model
@@ -231,18 +231,19 @@ def test_diagnose_missing_dataset_is_a_data_error(tmp_path, capsys):
 
 
 def test_diagnose_outputs_do_not_depend_on_where_the_nodes_are_checked(tmp_path, monkeypatch):
-    # Two usable CPUs fork the node-table check, one runs it here first.
+    # Two usable CPUs fork the node-table check and the end eigenpairs into
+    # one child, and one reach-sweep worker; one CPU runs it all here.
     # 1100 nodes span three 512-node reach blocks.
     data = tmp_path / "random1100"
     save_dataset(random_graph(1100, 0.005, num_classes=4, num_features=3, seed=5), "r", data)
     outputs = {}
     forks = counting_forks(monkeypatch)
     for cpus in (2, 1):
-        monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+        set_usable_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(["diagnose", "--data", str(data), "--out", str(out)]) == 0
         outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert len(forks) == 1 and not multiprocessing.active_children()
+        assert len(forks) == 2 and not multiprocessing.active_children()
     assert len(outputs[1]) == 8
     assert outputs[2] == outputs[1]
 
@@ -284,7 +285,7 @@ def test_diagnose_bad_node_table_fails_alike_on_both_paths(
     results = []
     forks = counting_forks(monkeypatch)
     for cpus in (2, 1):
-        monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+        set_usable_cpus(monkeypatch, cpus)
         out = tmp_path / f"diag{cpus}"
         code = main(["diagnose", "--data", str(data), "--out", str(out)])
         results.append((code, capsys.readouterr().err))
@@ -322,7 +323,7 @@ def test_diagnose_bad_node_table_beats_later_rejections(
     tmp_path, monkeypatch, capsys, edges, extra, cpus
 ):
     # Alone, these inputs exit 1 (over --dense-limit) or 2 (edgeless graph).
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    set_usable_cpus(monkeypatch, cpus)
     forks = counting_forks(monkeypatch)
     data = tmp_path / "graph4"
     save_dataset(toy_graph(edges, [0, 1, 0, 1]), "graph4", data)
@@ -333,7 +334,8 @@ def test_diagnose_bad_node_table_beats_later_rejections(
         f"error: {data / 'nodes.tsv'} line 3: features must be decimal numbers\n"
     )
     assert not out.exists()
-    assert len(forks) == (cpus == 2) and not multiprocessing.active_children()
+    # An edgeless graph has no eigen stage to check the table beside.
+    assert len(forks) == (cpus == 2 and bool(edges)) and not multiprocessing.active_children()
 
 
 def test_diagnose_reports_a_node_check_that_dies(dataset_dir, tmp_path, monkeypatch):
@@ -346,7 +348,7 @@ def test_diagnose_reports_a_node_check_that_dies(dataset_dir, tmp_path, monkeypa
         return real_read_labels(*args)
 
     monkeypatch.setattr(cli, "read_labels", dying)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     out = tmp_path / "diag"
     with pytest.raises(RuntimeError, match="exited with code 7"):
         main(["diagnose", "--data", str(dataset_dir), "--out", str(out)])
@@ -357,7 +359,7 @@ def test_diagnose_reports_a_node_check_that_dies(dataset_dir, tmp_path, monkeypa
 def test_diagnose_beside_another_thread_checks_the_nodes_in_process(
     dataset_dir, tmp_path, monkeypatch
 ):
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("diagnose forked"))
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
@@ -372,35 +374,36 @@ def test_diagnose_beside_another_thread_checks_the_nodes_in_process(
 def test_diagnose_holds_one_feature_table_at_most(tmp_path, capsys, monkeypatch):
     # Wide binary features, as in Chameleon, dwarf the dense L-hat (0.7 MB
     # here). The loader's parsed table is the only copy, and it is gone
-    # before the eigen stage: checked in this process (one usable CPU), the
-    # peak reads about 1.07x features.nbytes, against 2.0x when build_graph
-    # copied the table and diagnose held it throughout. Checked in a forked
-    # child, the table never enters this process.
+    # before the first factorization: checked in this process (one usable
+    # CPU), the peak reads about 1.07x features.nbytes, against 2.0x when
+    # build_graph copied the table and diagnose held it throughout. Checked
+    # in a forked child, the table never enters this process.
     n = 300
     edges = random_graph(n, 0.02, seed=0).edges
     wide = (np.random.default_rng(0).random((n, 4000)) < 0.05).astype(np.float64)
     graph = build_graph(edges, n, wide, np.arange(n) % 3, 3)
     data = tmp_path / "wide"
     save_dataset(graph, "wide", data)
-    decompose = cli.eigendecompose
+    factor = spectral._Factorization.at
+    import scipy.linalg  # noqa: F401 - the band path's lazy import, traced otherwise
     for cpus in (2, 1):
-        monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+        set_usable_cpus(monkeypatch, cpus)
         held = []
 
-        def eigendecompose(*args, **kwargs):
+        def at(*args):
             held.append(tracemalloc.get_traced_memory()[0])
-            return decompose(*args, **kwargs)
+            return factor(*args)
 
         tracemalloc.start()
         try:
-            with mock.patch.object(cli, "eigendecompose", eigendecompose):
+            with mock.patch.object(spectral._Factorization, "at", at):
                 code = main(["diagnose", "--data", str(data), "--out", str(tmp_path / str(cpus))])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0, capsys.readouterr().err
         assert peak < 1.5 * graph.features.nbytes
-        assert held[0] < 0.5 * graph.features.nbytes  # the table is gone before the eigen stage
+        assert held[0] < 0.5 * graph.features.nbytes  # the table is gone before the dense stage
         if cpus == 2:  # the largest allocation left is the reach sweep's (1024, N) float64 chunk
             assert peak < 0.4 * graph.features.nbytes
         else:

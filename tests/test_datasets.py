@@ -348,10 +348,45 @@ EDGE_EDITS = {
 }
 
 
+def insert_line(at, line):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:at] + [line] + lines[at:])
+    return edit
+
+
+# Whole-file edits of edges.tsv that a line list cannot express, and whether
+# the loader takes the file without the per-line checker.
+EDGE_FILE_EDITS = {
+    "no-final-newline": (lambda text: text.rstrip("\n"), True),
+    "crlf-last-line": (lambda text: text[:-1] + "\r\n", True),
+    "cr-without-lf-at-the-end": (lambda text: text[:-1] + "\r", False),
+    "blank-line-in-the-middle": (insert_line(3, "\n"), True),
+    "blank-crlf-line-in-the-middle": (insert_line(3, "\r\n"), False),
+    "blank-lines-only": (lambda text: "\n\n", False),
+    "empty": (lambda text: "", False),
+}
+
+
 @pytest.mark.parametrize("edit", EDGE_EDITS.values(), ids=EDGE_EDITS.keys())
 def test_edges_match_the_per_line_checker(dataset_dir, edit):
     path, original = dataset_dir
     rewrite_lines(path / "edges.tsv", edit)
+    assert_edges_match_per_line_checker(path, original)
+
+
+@pytest.mark.parametrize("edit, streamed", EDGE_FILE_EDITS.values(), ids=EDGE_FILE_EDITS.keys())
+def test_edge_files_match_the_per_line_checker(dataset_dir, edit, streamed):
+    path, original = dataset_dir
+    text = (path / "edges.tsv").read_text(encoding="utf-8")
+    (path / "edges.tsv").write_text(edit(text), encoding="utf-8", newline="\n")
+    per_line = mock.patch.object(datasets, "_parse_edge_lines", wraps=datasets._parse_edge_lines)
+    with per_line as parse:
+        assert_edges_match_per_line_checker(path, original)
+    assert parse.call_count == 2 - streamed  # the oracle's own call, and the loader's fallback
+
+
+def assert_edges_match_per_line_checker(path, original):
     n = original.num_nodes
     try:
         expected = datasets._parse_edge_lines(path / "edges.tsv", n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
-from diverspec.graph import beside
-from tests.conftest import counting_forks, toy_graph
+from diverspec.graph import beside, share
+from tests.conftest import counting_forks, set_usable_cpus, toy_graph
 
 
 def test_build_graph_canonicalizes_edges():
@@ -219,4 +220,96 @@ def test_beside_with_no_children_forks_nothing(monkeypatch):
 
     with pytest.raises(ValueError, match="^job$"):
         beside(lambda: pytest.fail("here ran"), failing_job, 0)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_share_returns_every_result_in_index_order(monkeypatch, cpus):
+    forks = counting_forks(monkeypatch)
+    set_usable_cpus(monkeypatch, cpus)
+    assert share(lambda index: (index, index * index), 7) == [(i, i * i) for i in range(7)]
+    assert len(forks) == cpus - 1
+    assert share(lambda index: index, 1) == [0]  # one task forks nothing
+    assert len(forks) == cpus - 1
+    assert not multiprocessing.active_children()
+
+
+def test_share_runs_every_task_once_with_more_processes_than_cpus(monkeypatch, tmp_path):
+    # The processes claim from one shared counter; a lost update would run a
+    # task twice or skip it.
+    set_usable_cpus(monkeypatch, 2 * os.cpu_count() + 2)
+    log = tmp_path / "tasks"
+
+    def task(index):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{index}\n")
+        return index
+
+    assert share(task, 60) == list(range(60))
+    assert sorted(int(line) for line in log.read_text(encoding="utf-8").split()) == list(range(60))
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "cpus, failing, first",
+    [(1, {2, 4}, 2), (2, {1, 2, 5}, 1), (2, {6}, 6), (3, {0, 3}, 0), (3, {4, 5}, 4)],
+)
+def test_share_raises_the_lowest_failing_indexs_error(monkeypatch, tmp_path, cpus, failing, first):
+    # Any process may claim a failing index; the lowest one's error wins.
+    # Every index below it has run, once; the failure empties the counter,
+    # so the 30 tasks of 10 ms do not all run, and one process stops at it.
+    set_usable_cpus(monkeypatch, cpus)
+    log = tmp_path / "tasks"
+
+    def task(index):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{index}\n")
+        if index in failing:
+            raise ValueError(f"task {index}")
+        time.sleep(0.01)
+        return index
+
+    with pytest.raises(ValueError, match=f"^task {first}$"):
+        share(task, 30)
+    ran = [int(line) for line in log.read_text(encoding="utf-8").split()]
+    assert len(ran) == len(set(ran)) < 30 and set(range(first + 1)) <= set(ran)
+    if cpus == 1:
+        assert ran == list(range(first + 1))
+    assert not multiprocessing.active_children()
+
+
+def test_share_raises_the_lowest_failing_index_not_the_first_in_time(monkeypatch, tmp_path):
+    # Task 0 fails only once task 1 has failed in the other process.
+    set_usable_cpus(monkeypatch, 2)
+    flag = tmp_path / "task1-failed"
+
+    def task(index):
+        if index == 1:
+            flag.touch()
+        else:
+            deadline = time.monotonic() + 60
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        raise ValueError(f"task {index}")
+
+    with pytest.raises(ValueError, match="^task 0$"):
+        share(task, 2)
+    assert flag.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_share_reports_a_worker_that_dies(monkeypatch):
+    set_usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def task(index):
+        if os.getpid() != caller:
+            os._exit(7)
+        deadline = time.monotonic() + 60
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.01)  # this process holds task 0 until the worker has died
+        return index
+
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        share(task, 4)
     assert not multiprocessing.active_children()

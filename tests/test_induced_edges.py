@@ -11,6 +11,7 @@ edge chunks, and bound its memory below one N x N float32 array.
 
 from __future__ import annotations
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from diverspec import (
 from diverspec.errors import DataError
 from diverspec.graph import _EDGE_CHUNK, _REACH_BLOCK, edge_matrix, induced_edge_sums
 from diverspec.spectral import HISTOGRAM_BANDS, band_eigen_index, local_histograms
-from tests.conftest import toy_graph
+from tests.conftest import counting_forks, set_usable_cpus, toy_graph
 
 
 @st.composite
@@ -132,6 +133,25 @@ def test_histograms_match_oracles_in_one_short_reach_block(n):
     assert graph.num_nodes == n < _REACH_BLOCK
     for k in (0, 1, 2):
         assert_histograms_match_oracles(graph, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 10**6])
+def test_induced_edge_sums_bytes_do_not_depend_on_the_process_count(monkeypatch, k):
+    # Three reach blocks, each one task of graph.share; the float sums round
+    # alike only if every block keeps its GEMM shapes in any process.
+    n = 2 * _REACH_BLOCK + 76
+    graph = random_graph(n, 3.0 / n, seed=11)
+    assert (graph.degrees == 0).any()
+    values = np.random.default_rng(0).standard_normal((graph.num_edges, 4))
+    forks = counting_forks(monkeypatch)
+    swept = []
+    for cpus in (1, 2, 3):
+        set_usable_cpus(monkeypatch, cpus)
+        counts, sums = induced_edge_sums(graph, k, values)
+        swept.append(counts.tobytes() + sums.tobytes())
+        assert len(forks) == cpus - 1 and not multiprocessing.active_children()
+        forks.clear()
+    assert swept[0] == swept[1] == swept[2]
 
 
 def test_induced_edge_sums_holds_no_n_by_n_array():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -20,7 +23,7 @@ from diverspec import (
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
 from diverspec.spectral import HISTOGRAM_BANDS, _Factorization
-from tests.conftest import connected_random_graph, toy_graph
+from tests.conftest import connected_random_graph, counting_forks, set_usable_cpus, toy_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -310,6 +313,41 @@ def test_band_path_returns_full_eigh_columns_for_a_repeated_end(graph, end, valu
     band = eigendecompose(l_hat, indices=[index])
     np.testing.assert_array_equal(band.eigenvalues, full.eigenvalues[[index]])
     np.testing.assert_array_equal(band.eigenvectors, full.eigenvectors[:, [index]])
+
+
+@pytest.mark.parametrize(
+    "graph, indices",
+    [
+        (connected_random_graph(300, edge_prob=0.02, seed=0), (0, 149, 299)),
+        (_two_components(), (0, 59, 119)),
+        (_complete(60), (0, 29, 59)),
+    ],
+    ids=["gapped", "zero-twice", "complete60-top"],
+)
+def test_band_bytes_do_not_depend_on_where_the_end_pairs_run(monkeypatch, graph, indices):
+    # Two usable CPUs run the job beside the eigen stage, then the end pairs,
+    # in one forked child; one CPU runs them here first. A repeated end
+    # (zero-twice, complete60-top) gives the full eigh columns either way.
+    _, l_hat = normalized_operators(graph)
+    full = eigendecompose(l_hat)
+    forks = counting_forks(monkeypatch)
+    layouts = []
+    for cpus in (2, 1):
+        set_usable_cpus(monkeypatch, cpus)
+        layouts.append(eigendecompose(l_hat, indices=indices, alongside=os.getpid))
+    assert len(forks) == 1 and not multiprocessing.active_children()
+    (forked, child), (here, caller) = layouts
+    assert (child, caller) == (forks[0], os.getpid())
+    for band in (forked, here):
+        assert band.indices == indices
+        np.testing.assert_array_equal(band.eigenvalues, here.eigenvalues)
+        np.testing.assert_array_equal(band.eigenvectors, here.eigenvectors)
+    gaps = np.diff(full.eigenvalues)[[0, -1]]
+    if gaps.min() < 1e-12:
+        np.testing.assert_array_equal(here.eigenvalues, full.eigenvalues[list(indices)])
+        np.testing.assert_array_equal(here.eigenvectors, full.eigenvectors[:, list(indices)])
+    else:
+        _assert_matches_full(here, full)
 
 
 def _inertia_graph():

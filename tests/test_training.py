@@ -31,7 +31,8 @@ from diverspec.errors import ConfigError, DataError, NumericalError, UsageError
 from diverspec.autodiff import make_rng
 from diverspec.model import accuracy, forward, init_params
 from diverspec.datasets import random_graph
-from tests.conftest import EQUAL_RWPE_ROWS, counting_forks, toy_graph
+from diverspec.graph import usable_cpus
+from tests.conftest import EQUAL_RWPE_ROWS, counting_forks, set_usable_cpus, toy_graph
 from tests.test_induced_edges import small_graphs
 from tests.test_positional import SweepOperator
 
@@ -398,9 +399,9 @@ def wait_for(condition, timeout: float = 60.0) -> None:
 def test_usable_cpus_follows_the_affinity_set(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert training.usable_cpus() == 1
+    assert usable_cpus() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert training.usable_cpus() == 5
+    assert usable_cpus() == 5
 
 
 def test_run_grid_results_do_not_depend_on_the_cpu_count(monkeypatch):
@@ -410,7 +411,7 @@ def test_run_grid_results_do_not_depend_on_the_cpu_count(monkeypatch):
     forks = counting_forks(monkeypatch)
     grids = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(training, "usable_cpus", lambda cpus=cpus: cpus)
+        set_usable_cpus(monkeypatch, cpus)
         grids.append(run_grid(g, small_config(), tc, runs=3, splits=splits, base_seed=5))
         assert len(forks) == cpus - 1
         assert not multiprocessing.active_children()
@@ -445,7 +446,7 @@ def assert_grid_forks_after_rwpe(monkeypatch, n, threads):
 
     monkeypatch.setattr(threading, "Thread", LoggingThread)
     monkeypatch.setattr(training, "init_positional", positional)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     forks = counting_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=2, patience=2), 1, splits, 5)
@@ -484,7 +485,7 @@ def test_run_grid_brings_back_the_last_run_from_a_worker(monkeypatch, tmp_path):
         return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
 
     monkeypatch.setattr(training, "train_once", logging)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", fork)
     grid = run_grid(g, small_config(), tc, 1, splits, 5)
     pids = dict(line.rsplit(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())
@@ -492,7 +493,7 @@ def test_run_grid_brings_back_the_last_run_from_a_worker(monkeypatch, tmp_path):
     assert int(pids["0 0"]) == os.getpid() != int(pids["0 1"])
     assert not multiprocessing.active_children()
 
-    monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+    set_usable_cpus(monkeypatch, 1)
     serial = run_grid(g, small_config(), tc, 1, splits, 5).last_run
     assert grid.last_run.params.keys() == serial.params.keys()
     for name, value in serial.params.items():
@@ -515,7 +516,7 @@ def test_run_grid_trains_every_cell_once_with_more_processes_than_cpus(monkeypat
         return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
 
     monkeypatch.setattr(training, "train_once", logging)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2 * os.cpu_count() + 2)
+    set_usable_cpus(monkeypatch, 2 * os.cpu_count() + 2)
     grid = run_grid(g, small_config(), TrainConfig(epochs=1, patience=1), 12, splits, 5)
     trained = sorted(log.read_text(encoding="utf-8").splitlines())
     assert trained == sorted(f"{r} {s}" for r in range(12) for s in range(2))
@@ -532,7 +533,7 @@ def failing_forks(monkeypatch) -> None:
 def test_run_grid_with_one_cell_forks_nothing(monkeypatch):
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 1, seed=4)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 8)
+    set_usable_cpus(monkeypatch, 8)
     failing_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
     assert len(grid.cells) == 1
@@ -542,7 +543,7 @@ def test_run_grid_in_a_daemonic_process_trains_serially(monkeypatch):
     # A multiprocessing pool worker is daemonic and may not start children.
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
 
@@ -568,7 +569,7 @@ def test_run_grid_beside_another_thread_trains_serially(monkeypatch):
     # would stay locked in the worker forever.
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     failing_forks(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
@@ -585,7 +586,7 @@ def test_run_grid_without_fork_trains_in_one_process(monkeypatch):
     # Where the fork start method does not exist, no fork context is made.
     g = two_block_graph(10, seed=8)
     splits = make_splits(g, "dense", 2, seed=4)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", lambda *a: pytest.fail("got a context"))
     failing_forks(monkeypatch)
@@ -604,7 +605,7 @@ def test_run_grid_in_one_process_trains_the_cells_in_order(monkeypatch):
         return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
 
     monkeypatch.setattr(training, "train_once", logging)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+    set_usable_cpus(monkeypatch, 1)
     failing_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, splits, 5)
     assert trained == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -613,7 +614,7 @@ def test_run_grid_in_one_process_trains_the_cells_in_order(monkeypatch):
 
 def test_run_grid_without_splits_raises_before_forking(monkeypatch):
     g = two_block_graph(10, seed=8)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     failing_forks(monkeypatch)
     with pytest.raises(DataError, match="cannot aggregate zero runs"):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, [], 5)
@@ -641,7 +642,7 @@ def test_run_grid_raises_the_first_failing_cell(monkeypatch, cpus, runs, failing
         return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
 
     monkeypatch.setattr(training, "train_once", failing_cells)
-    monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+    set_usable_cpus(monkeypatch, cpus)
     with pytest.raises(NumericalError, match=f"^cell {first} diverged$"):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), runs, splits, 5)
     assert not multiprocessing.active_children()
@@ -663,7 +664,7 @@ def test_a_failing_cell_stops_the_grid(monkeypatch, tmp_path):
         return real_train_once(*args, seed_entropy=seed_entropy, **kwargs)
 
     monkeypatch.setattr(training, "train_once", first_cell_fails)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     with pytest.raises(NumericalError, match="cell 0 diverged"):
         run_grid(g, small_config(), TrainConfig(epochs=20, patience=20), 5, splits, 5)
     assert len(log.read_text(encoding="utf-8").splitlines()) <= 3
@@ -680,7 +681,7 @@ def test_a_failing_cell_stops_a_one_cpu_grid_at_once(monkeypatch):
         raise NumericalError(f"cell {seed_entropy[1:]} diverged")
 
     monkeypatch.setattr(training, "train_once", every_cell_fails)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+    set_usable_cpus(monkeypatch, 1)
     failing_forks(monkeypatch)
     with pytest.raises(NumericalError, match=r"cell \(0, 0\) diverged"):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 2, splits, 5)
@@ -700,7 +701,7 @@ def test_run_grid_reports_a_worker_that_dies(monkeypatch):
         return real_train_once(*args, **kwargs)
 
     monkeypatch.setattr(training, "train_once", dying_worker)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="exited with code 7"):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
     assert not multiprocessing.active_children()
@@ -717,7 +718,7 @@ def test_run_grid_stops_its_workers_when_the_caller_is_interrupted(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(training, "train_once", stuck_worker)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         run_grid(g, small_config(), TrainConfig(epochs=3, patience=3), 1, splits, 5)
@@ -752,7 +753,7 @@ def test_workers_stop_after_their_cell_when_the_caller_is_killed(monkeypatch, tm
         return log.read_text(encoding="utf-8").split()
 
     monkeypatch.setattr(training, "train_once", slow_cells)
-    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     context = multiprocessing.get_context("fork")
     caller = context.Process(
         target=run_grid, args=(g, small_config(), TrainConfig(epochs=2, patience=2), 20, splits, 5)
