@@ -4,14 +4,16 @@ Every tracked quantity is a :class:`Value` wrapping a 2-D array. Operations
 build a DAG; :func:`backward` replays it once in reverse topological order,
 accumulating gradients into the leaves. The op set is exactly what the
 filter model needs - dense linear algebra, a sparse-times-dense product (the
-graph operator, or CSR input features), one fused ``position_refinement``
-(the K IPE steps of either mode, with or without the similarity term, read
-out as the gate pre-activations next to the last state; their adjoint
-recurrence backward), ``column_slice`` to split that readout,
-``prefix_product`` for the gate table, one fused ``polynomial_filter`` (the
-:mod:`.polynomials` recurrence forward, its adjoint backward), a few
-elementwise nonlinearities, masked cross-entropy, and a column-normalization
-used by the orthogonality penalty. Gradients never flow into sparse operators.
+graph operator), one fused ``input_projection`` (``dropout(act(x W + b))``
+for constant dense or CSR inputs x), one fused ``position_refinement`` (the K
+IPE steps of either mode, with or without the similarity term, read out as
+the gate pre-activations next to the last state; their adjoint recurrence
+backward), ``column_slice`` to split that readout, ``prefix_product`` for the
+gate table, one fused ``polynomial_filter`` (the :mod:`.polynomials`
+recurrence forward, its adjoint backward), a few elementwise
+nonlinearities, masked cross-entropy, and one fused
+``orthogonality_penalty``. Gradients never flow into sparse operators. A
+fused op keeps on the tape only what its backward reads.
 Inside :func:`no_grad` no op records its parents, so a pass whose gradient
 nobody reads (the per-epoch evaluation) builds no tape. :func:`backward`
 frees the tape it sweeps, node by node, so a graph is differentiated once.
@@ -202,6 +204,62 @@ def sparse_dense_matmul(op: SparseOperator, x: Value) -> Value:
     return _make(op.matrix @ x.data, (x,), backward_fn)
 
 
+def input_projection(
+    x: np.ndarray | SparseOperator, w: Value, b: Value, activation: str,
+    p: float, train: bool, rng: np.random.Generator | None,
+) -> Value:
+    """``dropout(activation(x W + b))`` for a constant dense or CSR ``x``, as one op.
+
+    ``activation`` is "relu" or "tanh". Dropout is inverted: the identity at eval
+    time or at p = 0, otherwise the output times mask / (1 - p), the mask drawn
+    from ``rng``. The float operations are those of the op-by-op chain. The tape
+    keeps the output, the boolean mask and, for tanh, the activation before
+    dropout, whose slope 1 - t² the backward needs. ReLU's slope is read back from
+    the output, which is positive exactly where x W + b is. The backward gives
+    ``b`` the column sums of the gradient of x W + b and ``w`` xᵀ times it, through
+    CSR for a sparse ``x``; no gradient reaches ``x``.
+    """
+    if activation not in ("relu", "tanh"):
+        raise UsageError(f"input_projection: activation must be relu or tanh, got {activation!r}")
+    if not 0.0 <= p < 1.0:
+        raise UsageError(f"dropout probability must lie in [0, 1), got {p}")
+    matrix = x.matrix if isinstance(x, SparseOperator) else np.asarray(x, dtype=np.float64)
+    if matrix.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise UsageError(f"input_projection: shapes {matrix.shape} x {w.shape} + {b.shape}")
+    drop = train and p > 0.0
+    if drop and rng is None:
+        raise UsageError("train-time dropout needs an explicit generator")
+    out = matrix @ w.data
+    out += b.data
+    smooth = activation == "tanh"
+    if smooth:
+        active = np.tanh(out, out=out)
+    else:  # where(out > 0, out, 0): fmax maps NaN to 0, and + 0.0 turns -0.0 into 0.0
+        np.fmax(out, 0.0, out=out)
+        out += 0.0
+    if drop:
+        keep = rng.random(out.shape) >= p
+        if smooth:
+            out = active * (keep / (1.0 - p))
+        else:
+            out *= keep / (1.0 - p)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if drop:
+            grad *= keep / (1.0 - p)
+        if smooth:
+            slope = active * active
+            grad *= np.subtract(1.0, slope, out=slope)
+        else:
+            grad *= out > 0
+        if b.requires_grad:
+            b.accumulate(grad.sum(axis=0, keepdims=True))
+        if w.requires_grad:
+            w.accumulate(matrix.T @ grad)
+
+    return _make(out, (w, b), backward_fn)
+
+
 def polynomial_filter(table: Value, x: Value, kind: BasisKind, op: SparseOperator) -> Value:
     """Node-wise filter sum_k diag(table[:, k]) P_k(L_hat) x for an (N, K+1) or (1, K+1) table.
 
@@ -235,8 +293,11 @@ def position_refinement(
     W = ``w_ipe``: the float operations of K ``ipe_step`` calls. Column j < G is state
     ``first + j`` times ``gate_w[:, j]`` for a (d, G) ``gate_w``, G = K + 1 - ``first``;
     the last d columns are state K. With ``eta2 = 0`` no N x N array is formed;
-    otherwise a tracked op keeps the K matrices S. The backward runs the adjoint
-    recurrence from k = K down to 1 with ``op`` itself, which needs a symmetric ``op``.
+    otherwise a tracked op keeps the K matrices S. A tracked op holds each state
+    once: state 0 is ``p0``'s own array and state K the readout's last d columns.
+    An untracked one keeps only the state it forms and the one before. The
+    backward runs the adjoint recurrence from k = K down to 1 with ``op`` itself,
+    which needs a symmetric ``op``.
     It forms the gradient of state k as it reaches it, from the rank-1 term
     outer(g[:, j], gate_w[:, j]) of gate j = k - first (plus the readout's gradient
     at k = K), so no gradient of all K+1 states is ever held; ``gate_w`` gets
@@ -255,12 +316,17 @@ def position_refinement(
     eta1, eta2 = float(eta1), float(eta2)
     parents = (p0, gate_w, w_ipe) if eta2 else (p0, gate_w)
     keep = _grad_enabled and _tracked(*parents)
-    states = np.empty((K + 1, n, d))
-    states[0] = p0.data
-    anchor = eta1 * p0.data
+    w = gate_w.data
+    out = np.empty((n, gates + d))
+    p = p0.data
+    # State 0 is p0's own array and state K is kept in the readout; a tape keeps
+    # the states between in one block. Without one, p and pre roll through the steps.
+    inner = np.empty((max(K - 1, 0) if keep else 0, n, d))
+    anchor = eta1 * p
     sims = []
+    if first == 0:
+        out[:, 0] = p @ w[:, 0]
     for k in range(1, K + 1):
-        p = states[k - 1]
         pre = op.matrix @ p
         if eta2:
             sim = expit(p @ w_ipe.data @ p.T)
@@ -270,17 +336,18 @@ def position_refinement(
                 sims.append(sim)
         pre *= 1.0 - eta1
         pre += anchor
-        np.tanh(pre, out=states[k])
-    w = gate_w.data
-    out = np.empty((n, gates + d))
-    for j in range(gates):
-        out[:, j] = states[first + j] @ w[:, j]
-    out[:, gates:] = states[K]
+        p = np.tanh(pre, out=inner[k - 1] if k <= len(inner) else pre)
+        if k >= first:
+            out[:, k - first] = p @ w[:, k - first]
+    out[:, gates:] = p
+    states = [p0.data, *inner, out[:, gates:]] if K else [p0.data]
 
     def backward_fn(grad: np.ndarray) -> None:
         g_gate = grad[:, :gates]
         if gate_w.requires_grad:
-            columns = [states[first + j].T @ g_gate[:, j] for j in range(gates)]
+            # A strided state K can round its product otherwise than a contiguous one.
+            columns = [np.ascontiguousarray(states[first + j]).T @ g_gate[:, j]
+                       for j in range(gates)]
             gate_w.accumulate(np.stack(columns, axis=1))
 
         def own(k: int) -> np.ndarray:  # from state k's gate, and at k = K from the readout
@@ -291,7 +358,11 @@ def position_refinement(
         g = own(K)  # the gradient of state k, from its gate and from state k + 1
         g_anchor = own(0) if K else g
         for k in range(K, 0, -1):
-            slope = states[k] * states[k]
+            if k == K:  # a ufunc would buffer the strided state K
+                slope = np.array(states[k])
+                slope *= slope
+            else:
+                slope = states[k] * states[k]
             g *= np.subtract(1.0, slope, out=slope)  # tanh′ = 1 - state²
             del slope  # three (N, d) arrays at a time: g_anchor, g and one more
             g_anchor += eta1 * g
@@ -319,7 +390,7 @@ def position_refinement(
 
 
 def column_slice(x: Value, start: int, stop: int) -> Value:
-    """Columns ``start:stop`` of ``x``, copied, so that keeping them does not keep all of ``x``."""
+    """Columns ``start:stop`` of ``x`` as a view: keeping it keeps all of ``x``'s array."""
     if not 0 <= start < stop <= x.shape[1]:
         raise UsageError(f"column_slice: columns {start}:{stop} of {x.shape}")
 
@@ -329,7 +400,7 @@ def column_slice(x: Value, start: int, stop: int) -> Value:
             full[:, start:stop] = grad
             x.accumulate(full)
 
-    return _make(x.data[:, start:stop].copy(), (x,), backward_fn)
+    return _make(x.data[:, start:stop], (x,), backward_fn)
 
 
 def prefix_product(x: Value) -> Value:
@@ -390,58 +461,54 @@ def transpose(x: Value) -> Value:
     return _make(x.data.T.copy(), (x,), backward_fn)
 
 
-def dropout(x: Value, p: float, train: bool, rng: np.random.Generator | None) -> Value:
-    """Inverted dropout: identity at eval time, mask / (1 - p) at train time."""
-    if not 0.0 <= p < 1.0:
-        raise UsageError(f"dropout probability must lie in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return x
-    if rng is None:
-        raise UsageError("train-time dropout needs an explicit generator")
-    keep = rng.random(x.shape) >= p  # the tape holds the boolean mask, not its scaled copy
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(grad * (keep / (1.0 - p)))
-
-    return _make(x.data * (keep / (1.0 - p)), (x,), backward_fn)
-
-
-def frobenius_sq(x: Value) -> Value:
-    """Squared Frobenius norm as a 1x1 value."""
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(2.0 * grad[0, 0] * x.data)
-
-    return _make(np.array([[np.sum(x.data * x.data)]]), (x,), backward_fn)
-
-
 FLAT_SPAN = 1e-12
 
 
-def column_normalize(x: Value) -> Value:
-    """Center each column to zero mean and rescale it to unit l2 norm.
+def orthogonality_penalty(x: Value) -> Value:
+    """||Uᵀ U - I||² (squared Frobenius norm) as a 1x1 value, U = ``x``'s unit columns.
 
-    A flat column (its values span at most ``FLAT_SPAN``) has no direction:
-    it maps to zeros and receives no gradient, as ``c / max(||c||, eps)``
-    maps a zero vector. Its centered values are rounding noise, not zero,
-    so flatness is read from the span, not from the norm.
+    Each column of U is that of ``x`` centred to zero mean and scaled to unit l2
+    norm. A flat column (its values span at most ``FLAT_SPAN``) has no direction: it
+    maps to zeros, as ``c / max(||c||, eps)`` maps a zero vector, so it adds
+    exactly 1 (its diagonal miss) and receives no gradient. Its centred values
+    are rounding noise, not zero, so flatness is read from the span, not from
+    the norm. The tape keeps the column means and norms and the (d, d)
+    Uᵀ U - I; the backward forms the centred columns and U again from ``x``'s
+    array, which the tape holds anyway, by the same subtraction and division.
     """
-    centered = x.data - x.data.mean(axis=0, keepdims=True)
-    norms = np.sqrt(np.sum(centered * centered, axis=0, keepdims=True))
-    # An infinite norm zeroes a flat column's output and gradient below.
+    mean = x.data.mean(axis=0, keepdims=True)
+    unit = x.data - mean
+    norms = np.sqrt(np.sum(unit * unit, axis=0, keepdims=True))
+    # An infinite norm zeroes a flat column's unit vector and gradient below.
     norms[np.ptp(x.data, axis=0, keepdims=True) <= FLAT_SPAN] = np.inf
-    out = centered / norms
+    unit /= norms
+    miss = unit.T.copy() @ unit  # a product's rounding follows its operands' layout
+    miss -= np.eye(x.shape[1])
+    del unit
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            # d/dx of c/||c|| composed with the centering projection.
-            inner = np.sum(centered * grad, axis=0, keepdims=True)
-            g_centered = grad / norms - centered * (inner / norms**3)
-            x.accumulate(g_centered - g_centered.mean(axis=0, keepdims=True))
+        if not x.requires_grad:
+            return
+        g_miss = 2.0 * grad[0, 0] * miss
+        unit = x.data - mean
+        unit /= norms
+        g_rows = g_miss @ unit.T  # the gradient of Uᵀ, then that of U itself
+        rows = unit.T.copy()
+        del unit
+        g = rows.T @ g_miss
+        del rows
+        g += g_rows.T
+        del g_rows
+        # Through c / ||c||, then through the centring projection.
+        centred = x.data - mean
+        inner = np.sum(centred * g, axis=0, keepdims=True)
+        g /= norms
+        g -= centred * (inner / norms**3)
+        del centred
+        g -= g.mean(axis=0, keepdims=True)
+        x.accumulate(g)
 
-    return _make(out, (x,), backward_fn)
+    return _make(np.array([[np.sum(miss * miss)]]), (x,), backward_fn)
 
 
 def softmax_cross_entropy(logits: Value, targets: np.ndarray, mask: np.ndarray) -> Value:

@@ -36,7 +36,7 @@ from .config import config_hash, load_config, resolved_dict
 from .datasets import load_dataset, read_labels, read_structure
 from .domains import DOMAINS, check_domains
 from .errors import DataError, DiverspecError, NumericalError, UsageError
-from .graph import build_graph, edge_homophily, normalized_operators
+from .graph import build_graph, edge_homophily, normalized_operators, with_labels
 from .model import DsfConfig, direct_table
 from .polynomials import Bernstein, Jacobi, Monomial, filter_response, rescale_coefficients
 from .spectral import HISTOGRAM_BANDS, band_eigen_index, eigendecompose, local_histograms
@@ -142,7 +142,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         )
     else:  # edge_homophily rejects the graph once the labels are in
         decomposition, labels = None, check_nodes()
-    graph = build_graph(structure.edges, n, structure.features, labels, meta.num_classes)
+    graph = with_labels(structure, labels)
     # Everything that can reject the input runs before the first write.
     ratio = edge_homophily(graph)
     ids, values, histograms = local_histograms(graph, args.k_hops, decomposition, bands)

@@ -11,7 +11,7 @@ import multiprocessing
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -129,12 +129,7 @@ def build_graph(
         raise DataError(
             f"features must be ({num_nodes}, f), got shape {features.shape}"
         )
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (num_nodes,):
-        raise DataError(f"labels must be ({num_nodes},), got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        bad = labels[(labels < 0) | (labels >= num_classes)][0]
-        raise DataError(f"label {bad} outside [0, {num_classes})")
+    labels = _checked_labels(labels, num_nodes, num_classes)
 
     # Canonicalize: orient (min, max), drop self loops, dedupe, sort rows.
     keep = edges[:, 0] != edges[:, 1]
@@ -145,8 +140,7 @@ def build_graph(
 
     if features.flags.writeable or not features.flags.owndata:
         features = features.copy()
-    labels = labels.copy()
-    for arr in (edges, features, labels):
+    for arr in (edges, features):
         arr.flags.writeable = False
 
     return Graph(
@@ -156,6 +150,27 @@ def build_graph(
         labels=labels,
         num_classes=num_classes,
     )
+
+
+def _checked_labels(labels: np.ndarray, num_nodes: int, num_classes: int) -> np.ndarray:
+    """A read-only int64 copy of ``labels``, one in ``[0, num_classes)`` per node."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (num_nodes,):
+        raise DataError(f"labels must be ({num_nodes},), got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        bad = labels[(labels < 0) | (labels >= num_classes)][0]
+        raise DataError(f"label {bad} outside [0, {num_classes})")
+    labels = labels.copy()
+    labels.flags.writeable = False
+    return labels
+
+
+def with_labels(graph: Graph, labels: np.ndarray) -> Graph:
+    """``graph`` with other labels, checked as :func:`build_graph` checks them.
+
+    The edges and features are shared, not canonicalized again.
+    """
+    return replace(graph, labels=_checked_labels(labels, graph.num_nodes, graph.num_classes))
 
 
 def normalized_operators(graph: Graph) -> tuple[SparseOperator, SparseOperator]:

@@ -263,23 +263,20 @@ def project_inputs(
     """Latent feature and positional embeddings (both dropped out at train).
 
     Returns ``(h0, p0)``: ReLU-projected features and Tanh-projected
-    positions. ``features`` is the dense (N, F) array or, for sparse input,
-    its CSR operator from :func:`~diverspec.training.graph_inputs`; the
-    projection X W then runs through CSR, and so does its gradient Xᵀ G.
-    ``p0`` is ``None`` when ``positional`` is: the baseline and the ablation
-    have no positional pipeline.
+    positions, each one :func:`~diverspec.autodiff.input_projection` op, which
+    keeps its output and dropout mask on the tape (and, for Tanh, the
+    activation before dropout). ``features`` is the dense (N, F) array or, for
+    sparse input, its CSR operator from
+    :func:`~diverspec.training.graph_inputs`; the projection X W then runs
+    through CSR, and so does its gradient Xᵀ G. The feature mask is drawn
+    before the positional one. ``p0`` is ``None`` when ``positional`` is: the
+    baseline and the ablation have no positional pipeline.
     """
-    if isinstance(features, SparseOperator):
-        projected = ad.sparse_dense_matmul(features, params.w_in)
-    else:
-        projected = ad.matmul(Value(features), params.w_in)
-    h0 = ad.relu(ad.add(projected, params.b_in))
-    h0 = ad.dropout(h0, config.dropout_p, train, rng)
+    p = config.dropout_p
+    h0 = ad.input_projection(features, params.w_in, params.b_in, "relu", p, train, rng)
     if positional is None:
         return h0, None
-    p0 = ad.tanh(ad.add(ad.matmul(Value(positional), params.w_pos), params.b_pos))
-    p0 = ad.dropout(p0, config.dropout_p, train, rng)
-    return h0, p0
+    return h0, ad.input_projection(positional, params.w_pos, params.b_pos, "tanh", p, train, rng)
 
 
 def ipe_step(
@@ -376,9 +373,9 @@ def forward(
     The K refinement steps, in either mode, and the gates' matrix-vector
     products are one :func:`~diverspec.autodiff.position_refinement` op. Its
     value holds the (N, G) gate pre-activations next to the final state, and
-    two column slices split it: :func:`node_theta` activates the first, and
-    the second is the final state. The tape keeps the K+1 states for tanh′
-    but never a gradient of all of them.
+    two column slices, views of it, split it: :func:`node_theta` activates
+    the first, and the second is the final state. The tape keeps each of the
+    K+1 states once, for tanh′, but never a gradient of all of them.
 
     The shared-coefficient baseline (``homogeneous=True``) and the ablation
     (``ablate_ipe``) filter with ``gamma`` itself (rectified for Bern) and
@@ -412,12 +409,11 @@ def orth_penalty(positional: Value) -> Value:
     Columns are centered and normalized, then the Gram matrix is compared to
     the identity under the squared Frobenius norm: zero exactly when the
     normalized columns are orthonormal. A flat column normalizes to zeros,
-    so it adds exactly 1 (its diagonal miss) and sends no gradient.
+    so it adds exactly 1 (its diagonal miss) and sends no gradient. It is one
+    :func:`~diverspec.autodiff.orthogonality_penalty` op, whose tape holds
+    the centred columns and their norms, not the normalized ones.
     """
-    normalized = ad.column_normalize(positional)
-    gram = ad.matmul(ad.transpose(normalized), normalized)
-    eye = Value(np.eye(positional.shape[1]))
-    return ad.frobenius_sq(ad.sub(gram, eye))
+    return ad.orthogonality_penalty(positional)
 
 
 def total_loss(

@@ -44,6 +44,8 @@ _RESIDUAL, _NEIGHBOUR_RESIDUAL = 1e-14, 1e-8
 # A new block direction below this fraction of its length before
 # orthogonalization is rounding noise and is replaced at random.
 _DEFLATE = 1e-12
+# Entries this many ulps below a vector's largest magnitude tie for its sign.
+_SIGN_ULPS = 4
 # Spectrum slicing: an inertia count is that of a matrix within about
 # N eps ||L|| of L-hat - sigma I, so it decides no eigenvalue within sqrt(eps)
 # of sigma. A shift that is an exact eigenvalue moves by _SINGULAR_STEP.
@@ -84,8 +86,16 @@ class SpectralDecomposition:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the largest-|entry| coordinate is positive."""
-    anchor = np.argmax(np.abs(vectors), axis=0)
+    """Flip eigenvector signs so a largest-|entry| coordinate is positive.
+
+    The entries within ``_SIGN_ULPS`` ulps of a column's largest magnitude tie,
+    and the lowest-index one sets the sign. So a vector with two entries of
+    equal magnitude, such as (e_u - e_v) / sqrt(2) on twin leaves, gets one
+    sign whichever solver rounded it.
+    """
+    magnitudes = np.abs(vectors)
+    peaks = magnitudes.max(axis=0)
+    anchor = np.argmax(magnitudes >= peaks - _SIGN_ULPS * np.spacing(peaks), axis=0)
     signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs

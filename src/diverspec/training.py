@@ -185,11 +185,14 @@ def train_once(
     epoch = 0
 
     for epoch in range(1, train_config.epochs + 1):
+        # No name holds a pass's result past its use, so no readout of one
+        # epoch is still held while the next epoch's tape is built.
         result = forward(
             a_hat, features, positional, params, config,
             train=True, rng=dropout_rng, homogeneous=homogeneous,
         )
         loss = total_loss(result, targets, train_mask, config)
+        del result
         if not np.isfinite(loss.data[0, 0]):
             raise NumericalError(f"training diverged at epoch {epoch} (non-finite loss)")
         zero_grad(param_dict)
@@ -204,13 +207,15 @@ def train_once(
                 a_hat, features, positional, params, config,
                 train=False, homogeneous=homogeneous,
             )
-        val_acc = accuracy(eval_result.logits.data, graph.labels, val_mask)
+        logits, betas = eval_result.logits.data, eval_result.betas
+        del eval_result
+        val_acc = accuracy(logits, graph.labels, val_mask)
         val_history.append(val_acc)
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
             best_snapshot = params.snapshot()
-            best_logits, best_betas = eval_result.logits.data, eval_result.betas
+            best_logits, best_betas = logits, betas
         elif epoch - best_epoch >= train_config.patience:
             break
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diverspec import Graph, build_graph, random_graph
+from diverspec import autodiff as ad
 from diverspec import graph as graph_module
 
 DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
@@ -55,6 +56,20 @@ def connected_random_graph(num_nodes: int, edge_prob: float, seed: int) -> Graph
     chain = np.stack([order[:-1], order[1:]], axis=1)
     edges = np.concatenate([base.edges, chain]) if base.edges.size else chain
     return build_graph(edges, num_nodes, base.features, base.labels, base.num_classes)
+
+
+def frobenius_sq(x: ad.Value) -> ad.Value:
+    """Squared Frobenius norm as a 1x1 tape op: the tests' scalar loss.
+
+    It is also the last stage of the op-by-op orthogonality penalty that the
+    fused ``ad.orthogonality_penalty`` must match bit for bit.
+    """
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x.accumulate(2.0 * grad[0, 0] * x.data)
+
+    return ad._make(np.array([[np.sum(x.data * x.data)]]), (x,), backward_fn)
 
 
 def set_usable_cpus(monkeypatch, count: int) -> None:

@@ -25,7 +25,7 @@ from diverspec import autodiff as ad
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
 from diverspec.model import one_hot
-from tests.conftest import connected_random_graph, toy_graph
+from tests.conftest import connected_random_graph, frobenius_sq, toy_graph
 
 
 def numeric_grad(build, arrays, index, h=1e-5):
@@ -54,6 +54,13 @@ def check_gradients(build, *arrays, rel_tol=1e-6):
         )
 
 
+def weighted_sum(y: ad.Value, w: ad.Value) -> ad.Value:
+    """1ᵀ (y ⊙ w) 1, whose gradient with respect to y is exactly w."""
+    rows, cols = y.shape
+    left, right = ad.Value(np.ones((1, rows))), ad.Value(np.ones((cols, 1)))
+    return ad.matmul(ad.matmul(left, ad.hadamard(y, w)), right)
+
+
 def rng_arrays(*shapes, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal(s) for s in shapes]
@@ -62,15 +69,15 @@ def rng_arrays(*shapes, seed=0):
 def test_add_sub_scalar_mul_gradients():
     a, b = rng_arrays((3, 2), (3, 2))
     check_gradients(
-        lambda x, y: ad.frobenius_sq(ad.add(ad.scalar_mul(x, 2.5), ad.sub(y, x))), a, b
+        lambda x, y: frobenius_sq(ad.add(ad.scalar_mul(x, 2.5), ad.sub(y, x))), a, b
     )
 
 
 def test_hadamard_gradients_with_broadcast():
     a, b, col, s = rng_arrays((4, 3), (4, 3), (4, 1), (1, 1))
-    check_gradients(lambda x, y: ad.frobenius_sq(ad.hadamard(x, y)), a, b)
-    check_gradients(lambda x, c: ad.frobenius_sq(ad.hadamard(x, c)), a, col)
-    check_gradients(lambda x, c: ad.frobenius_sq(ad.hadamard(x, c)), a, s)
+    check_gradients(lambda x, y: frobenius_sq(ad.hadamard(x, y)), a, b)
+    check_gradients(lambda x, c: frobenius_sq(ad.hadamard(x, c)), a, col)
+    check_gradients(lambda x, c: frobenius_sq(ad.hadamard(x, c)), a, s)
 
 
 def test_hadamard_rejects_incompatible_shapes():
@@ -80,7 +87,7 @@ def test_hadamard_rejects_incompatible_shapes():
 
 def test_matmul_gradients():
     a, b = rng_arrays((3, 4), (4, 2))
-    check_gradients(lambda x, y: ad.frobenius_sq(ad.matmul(x, y)), a, b)
+    check_gradients(lambda x, y: frobenius_sq(ad.matmul(x, y)), a, b)
 
 
 def test_matmul_sum_gradient_is_outer_ones():
@@ -98,7 +105,7 @@ def test_sparse_dense_matmul_gradients():
     mat = sparse.csr_array(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
     op = SparseOperator(mat)
     (x,) = rng_arrays((3, 2))
-    check_gradients(lambda v: ad.frobenius_sq(ad.sparse_dense_matmul(op, v)), x)
+    check_gradients(lambda v: frobenius_sq(ad.sparse_dense_matmul(op, v)), x)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +116,7 @@ def test_polynomial_filter_gradients(kind):
     table, x, weight = rng_arrays((6, 5), (6, 3), (6, 3), seed=1)
     for rows in (table, table[:1]):  # per-node table, then one row shared by every node
         check_gradients(
-            lambda t, v: ad.frobenius_sq(
+            lambda t, v: frobenius_sq(
                 ad.hadamard(ad.polynomial_filter(t, v, kind, op), ad.Value(weight))
             ),
             rows,
@@ -153,7 +160,7 @@ def test_position_refinement_reads_out_each_gate_from_its_state():
     assert np.abs(out.data[:, 3:] - states[2]).max() < 1e-12
     weight = ad.Value(rng_arrays((6, 6), seed=6)[0])
     check_gradients(
-        lambda p, v: ad.frobenius_sq(ad.hadamard(ad.position_refinement(p, op, 0.3, 2, v), weight)),
+        lambda p, v: frobenius_sq(ad.hadamard(ad.position_refinement(p, op, 0.3, 2, v), weight)),
         p0, w,
     )
     for bad in (w[:, :2], w[:2]):  # one gate per state, each as wide as a state
@@ -171,7 +178,7 @@ def test_position_refinement_gradients(K, eta1):
         for eta2 in (0.0, 0.4):  # the similarity weight is a leaf only when a step uses it
             fixed = ad.Value(w_ipe) if eta2 else None
             check_gradients(
-                lambda p, v, w=fixed: ad.frobenius_sq(ad.hadamard(
+                lambda p, v, w=fixed: frobenius_sq(ad.hadamard(
                     ad.position_refinement(p, op, eta1, K, v, first, w, eta2), ad.Value(weight)
                 )),
                 *((p0, gate_w, w_ipe) if eta2 and K else (p0, gate_w)),
@@ -229,6 +236,32 @@ def test_position_refinement_keeps_similarity_matrices_only_on_a_tape():
         del refined
 
 
+def test_position_refinement_holds_each_state_once():
+    # State 0 is p0's own array and state K lives in the readout, so a tape
+    # adds only the K - 1 states between; without one, two states roll.
+    n, d, K = 400, 16, 10
+    op, _ = normalized_operators(connected_random_graph(n, 0.02, seed=2))
+    p0, gate_w = rng_arrays((n, d), (d, K + 1), seed=14)
+    p0, gate_w = ad.Value(p0, requires_grad=True), ad.Value(gate_w)
+    state = n * d * 8
+    readouts = []
+    for taped in (True, False):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with nullcontext() if taped else ad.no_grad():
+                readouts.append(ad.position_refinement(p0, op, 0.3, K, gate_w))
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        extra = held - readouts[-1].data.nbytes
+        if taped:
+            assert (K - 1) * state <= extra < K * state, extra / state
+        else:
+            assert extra < state / 4 and peak - readouts[-1].data.nbytes < 4 * state, peak
+    assert same_bits(readouts[0].data, readouts[1].data)
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_position_refinement_backward_holds_no_gradient_of_all_states(first):
     # Each gate adds a rank-1 term to the gradient of one state, so the backward
@@ -242,7 +275,7 @@ def test_position_refinement_backward_holds_no_gradient_of_all_states(first):
     op, _ = normalized_operators(connected_random_graph(n, 0.02, seed=3))
     p0, gate_w = rng_arrays((n, d), (d, K + 1 - first), seed=13)
     p0, gate_w = ad.Value(p0, requires_grad=True), ad.Value(gate_w, requires_grad=True)
-    loss = ad.frobenius_sq(ad.position_refinement(p0, op, 0.3, K, gate_w, first))
+    loss = frobenius_sq(ad.position_refinement(p0, op, 0.3, K, gate_w, first))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -258,11 +291,11 @@ def test_column_slice_routes_gradients_by_columns():
     (x,) = rng_arrays((4, 6), seed=8)
     fused = ad.Value(x, requires_grad=True)
     left, tail = ad.column_slice(fused, 0, 2), ad.column_slice(fused, 5, 6)
-    ad.backward(ad.add(ad.frobenius_sq(left), ad.frobenius_sq(tail)))
+    ad.backward(ad.add(frobenius_sq(left), frobenius_sq(tail)))
     expected = np.zeros((4, 6))
     expected[:, :2], expected[:, 5:] = 2 * x[:, :2], 2 * x[:, 5:]
     assert np.array_equal(fused.grad, expected)
-    assert not np.shares_memory(left.data, fused.data)
+    assert np.shares_memory(left.data, fused.data)  # a view: the tape holds fused anyway
     for start, stop in ((0, 0), (-1, 2), (4, 7)):
         with pytest.raises(UsageError):
             ad.column_slice(fused, start, stop)
@@ -278,7 +311,7 @@ def test_position_refinement_skips_the_states_before_first():
     assert np.abs(out.data[:, :2] - expected).max() < 1e-12
     weight = ad.Value(rng_arrays((6, 5), seed=10)[0])
     check_gradients(
-        lambda p, v: ad.frobenius_sq(
+        lambda p, v: frobenius_sq(
             ad.hadamard(ad.position_refinement(p, op, 0.3, 2, v, first=1), weight)
         ),
         p0, w,
@@ -295,15 +328,15 @@ def test_prefix_product_values_and_gradients_through_an_exact_zero():
     assert np.array_equal(out.data[:, 0], np.ones(3))
     assert np.array_equal(out.data[:, 1:], np.cumprod(x, axis=1))
     weight = ad.Value(rng_arrays((3, 5), seed=8)[0])
-    check_gradients(lambda v: ad.frobenius_sq(ad.hadamard(ad.prefix_product(v), weight)), x)
+    check_gradients(lambda v: frobenius_sq(ad.hadamard(ad.prefix_product(v), weight)), x)
 
 
 def test_activation_gradients():
     (x,) = rng_arrays((3, 3), seed=2)
     x = x + np.sign(x) * 0.2  # keep relu away from its kink
-    check_gradients(lambda v: ad.frobenius_sq(ad.sigmoid(v)), x)
-    check_gradients(lambda v: ad.frobenius_sq(ad.tanh(v)), x)
-    check_gradients(lambda v: ad.frobenius_sq(ad.relu(v)), x)
+    check_gradients(lambda v: frobenius_sq(ad.sigmoid(v)), x)
+    check_gradients(lambda v: frobenius_sq(ad.tanh(v)), x)
+    check_gradients(lambda v: frobenius_sq(ad.relu(v)), x)
 
 
 def test_tanh_gradient_at_zero_is_one():
@@ -314,106 +347,223 @@ def test_tanh_gradient_at_zero_is_one():
 
 def test_transpose_and_column_normalize_gradients():
     x, c = rng_arrays((4, 3), (4, 3), seed=4)
-    check_gradients(lambda v: ad.frobenius_sq(ad.transpose(v)), x)
+    check_gradients(lambda v: frobenius_sq(ad.transpose(v)), x)
     # The Gram matrix: v reaches the loss through its transpose and directly.
     weight = ad.Value(rng_arrays((3, 3), seed=5)[0])
     check_gradients(
-        lambda v: ad.frobenius_sq(ad.hadamard(ad.matmul(ad.transpose(v), v), weight)), x
+        lambda v: frobenius_sq(ad.hadamard(ad.matmul(ad.transpose(v), v), weight)), x
     )
-    # weight the normalized output so the loss is not the constant d
-    weight = ad.Value(c)
-    check_gradients(
-        lambda v: ad.frobenius_sq(ad.hadamard(ad.column_normalize(v), weight)),
-        x,
-        rel_tol=1e-5,
-    )
+    # The orthogonality penalty normalizes the columns inside its one op.
+    check_gradients(ad.orthogonality_penalty, x + c, rel_tol=1e-5)
+
+
+# --- the fused ops against the op-by-op chains they replace ---------------------
+
+
+def column_normalize(x: ad.Value) -> ad.Value:
+    """Centre each column and scale it to unit norm; flat columns map to zeros.
+
+    The op that the orthogonality penalty chained before it was fused: the
+    reference for ``ad.orthogonality_penalty``.
+    """
+    centered = x.data - x.data.mean(axis=0, keepdims=True)
+    norms = np.sqrt(np.sum(centered * centered, axis=0, keepdims=True))
+    norms[np.ptp(x.data, axis=0, keepdims=True) <= ad.FLAT_SPAN] = np.inf
+    out = centered / norms
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            inner = np.sum(centered * grad, axis=0, keepdims=True)
+            g_centered = grad / norms - centered * (inner / norms**3)
+            x.accumulate(g_centered - g_centered.mean(axis=0, keepdims=True))
+
+    return ad._make(out, (x,), backward_fn)
+
+
+def chained_orthogonality_penalty(x: ad.Value) -> ad.Value:
+    normalized = column_normalize(x)
+    gram = ad.matmul(ad.transpose(normalized), normalized)
+    return frobenius_sq(ad.sub(gram, ad.Value(np.eye(x.shape[1]))))
+
+
+def chained_projection(x, w, b, activation, p, train, rng):
+    """``dropout(activation(x W + b))`` one op at a time, dropout as a product with the scaled mask."""
+    if isinstance(x, SparseOperator):
+        projected = ad.sparse_dense_matmul(x, w)
+    else:
+        projected = ad.matmul(ad.Value(x), w)
+    out = (ad.relu if activation == "relu" else ad.tanh)(ad.add(projected, b))
+    if train and p > 0.0:
+        out = ad.hadamard(out, ad.Value((rng.random(out.shape) >= p) / (1.0 - p)))
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+
+
+def projection_inputs(seed: int):
+    """A (30, 12) input, 70% zeros and with two zero rows, so some x W + b are exactly b."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 12)) * (rng.random((30, 12)) < 0.3)
+    x[[4, 17]] = 0.0
+    w, b, weight = rng.standard_normal((12, 5)), rng.standard_normal((1, 5)), rng.standard_normal((30, 5))
+    b[0, 0] = 0.0  # x W + b = 0 on the zero rows: ReLU's kink
+    weight[::7] = -0.0  # signed zeros in the gradient
+    return x, w, b, weight
+
+
+@pytest.mark.parametrize("sparse_x", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("p, train", [(0.0, True), (0.5, True), (0.5, False)],
+                         ids=["p0", "train", "eval"])
+def test_input_projection_matches_the_op_chain_bit_for_bit(sparse_x, activation, p, train):
+    x, w0, b0, weight = projection_inputs(seed=21)
+    operand = SparseOperator(sparse.csr_array(x), symmetric=False) if sparse_x else x
+    runs = []
+    for build in (ad.input_projection, chained_projection):
+        w, b = ad.Value(w0.copy(), requires_grad=True), ad.Value(b0.copy(), requires_grad=True)
+        out = build(operand, w, b, activation, p, train, ad.make_rng(5))
+        ad.backward(weighted_sum(out, ad.Value(weight)))
+        runs.append((out.data, w.grad, b.grad))
+    (out, g_w, g_b), (chained_out, chained_g_w, chained_g_b) = runs
+    assert same_bits(out, chained_out)
+    assert same_bits(g_w, chained_g_w) and same_bits(g_b, chained_g_b)
+    assert np.abs(g_w).max() > 0.0
+    if activation == "relu":
+        assert (out == 0.0).any() and (out > 0.0).any()
+
+
+def test_dropout_gradients_with_fixed_mask():
+    x, w, b, _ = projection_inputs(seed=22)
+    b += np.where(b < 0.0, -0.5, 0.5)  # every x W + b stays more than h away from ReLU's kink
+    assert np.abs(x @ w + b).min() > 1e-3
+    for operand in (x, SparseOperator(sparse.csr_array(x), symmetric=False)):
+        for activation in ("relu", "tanh"):
+
+            def build(w, b):
+                rng = ad.make_rng(123)
+                return frobenius_sq(ad.input_projection(operand, w, b, activation, 0.4, True, rng))
+
+            check_gradients(build, w, b)
+
+
+def test_dropout_eval_is_identity():
+    x, w, b, _ = projection_inputs(seed=23)
+    for activation, act in (("relu", lambda z: np.where(z > 0, z, 0.0)), ("tanh", np.tanh)):
+        for p, train in ((0.9, False), (0.0, True)):
+            out = ad.input_projection(x, ad.Value(w), ad.Value(b), activation, p, train, rng=None)
+            assert np.array_equal(out.data, act(x @ w + b))
+
+
+def test_dropout_train_scales_surviving_entries():
+    ones = np.ones((200, 1))
+    w, b = ad.Value(np.ones((1, 5))), ad.Value(np.zeros((1, 5)))
+    for activation, active in (("relu", 1.0), ("tanh", np.tanh(1.0))):
+        out = ad.input_projection(ones, w, b, activation, 0.25, True, ad.make_rng(7)).data
+        kept = out != 0.0
+        assert np.allclose(out[kept], active / 0.75)
+        assert 0.6 < kept.mean() < 0.9  # ~75% keep rate
+
+
+def test_dropout_keeps_a_boolean_mask_on_the_tape():
+    eye = np.eye(500)  # x W = W, so the gradient of W is that of x W + b
+    for activation, arrays in (("relu", 1), ("tanh", 2)):
+        w = ad.Value(np.ones((500, 400)), requires_grad=True)
+        b = ad.Value(np.zeros((1, 400)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.input_projection(eye, w, b, activation, 0.5, True, ad.make_rng(3))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # The output (8 bytes an entry), for tanh the activation before dropout,
+        # and a 1-byte mask; the op-by-op chain held four such arrays and two masks.
+        assert held < (arrays + 0.25) * w.data.nbytes, (activation, held)
+        ad.backward(frobenius_sq(out))
+        slope = 1.0 if activation == "relu" else 1.0 - np.tanh(1.0) ** 2
+        expected = 2 * out.data * (out.data != 0) / 0.5 * slope
+        assert np.allclose(w.grad, expected, rtol=1e-15, atol=0.0)
+        assert np.allclose(b.grad, w.grad.sum(axis=0, keepdims=True), rtol=1e-12, atol=0.0)
+
+
+def test_dropout_probability_validation():
+    w, b = ad.Value(np.ones((2, 2))), ad.Value(np.zeros((1, 2)))
+    for bad in (-0.1, 1.0, 1.5):
+        with pytest.raises(UsageError):
+            ad.input_projection(np.ones((3, 2)), w, b, "relu", bad, True, ad.make_rng(0))
+    with pytest.raises(UsageError, match="generator"):
+        ad.input_projection(np.ones((3, 2)), w, b, "relu", 0.5, True, None)
+    with pytest.raises(UsageError, match="activation"):
+        ad.input_projection(np.ones((3, 2)), w, b, "sigmoid", 0.5, False, None)
+    for x, bias in ((np.ones((3, 3)), b), (np.ones((3, 2)), ad.Value(np.zeros((1, 3))))):
+        with pytest.raises(UsageError):
+            ad.input_projection(x, w, bias, "relu", 0.5, False, None)
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["live", "flat-column"])
+def test_orthogonality_penalty_matches_the_op_chain_bit_for_bit(flat):
+    # As the model calls it: on a column slice (a view) of a wider value, weighed by lambda.
+    (x,) = rng_arrays((40, 9), seed=24)
+    if flat:
+        x[:, 5] = 0.1
+    runs = []
+    for build in (ad.orthogonality_penalty, chained_orthogonality_penalty):
+        wide = ad.Value(x.copy(), requires_grad=True)
+        penalty = build(ad.column_slice(wide, 3, 9))
+        ad.backward(ad.scalar_mul(penalty, 0.37))
+        runs.append((penalty.data, wide.grad))
+    (value, grad), (chained_value, chained_grad) = runs
+    assert same_bits(value, chained_value) and same_bits(grad, chained_grad)
+    assert np.array_equal(grad[:, :3], np.zeros((40, 3)))
+    assert np.array_equal(grad[:, 5], np.zeros(40)) == flat
 
 
 def test_column_normalize_output_statistics():
+    # The penalty sees only the centred unit columns: shifting and scaling a
+    # column leaves it, up to rounding, and it is ||Uᵀ U - I||² for those U.
     rng = np.random.default_rng(8)
-    out = ad.column_normalize(ad.Value(rng.standard_normal((50, 4)))).data
-    assert np.abs(out.mean(axis=0)).max() < 1e-12
-    assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-12
+    x = rng.standard_normal((50, 4))
+    unit = x - x.mean(axis=0)
+    unit /= np.linalg.norm(unit, axis=0)
+    assert np.abs(unit.mean(axis=0)).max() < 1e-12
+    expected = np.sum((unit.T @ unit - np.eye(4)) ** 2)
+    moved = x * np.array([3.0, 0.01, -2.0, 1e4]) + np.array([5.0, -1.0, 0.0, 2e3])
+    for columns in (x, moved):
+        value = ad.orthogonality_penalty(ad.Value(columns)).data[0, 0]
+        assert abs(value - expected) < 1e-10 * expected
 
 
 def test_column_normalize_maps_flat_columns_to_zero():
     # 30 copies of 0.1 centre to rounding noise (2.8e-17), not to 0, so a
     # norm-based test would blow that noise up to a unit column; a span of
-    # 5e-13 is within the flat tolerance.
-    shift = ad.Value(np.random.default_rng(9).standard_normal((30, 2)))
+    # 5e-13 is within the flat tolerance. A flat column's unit vector is zero:
+    # it adds exactly its diagonal miss 1 and gets no gradient.
+    rng = np.random.default_rng(9)
     for flat in (np.ones(5), np.full(30, 0.1), 0.1 + 5e-13 * (np.arange(8) % 2)):
         n = flat.size
-        v = ad.Value(np.stack([flat, np.arange(n, dtype=np.float64)], axis=1), requires_grad=True)
-        out = ad.column_normalize(v)
-        assert np.array_equal(out.data[:, 0], np.zeros(n))
-        assert abs(np.linalg.norm(out.data[:, 1]) - 1.0) < 1e-12
-        # The shift sends a nonzero gradient into both output columns.
-        ad.backward(ad.frobenius_sq(ad.add(out, ad.Value(shift.data[:n]))))
+        live = np.stack([np.arange(n, dtype=np.float64), rng.standard_normal(n)], axis=1)
+        v = ad.Value(np.column_stack([flat, live]), requires_grad=True)
+        penalty = ad.orthogonality_penalty(v)
+        alone = ad.orthogonality_penalty(ad.Value(live)).data[0, 0]
+        assert abs(penalty.data[0, 0] - (1.0 + alone)) < 1e-12
+        ad.backward(penalty)
         assert np.array_equal(v.grad[:, 0], np.zeros(n))
-        assert np.abs(v.grad[:, 1]).max() > 0.0
+        assert np.abs(v.grad[:, 1:]).min(axis=0).max() > 0.0
 
 
 def test_column_normalize_live_gradients_next_to_flat_columns():
-    x, c = rng_arrays((6, 4), (6, 4), seed=12)
+    (x,) = rng_arrays((6, 4), seed=12)
     x[:, 0] = 0.1
     x[:, 2] = -3.0
-    shift = ad.Value(c)
-
-    def build(v):
-        return ad.frobenius_sq(ad.add(ad.column_normalize(v), shift))
-
     leaf = ad.Value(x.copy(), requires_grad=True)
-    ad.backward(build(leaf))
+    ad.backward(ad.orthogonality_penalty(leaf))
     # Bumping a flat entry makes its column live, so only live columns are
     # compared with finite differences; flat ones get exactly no gradient.
-    expected = numeric_grad(build, [x], 0)[:, [1, 3]]
+    expected = numeric_grad(ad.orthogonality_penalty, [x], 0)[:, [1, 3]]
     assert np.abs(leaf.grad[:, [1, 3]] - expected).max() / np.abs(expected).max() < 1e-5
     assert np.array_equal(leaf.grad[:, [0, 2]], np.zeros((6, 2)))
-
-
-def test_dropout_gradients_with_fixed_mask():
-    (x,) = rng_arrays((5, 4), seed=5)
-
-    def build(v):
-        return ad.frobenius_sq(ad.dropout(v, 0.4, train=True, rng=ad.make_rng(123)))
-
-    check_gradients(build, x)
-
-
-def test_dropout_eval_is_identity():
-    v = ad.Value(np.arange(6.0).reshape(2, 3))
-    out = ad.dropout(v, 0.9, train=False, rng=None)
-    assert np.array_equal(out.data, v.data)
-
-
-def test_dropout_train_scales_surviving_entries():
-    v = ad.Value(np.ones((200, 5)))
-    out = ad.dropout(v, 0.25, train=True, rng=ad.make_rng(7)).data
-    kept = out != 0.0
-    assert np.allclose(out[kept], 1.0 / 0.75)
-    assert 0.6 < kept.mean() < 0.9  # ~75% keep rate
-
-
-def test_dropout_keeps_a_boolean_mask_on_the_tape():
-    x = ad.Value(np.ones((500, 400)), requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ad.dropout(x, 0.5, train=True, rng=ad.make_rng(3))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    # The output (8 bytes an entry) and a 1-byte mask; a float64 mask would double it.
-    assert held < 1.25 * x.data.nbytes, held
-    ad.backward(ad.frobenius_sq(out))
-    assert np.array_equal(x.grad, 2 * out.data * (out.data != 0) / 0.5)
-
-
-def test_dropout_probability_validation():
-    v = ad.Value(np.ones((2, 2)))
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(UsageError):
-            ad.dropout(v, bad, train=True, rng=ad.make_rng(0))
 
 
 def test_softmax_cross_entropy_closed_form():
@@ -448,9 +598,14 @@ def test_softmax_cross_entropy_is_stable_at_large_logits():
 
 
 def test_frobenius_gradient_example():
-    w = ad.Value(np.array([[1.0, 2.0]]), requires_grad=True)
-    ad.backward(ad.frobenius_sq(w))
-    assert np.array_equal(w.grad, [[2.0, 4.0]])
+    # Centred columns a, b with cos(a, b) = 1/2: the penalty is 2 cos² = 1/2,
+    # and its gradient is (b - a/2, a - b/2).
+    a, b = np.array([1.0, -1.0, 0.0]), np.array([1.0, 0.0, -1.0])
+    x = ad.Value(np.stack([a, b], axis=1), requires_grad=True)
+    penalty = ad.orthogonality_penalty(x)
+    assert abs(penalty.data[0, 0] - 0.5) < 1e-15
+    ad.backward(penalty)
+    assert np.abs(x.grad - np.stack([b - a / 2, a - b / 2], axis=1)).max() < 1e-15
 
 
 def test_gradient_accumulates_over_reuse():
@@ -466,13 +621,6 @@ def test_gradient_accumulates_over_reuse():
     assert (x.grad[0, 0], z.grad[0, 0]) == (2.0, 1.0)
 
 
-def weighted_sum(y: ad.Value, w: ad.Value) -> ad.Value:
-    """1ᵀ (y ⊙ w) 1, whose gradient with respect to y is exactly w."""
-    rows, cols = y.shape
-    left, right = ad.Value(np.ones((1, rows))), ad.Value(np.ones((cols, 1)))
-    return ad.matmul(ad.matmul(left, ad.hadamard(y, w)), right)
-
-
 def test_add_and_sub_of_a_value_with_itself():
     g = ad.Value(rng_arrays((3, 2), seed=9)[0])
     for op, expected in ((ad.add, 2.0 * g.data), (ad.sub, np.zeros((3, 2)))):
@@ -486,7 +634,7 @@ def test_add_whose_parents_are_both_reused_keeps_both_gradients(add_first):
     # p and q each take a gradient from the add and from the product, in either order.
     def build(x, y):
         p, q = ad.tanh(x), ad.sigmoid(y)
-        terms = (ad.frobenius_sq(ad.add(p, q)), ad.frobenius_sq(ad.hadamard(p, q)))
+        terms = (frobenius_sq(ad.add(p, q)), frobenius_sq(ad.hadamard(p, q)))
         return ad.add(*terms) if add_first else ad.add(*terms[::-1])
 
     check_gradients(build, *rng_arrays((3, 2), (3, 2), seed=10))
@@ -495,7 +643,7 @@ def test_add_whose_parents_are_both_reused_keeps_both_gradients(add_first):
 def test_backward_keeps_a_fresh_gradient_without_copying_it():
     # The leaf adopts the array scalar_mul's backward makes; a copy of it would be a third array.
     x = ad.Value(np.ones((500, 400)), requires_grad=True)
-    loss = ad.frobenius_sq(ad.scalar_mul(x, 3.0))
+    loss = frobenius_sq(ad.scalar_mul(x, 3.0))
     tracemalloc.start()
     try:
         ad.backward(loss)
@@ -509,7 +657,7 @@ def test_backward_keeps_a_fresh_gradient_without_copying_it():
 def test_detached_leaf_gets_no_gradient():
     x = ad.Value(np.ones((2, 2)), requires_grad=True)
     c = ad.Value(np.ones((2, 2)))
-    ad.backward(ad.frobenius_sq(ad.hadamard(x, c)))
+    ad.backward(frobenius_sq(ad.hadamard(x, c)))
     assert c.grad is None
     assert x.grad is not None
 
@@ -522,7 +670,7 @@ def test_backward_requires_scalar():
 
 def test_backward_twice_is_an_error():
     x = ad.Value(np.ones((1, 1)), requires_grad=True)
-    loss = ad.frobenius_sq(x)
+    loss = frobenius_sq(x)
     ad.backward(loss)
     with pytest.raises(UsageError):
         ad.backward(loss)
@@ -532,18 +680,18 @@ def test_backward_through_a_released_subgraph_raises_and_moves_no_gradient():
     x = ad.Value(np.array([[0.3, -1.2]]), requires_grad=True)
     w = ad.Value(np.array([[2.0, 0.5]]), requires_grad=True)
     y = ad.tanh(x)
-    ad.backward(ad.frobenius_sq(y))
+    ad.backward(frobenius_sq(y))
     first = x.grad.copy()
     # y still holds its value, but not the gradient of the first loss: a
     # second sweep through it would have added that gradient again.
     assert np.array_equal(y.data, np.tanh(x.data)) and y.grad is None
-    second = ad.frobenius_sq(ad.hadamard(y, w))
+    second = frobenius_sq(ad.hadamard(y, w))
     with pytest.raises(UsageError, match="released"):
         ad.backward(second)
     assert np.array_equal(x.grad, first) and w.grad is None
     x.grad = None
     with pytest.raises(UsageError, match="released"):
-        ad.backward(ad.frobenius_sq(y))
+        ad.backward(frobenius_sq(y))
     assert x.grad is None
 
 
@@ -585,7 +733,7 @@ def test_backward_releases_the_tape_and_keeps_leaf_gradients(backbone):
     unreleased_backward(loss)
     params, loss = train_loss()
     interior = [node for node in tape_walk(loss) if node._backward_fn is not None]
-    assert len(interior) > 20
+    assert len(interior) > 12
     ad.backward(loss)
     for node in interior:
         assert node.grad is None and node._backward_fn is None and node._parents == ()
@@ -604,7 +752,7 @@ def test_values_are_two_dimensional():
 
 def test_zero_grad_resets_between_steps():
     params = {"w": ad.Value(np.ones((2, 2)), requires_grad=True)}
-    ad.backward(ad.frobenius_sq(params["w"]))
+    ad.backward(frobenius_sq(params["w"]))
     ad.zero_grad(params)
     assert params["w"].grad is None
 
@@ -733,7 +881,7 @@ def test_training_loop_determinism():
         x = ad.Value(ad.make_rng(42, 1).standard_normal((5, 4)))
         state = ad.AdamState(lr=0.05, weight_decay=0.01)
         for _ in range(20):
-            loss = ad.frobenius_sq(ad.tanh(ad.matmul(x, w)))
+            loss = frobenius_sq(ad.tanh(ad.matmul(x, w)))
             ad.zero_grad({"w": w})
             ad.backward(loss)
             ad.adam_step({"w": w}, state)
@@ -767,7 +915,7 @@ def test_no_grad_ops_return_untracked_values():
     w = ad.Value(np.ones((3, 2)), requires_grad=True)
     with ad.no_grad():
         out = ad.tanh(ad.add(ad.matmul(x, w), ad.Value(np.ones((1, 2)))))
-        loss = ad.frobenius_sq(out)
+        loss = frobenius_sq(out)
     for value in (out, loss):
         assert value.requires_grad is False
         assert value._parents == () and value._backward_fn is None

@@ -148,6 +148,13 @@ def test_diagnose_writes_all_artifacts(dataset_dir, tmp_path):
     assert summary["settings"]["bands"] == ["low", "mid", "high"]
 
 
+def test_diagnose_canonicalizes_the_graph_once(dataset_dir, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_graph", lambda *args: built.append(args) or build_graph(*args))
+    assert main(["diagnose", "--data", str(dataset_dir), "--out", str(tmp_path / "diag")]) == 0
+    assert len(built) == 1  # the labels join the structure graph as it is
+
+
 def test_diagnose_band_indices_are_ordered(dataset_dir, tmp_path):
     out = tmp_path / "diag"
     main(["diagnose", "--data", str(dataset_dir), "--out", str(out)])

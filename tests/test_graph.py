@@ -17,7 +17,7 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
-from diverspec.graph import beside, share
+from diverspec.graph import beside, share, with_labels
 from tests.conftest import counting_forks, set_usable_cpus, toy_graph
 
 
@@ -39,6 +39,19 @@ def test_build_graph_rejects_bad_labels_and_features():
         build_graph([(0, 1)], 2, np.eye(2), np.array([0, 5]), num_classes=2)
     with pytest.raises(DataError):
         build_graph([(0, 1)], 2, np.eye(3), np.array([0, 1]), num_classes=2)
+
+
+def test_with_labels_checks_the_labels_as_build_graph_does(p3):
+    relabelled = with_labels(p3, np.array([1, 0, 1]))
+    assert relabelled.edges is p3.edges and relabelled.features is p3.features
+    assert relabelled.labels.tolist() == [1, 0, 1] and not relabelled.labels.flags.writeable
+    assert p3.labels.tolist() == [0, 0, 1]
+    for bad in ([0, 1], [0, 2, 1], [-1, 0, 0]):
+        with pytest.raises(DataError) as built:
+            build_graph(p3.edges, 3, p3.features, np.array(bad), p3.num_classes)
+        with pytest.raises(DataError) as joined:
+            with_labels(p3, np.array(bad))
+        assert str(joined.value) == str(built.value)
 
 
 def test_adjacency_is_symmetric(c3):

@@ -32,7 +32,7 @@ from diverspec.model import (
     project_inputs,
     shared_coefficients,
 )
-from tests.conftest import toy_graph
+from tests.conftest import frobenius_sq, toy_graph
 
 
 def config(**overrides) -> DsfConfig:
@@ -184,7 +184,7 @@ def test_sparse_and_dense_projection_agree():
         params = init_params(cfg, g.num_features, g.num_classes, make_rng(2), g.num_nodes)
         params.b_in.data[...] = 0.05  # some rows sit on both sides of the ReLU
         h0, _ = project_inputs(features, None, params, cfg)
-        ad.backward(ad.frobenius_sq(ad.hadamard(h0, weight)))
+        ad.backward(frobenius_sq(ad.hadamard(h0, weight)))
         runs.append((h0.data, params.w_in.grad))
     (h_dense, g_dense), (h_sparse, g_sparse) = runs
     assert np.abs(h_dense - h_sparse).max() < 1e-12
@@ -212,26 +212,24 @@ def test_forward_projects_through_the_operand_graph_inputs_built(sparse_input, m
     a_hat, features, positional = graph_inputs(g, cfg)
     params = init_params(cfg, g.num_features, g.num_classes, make_rng(0), g.num_nodes)
     calls = []
-    real_spmm, real_matmul = ad.sparse_dense_matmul, ad.matmul
+    real_projection, real_spmm = ad.input_projection, ad.sparse_dense_matmul
+
+    def projection_spy(x, *args):
+        calls.append(("projection", x))
+        return real_projection(x, *args)
 
     def spmm_spy(op, x):
         calls.append(("spmm", op))
         return real_spmm(op, x)
 
-    def matmul_spy(a, b):
-        calls.append(("matmul", a.data))
-        return real_matmul(a, b)
-
+    monkeypatch.setattr(ad, "input_projection", projection_spy)
     monkeypatch.setattr(ad, "sparse_dense_matmul", spmm_spy)
-    monkeypatch.setattr(ad, "matmul", matmul_spy)
     forward(a_hat, features, positional, params, cfg)
-    # The first product is X W_in; mode R refines positions without a spmm call.
-    kind, operand = calls[0]
-    if sparse_input:
-        assert kind == "spmm" and operand is features
-    else:
-        assert kind == "matmul" and operand is g.features
-    assert [k for k, _ in calls].count("spmm") == int(sparse_input)
+    # The first op projects the operand itself, then the positions; mode R
+    # refines positions without a spmm call.
+    assert calls[0][0] == "projection" and calls[0][1] is features
+    assert [kind for kind, _ in calls] == ["projection", "projection"]
+    assert calls[1][1] is positional
 
 
 @pytest.mark.parametrize(
@@ -262,7 +260,7 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone, mode):
         node_theta(ad.column_slice(refined, 0, gates), params.gate_b, cfg.sigma_p),
         ad.column_slice(refined, gates, refined.shape[1]),
     )
-    fused_loss = ad.add(ad.frobenius_sq(ad.hadamard(fused[0], weight)), orth_penalty(fused[1]))
+    fused_loss = ad.add(frobenius_sq(ad.hadamard(fused[0], weight)), orth_penalty(fused[1]))
     ad.backward(fused_loss)
 
     q0, w_loop = Value(p0_data.copy(), requires_grad=True), fresh_w_ipe()
@@ -277,7 +275,7 @@ def test_position_refinement_matches_the_ipe_step_loop(backbone, mode):
     ]
     ref_loss = orth_penalty(p_list[-1])
     for j, column in enumerate(columns):
-        term = ad.frobenius_sq(ad.hadamard(column, Value(weight.data[:, [j]])))
+        term = frobenius_sq(ad.hadamard(column, Value(weight.data[:, [j]])))
         ref_loss = ad.add(ref_loss, term)
     ad.backward(ref_loss)
 
@@ -562,11 +560,12 @@ def test_forward_positional_holds_only_the_final_state(monkeypatch):
     train = forward(a_hat, g.features, positional, params, cfg, train=True, rng=make_rng(2))
     with ad.no_grad():
         evaluated = forward(a_hat, g.features, positional, params, cfg)
-    # A view would keep the gate readout alive for as long as the result.
+    # The final state is held once: the result's positions are a view of the
+    # readout's last d columns, which the tape holds anyway.
     for result, readout in zip((train, evaluated), readouts):
         assert readout.shape == (n, cfg.K + 1 + cfg.d)
         assert np.array_equal(result.positional.data, readout.data[:, cfg.K + 1 :])
-        assert not np.shares_memory(result.positional.data, readout.data)
+        assert result.positional.data.base is readout.data
 
 
 def test_forward_ablation_reads_free_weight_table():

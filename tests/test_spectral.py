@@ -22,7 +22,7 @@ from diverspec import (
 )
 from diverspec.errors import UsageError
 from diverspec.graph import SparseOperator
-from diverspec.spectral import HISTOGRAM_BANDS, _Factorization
+from diverspec.spectral import HISTOGRAM_BANDS, _Factorization, _fix_signs
 from tests.conftest import connected_random_graph, counting_forks, set_usable_cpus, toy_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -53,7 +53,29 @@ def test_eigendecompose_sign_convention_is_deterministic(p3):
     _, l_hat = normalized_operators(p3)
     dec = eigendecompose(l_hat)
     for col in dec.eigenvectors.T:
-        assert col[np.argmax(np.abs(col))] > 0
+        # The middle vector is (1, 0, -1) / sqrt(2), its two entries one ulp apart:
+        # the first of the near-largest entries is positive.
+        peak = np.abs(col).max()
+        assert col[np.argmax(np.abs(col) >= peak - 4 * np.spacing(peak))] > 0
+    assert dec.eigenvectors[0, 1] > 0
+
+
+@pytest.mark.parametrize("lead", [1.0, -1.0])
+def test_fix_signs_gives_twin_entries_one_sign_however_they_round(lead):
+    # (e_1 - e_3) / sqrt(2), as on twin leaves: whichever of the two entries a
+    # solver rounds one ulp larger, entry 1 (the lower index) sets the sign.
+    twin = np.zeros((5, 2))
+    twin[[1, 3], 0] = lead * INV_SQRT2, -lead * INV_SQRT2
+    twin[:, 1] = [0.1, -0.3, 0.2, 0.9, 0.1]  # an untied column keeps its largest entry's sign
+    for entry in (None, 1, 3):
+        for towards in (np.inf, 0.0):
+            vectors = twin.copy()
+            if entry is not None:
+                vectors[entry, 0] = np.nextafter(vectors[entry, 0], np.copysign(towards, vectors[entry, 0]))
+            fixed = _fix_signs(vectors)
+            assert fixed[1, 0] > 0.0 and fixed[3, 0] < 0.0, (entry, towards)
+            np.testing.assert_array_equal(fixed[:, 1], twin[:, 1])
+            np.testing.assert_array_equal(np.abs(fixed), np.abs(vectors))
 
 
 def test_eigendecompose_rejects_asymmetric():

@@ -28,8 +28,8 @@ from diverspec import (
 )
 from diverspec import model, training
 from diverspec.errors import ConfigError, DataError, NumericalError, UsageError
-from diverspec.autodiff import make_rng
-from diverspec.model import accuracy, forward, init_params
+from diverspec.autodiff import backward, make_rng
+from diverspec.model import accuracy, forward, init_params, one_hot, total_loss
 from diverspec.datasets import random_graph
 from diverspec.graph import usable_cpus
 from tests.conftest import EQUAL_RWPE_ROWS, counting_forks, set_usable_cpus, toy_graph
@@ -220,6 +220,39 @@ def test_train_once_memory_does_not_grow_with_epochs(backbone):
     # A tape kept from one epoch into the next (with its gradients) shows as
     # a later epoch peaking above the first: about 1.33x here.
     assert peaks[1] <= 1.15 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("backbone", ["GPR", "Bern", "Jacobi"])
+def test_train_step_tape_holds_each_array_its_backward_reads_once(backbone):
+    # One train step of a gated mode-R model, in units of one (N, d) array
+    # (153 600 bytes). The tape holds the two projections' outputs and masks
+    # (plus the activation tanh's slope needs), the K - 1 inner IPE states, the
+    # (N, G + d) readout, the orthogonality penalty's centred columns and the
+    # small (N, G), (N, C) and per-order arrays: 17.1-17.3 here. The op-by-op
+    # projections and penalty, with state 0 and state K copied, held 27.7-27.9
+    # and peaked at 31.8-31.9 in the backward (20.4-20.7 now).
+    n, d = 600, 32
+    g = random_graph(n, 0.01, num_classes=3, num_features=32, seed=3)
+    cfg = DsfConfig(K=10, d=d, f_p=8, mode="R", lambda_orth=0.01, backbone=backbone)
+    a_hat, features, positional = graph_inputs(g, cfg)
+    params = init_params(cfg, g.num_features, g.num_classes, make_rng(0), g.num_nodes)
+    mask = make_splits(g, "dense", 1, seed=0)[0].masks(n)[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = forward(a_hat, features, positional, params, cfg, train=True, rng=make_rng(1))
+        loss = total_loss(result, one_hot(g.labels, g.num_classes), mask, cfg)
+        del result
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    unit = n * d * 8
+    assert held < 20 * unit, held / unit
+    assert peak < 24 * unit, peak / unit
+    assert all(p.grad is not None for p in params.as_dict().values())
 
 
 @pytest.mark.parametrize(
