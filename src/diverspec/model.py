@@ -411,7 +411,7 @@ def orth_penalty(positional: Value) -> Value:
     normalized columns are orthonormal. A flat column normalizes to zeros,
     so it adds exactly 1 (its diagonal miss) and sends no gradient. It is one
     :func:`~diverspec.autodiff.orthogonality_penalty` op, whose tape holds
-    the centred columns and their norms, not the normalized ones.
+    only the column means and norms and the (d, d) Gram minus I.
     """
     return ad.orthogonality_penalty(positional)
 

@@ -227,10 +227,10 @@ def test_train_step_tape_holds_each_array_its_backward_reads_once(backbone):
     # One train step of a gated mode-R model, in units of one (N, d) array
     # (153 600 bytes). The tape holds the two projections' outputs and masks
     # (plus the activation tanh's slope needs), the K - 1 inner IPE states, the
-    # (N, G + d) readout, the orthogonality penalty's centred columns and the
-    # small (N, G), (N, C) and per-order arrays: 17.1-17.3 here. The op-by-op
-    # projections and penalty, with state 0 and state K copied, held 27.7-27.9
-    # and peaked at 31.8-31.9 in the backward (20.4-20.7 now).
+    # (N, G + d) readout and the small (N, G), (N, C) and per-order arrays:
+    # 17.1-17.3 here. The op-by-op projections and penalty, with state 0 and
+    # state K copied, held 27.7-27.9 and peaked at 31.8-31.9 in the backward
+    # (20.4-20.7 now).
     n, d = 600, 32
     g = random_graph(n, 0.01, num_classes=3, num_features=32, seed=3)
     cfg = DsfConfig(K=10, d=d, f_p=8, mode="R", lambda_orth=0.01, backbone=backbone)
