@@ -7,10 +7,6 @@ filtering, homophily diagnostics) works off this one representation.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -18,6 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
+from .parallel import share
 
 _REACH_BLOCK = 512  # identity columns the reach sweep holds densely at once
 _EDGE_CHUNK = 1024  # canonical edges induced_edge_sums gathers per contraction
@@ -241,170 +238,17 @@ def k_hop(graph: Graph, node: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, induced
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, else the CPU count.
-
-    It bounds the processes :func:`share` runs (the training grid's cells,
-    the reach sweep's blocks) and sizes the RWPE sweep's thread pool; with
-    more than one, :func:`~diverspec.spectral.eigendecompose` finds the end
-    pairs in a forked child beside the interior ones. No count changes any
-    result.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def can_fork() -> bool:
-    """Whether this process may fork a worker safely.
-
-    The ``fork`` start method must exist, this process must not be daemonic
-    (a pool worker may not have children), and no other thread may run: a
-    fork copies only the calling thread, so a lock another thread holds would
-    stay locked in the child. :func:`forks` asks it for every caller of
-    :func:`beside`.
-    """
-    return (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        and threading.active_count() == 1
-    )
-
-
-def forks(processes: int) -> int:
-    """The children :func:`beside` may fork so that up to ``processes`` processes run.
-
-    One less than ``min(processes, usable_cpus())`` where :func:`can_fork`
-    allows it, else 0.
-    """
-    return min(processes, usable_cpus()) - 1 if processes > 1 and can_fork() else 0
-
-
-def beside(here: Callable[[], object], job: Callable[[], object], children: int) -> tuple:
-    """``(here(), [job(), ...])``: ``here`` runs while ``children`` forked processes run ``job``.
-
-    It is the one place that forks: :func:`share` runs its workers through
-    it, and :func:`~diverspec.spectral.eigendecompose` its end-pair child.
-    Each child sends back only ``job``'s result or its exception, and the
-    results come in fork order. A child's exception, the first in fork order,
-    is raised in place of any error of ``here``, and a child that exits
-    before sending raises ``RuntimeError`` with its exit code. Every child
-    has exited on return and raise; one still running when this process
-    raises is terminated. ``children=0`` forks nothing: ``job`` runs once in
-    this process first, and its error is raised before ``here`` starts.
-    Otherwise the caller has asked :func:`forks` how many it may fork.
-    """
-    if not children:
-        sent = [job()]
-        return here(), sent
-
-    def send(sender) -> None:  # a child's whole life
-        try:
-            outcome = job(), None
-        except Exception as exc:
-            outcome = None, exc
-        sender.send(outcome)
-
-    context = multiprocessing.get_context("fork")
-    receivers, processes = [], []
-    try:
-        for _ in range(children):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=send, args=(sender,), daemon=True)
-            process.start()
-            sender.close()  # the child holds the only write end: its exit ends recv
-            receivers.append(receiver)
-            processes.append(process)
-        try:
-            done, failure = here(), None
-        except Exception as exc:
-            done, failure = None, exc
-        results = []
-        for receiver, process in zip(receivers, processes):
-            try:
-                result, error = receiver.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(
-                    f"a forked child exited with code {process.exitcode} before sending its result"
-                ) from None
-            if error is not None:
-                raise error
-            results.append(result)
-            process.join()
-    finally:
-        for process in processes:
-            if process.is_alive():  # only when this process is raising
-                process.terminate()
-            process.join()
-            process.close()
-        for receiver in receivers:
-            receiver.close()
-    if failure is not None:
-        raise failure
-    return done, results
-
-
-def share(task: Callable[[int], object], count: int) -> list:
-    """``[task(0), ..., task(count - 1)]``, run by up to ``min(count, usable_cpus())`` processes.
-
-    Every process, this one and the workers :func:`beside` forks (as many as
-    :func:`forks` allows), claims the lowest unclaimed index from a shared
-    counter until none is left; a worker inherits what this process holds
-    and sends back only its results. The results do not depend on the number
-    of processes. A failure empties the counter, so every index below the
-    first failing one has run when that index's error is raised. In one
-    process the tasks run in index order up to the first failure. A worker
-    that dies raises ``RuntimeError``; if this process is killed outright,
-    each worker stops after its current task.
-    """
-    processes = 1 + forks(count)
-    next_index = multiprocessing.RawValue("i", 0)  # memory that forked workers share
-    lock = multiprocessing.get_context("fork").Lock() if processes > 1 else threading.Lock()
-    caller = os.getpid()
-
-    def claim() -> int | None:
-        if os.getpid() != caller and os.getppid() != caller:
-            return None  # the caller was killed: its orphaned workers stop
-        with lock:
-            index = next_index.value
-            next_index.value += 1
-        return index if index < count else None
-
-    def run_claimed() -> dict:
-        outcomes = {}
-        for index in iter(claim, None):
-            try:
-                outcomes[index] = task(index), None
-            except Exception as exc:
-                outcomes[index] = None, exc
-                with lock:
-                    next_index.value = count
-        return outcomes
-
-    outcomes, sent = beside(run_claimed, run_claimed, processes - 1)
-    for worker_outcomes in sent:
-        outcomes.update(worker_outcomes)
-    results = []
-    for index in range(count):
-        result, error = outcomes[index]
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
-
-
 def induced_edge_sums(graph: Graph, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node: the number of edges :func:`k_hop` induces, and ``values`` summed over them.
 
     ``values`` is (E,) or (E, c), one entry or row per canonical edge, and the
     sums come back (N,) or (N, c). Nodes are swept ``_REACH_BLOCK`` at a
-    time, each block one task of :func:`share`, so blocks run in up to
-    ``min(blocks, usable_cpus())`` processes. A block's dense float32 (N, block)
-    reach mask ``inside`` starts as its columns of the hop operator ``A + I``
-    (one hop, 0/1 already); up to k - 1 more products with it, each clipped
-    back to 0/1 (so exact) and stopped, as in :func:`k_hop`, by one that adds
-    no node, give the k-hop mask (k = 0 gives the block's identity columns).
+    time, each block one task of :func:`~diverspec.parallel.share`. A
+    block's dense float32 (N, block) reach mask ``inside`` starts as its
+    columns of the hop operator ``A + I`` (one hop, 0/1 already); up to
+    k - 1 more products with it, each clipped back to 0/1 (so exact) and
+    stopped, as in :func:`k_hop`, by one that adds no node, give the k-hop
+    mask (k = 0 gives the block's identity columns).
     Edge (p, q) is induced for block node j exactly when ``inside[p, j]``
     and ``inside[q, j]``; that gathered (chunk, block) mask, ``_EDGE_CHUNK``
     canonical edges at a time, meets the (1 + c, E) table ``[1 | values]^T``

@@ -22,10 +22,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Value
 from .domains import check_domains
 from .errors import ConfigError, UsageError
-from .graph import SparseOperator, usable_cpus
+from .graph import SparseOperator
 from .polynomials import Bernstein, BasisKind, Jacobi, Monomial
 from .spectral import SpectralDecomposition
 
@@ -207,13 +208,14 @@ def init_positional(
     joins the block before it, since numpy sums a single column in another
     order than a wider block's; so every entry is the row-order sum of its
     column, and the bytes do not depend on the thread count or block width.
-    The blocks are swept on a pool of min(blocks, ``usable_cpus()``) threads
-    named ``rwpe_<i>``; each task builds its own block, holds O(N *
-    _RWPE_BLOCK) floats and writes only its rows, and the sparse products and
-    column sums run outside the GIL. Every thread has been joined when this
-    returns or raises, so :func:`~diverspec.training.run_grid` may still
-    fork. An error or interrupt cancels the blocks not yet started; the one
-    raised is the lowest failing block's, whichever thread failed first.
+    The blocks are swept on a pool of min(blocks,
+    :func:`~diverspec.parallel.usable_cpus`) threads named ``rwpe_<i>``; each
+    task builds its own block, holds O(N * _RWPE_BLOCK) floats and writes
+    only its rows, and the sparse products and column sums run outside the
+    GIL. Every thread has been joined when this returns or raises, so a
+    later :func:`~diverspec.parallel.beside` may fork. An error or interrupt
+    cancels the blocks not yet started; the one raised is the lowest failing
+    block's, whichever thread failed first.
     """
     n = a_hat.shape[0]
     if config.f_p > n:
@@ -247,7 +249,7 @@ def init_positional(
         starts.pop()
     # map submits every span at once, so each task builds its own block
     # rather than hold them all; its results come in block order.
-    with ThreadPoolExecutor(min(len(starts), usable_cpus()), thread_name_prefix="rwpe") as pool:
+    with ThreadPoolExecutor(min(len(starts), parallel.usable_cpus()), thread_name_prefix="rwpe") as pool:
         list(pool.map(sweep, starts, starts[1:] + [n]))
     return positional
 

@@ -11,8 +11,8 @@ sparse L-hat. An interior index takes the spectral-transformation Lanczos
 method of Ericsson and Ruhe (1980): one dense LDL^T factorization of
 L-hat - sigma I counts, by Sylvester's law of inertia, the eigenvalues below
 sigma, and block Lanczos on (L-hat - sigma I)^-1 finds those nearest sigma.
-Where two CPUs are usable, the ends are found in a forked child while this
-process factors.
+The ends may be found in a forked child while this process factors
+(:func:`~diverspec.parallel.beside`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .graph import Graph, SparseOperator, beside, forks, induced_edge_sums, k_hop
+from .graph import Graph, SparseOperator, induced_edge_sums, k_hop
+from .parallel import beside
 
 HISTOGRAM_BANDS = ("low", "mid", "high")
 # A computed eigenvector is fixed only to about eps * ||L|| / gap, where gap is
@@ -127,12 +128,11 @@ def eigendecompose(
     Raises :class:`UsageError` for a non-symmetric operator, one over the
     cap, or an index outside ``[0, N)``.
 
-    With ``indices``, the two kinds of pair run in two processes where
-    :func:`~diverspec.graph.forks` allows a child: the one that
-    :func:`~diverspec.graph.beside` forks runs ``alongside`` (a job of no
-    arguments), if given, and then finds the end pairs, while this process
-    factors for the interior ones. Otherwise ``alongside`` and then the end
-    pairs run here first, before the dense buffer exists. With
+    With ``indices``, the two kinds of pair may run in two processes
+    (:func:`~diverspec.parallel.beside`): its child runs ``alongside`` (a job
+    of no arguments), if given, and then finds the end pairs, while this
+    process factors for the interior ones. Without a child, ``alongside`` and
+    then the end pairs run here first, before the dense buffer exists. With
     ``alongside`` the result is ``(decomposition, alongside())``, and its
     error is raised in place of any other, as if it ran first. No pair's
     bits depend on the process that computed it.
@@ -166,9 +166,7 @@ def eigendecompose(
                 break
         return wanted, pairs
 
-    (wanted, pairs), [(done, end_pairs)] = beside(
-        inner, ends, forks(2) if indices is not None else 0
-    )
+    (wanted, pairs), [(done, end_pairs)] = beside(inner, ends, 2 if indices is not None else 1)
     pairs.update(end_pairs)
     if wanted is None or None in pairs.values():
         values, vectors = np.linalg.eigh(l_hat.dense())
@@ -525,9 +523,9 @@ def local_histograms(
     column never change, so a band's values do not depend on which other
     bands are asked for. The sweep makes one sparse product per hop and one
     gathered-mask GEMM per edge chunk for all columns together, one reach
-    block per task of :func:`~diverspec.graph.share`, so its blocks run in
-    up to ``min(blocks, usable_cpus())`` processes with the same bytes. Returns
-    ``(node_ids, homophily, {band: FrequencyHistogram})``; every histogram
+    block per task of :func:`~diverspec.parallel.share`, with the same bytes
+    in any number of processes. Returns ``(node_ids, homophily, {band:
+    FrequencyHistogram})``; every histogram
     covers ``node_ids``, the nodes with a nonempty k-hop induced edge set.
     The values equal :func:`~diverspec.graph.local_label_homophily` and
     :func:`local_graph_frequency` up to float summation order.

@@ -7,7 +7,6 @@ training trajectory: initialization, dropout masks, and the split itself.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +15,9 @@ from scipy import sparse
 from .autodiff import AdamState, adam_step, backward, make_rng, no_grad, zero_grad
 from .domains import check_domains
 from .errors import DataError, NumericalError
-from .graph import Graph, SparseOperator, normalized_operators, share
+from .graph import Graph, SparseOperator, normalized_operators
 from .model import (
     DsfConfig,
-    DsfParams,
     accuracy,
     direct_table,
     forward,
@@ -28,6 +26,7 @@ from .model import (
     one_hot,
     total_loss,
 )
+from .parallel import share
 from .spectral import eigendecompose
 
 SPLIT_FRACTIONS = {"dense": (0.6, 0.2), "sparse": (0.025, 0.025)}
@@ -121,9 +120,9 @@ def graph_inputs(graph: Graph, config: DsfConfig, homogeneous: bool = False) -> 
     symmetric) when at most ``SPARSE_FEATURE_DENSITY`` of its entries are
     nonzero, and the dense array otherwise. ``positional`` is ``None`` for
     the baseline and the ablation; the dense eigendecomposition is built
-    only for gated LapPE and dropped after use. RWPE is swept on up to
-    ``usable_cpus()`` threads, all joined before this returns, so
-    :func:`run_grid` may still fork; its bytes do not depend on the count.
+    only for gated LapPE and dropped after use. RWPE's sweep threads are
+    all joined before this returns (:func:`~diverspec.model.init_positional`),
+    so :func:`run_grid` may still fork.
     Equal positional rows (RWPE on a cycle, complete graph or hypercube) are
     legal: the orthogonality penalty counts each flat column as 1.
     """
@@ -145,7 +144,6 @@ def train_once(
     split: Split,
     seed_entropy: tuple[int, ...],
     homogeneous: bool = False,
-    init_hook: Callable[[DsfParams], None] | None = None,
 ) -> RunResult:
     """Train one model on one split with early stopping on validation accuracy.
 
@@ -157,8 +155,7 @@ def train_once(
     records no tape; only the train pass is differentiated, and its backward
     frees the train tape as it sweeps, so no tape outlives its epoch. A
     non-finite loss or gradient aborts with :class:`NumericalError` before the
-    optimizer step. ``init_hook``, when given, may edit the freshly initialized
-    parameters in place (e.g. pin a group of weights) before the first epoch.
+    optimizer step.
     """
     a_hat, features, positional = inputs
     params = init_params(
@@ -169,8 +166,6 @@ def train_once(
         num_nodes=graph.num_nodes,
         homogeneous=homogeneous,
     )
-    if init_hook is not None:
-        init_hook(params)
     dropout_rng = make_rng(*seed_entropy, 1)
     optimizer = AdamState(lr=train_config.lr, weight_decay=train_config.weight_decay)
     param_dict = params.as_dict()
@@ -269,19 +264,16 @@ def run_grid(
     cell can be reproduced in isolation. The graph inputs are built once,
     by :func:`graph_inputs`, and shared by every cell.
 
-    The cells are the tasks of :func:`~diverspec.graph.share`: they train in
-    up to ``min(cells, usable_cpus())`` processes, this one and workers
-    forked after the graph inputs are built, which inherit them. Each
-    process claims the lowest unclaimed cell, in (run, split) order, and
-    holds one cell's tape at a time, so total RSS grows by up to that many
-    tapes; workers send back their cell records and, if they trained it, the
-    last cell's result. Results do not depend on the number of processes.
-    Nothing is forked with one cell, one usable CPU (``taskset -c 0``), no
-    ``fork`` start method, in a daemonic process or beside other threads. A
-    failing cell stops the grid, and the error raised is that of the first
-    failing cell in (run, split) order. A worker that dies raises
-    ``RuntimeError``. If this process is killed outright, each worker stops
-    after its current cell.
+    The cells are the tasks of :func:`~diverspec.parallel.share`, whose
+    workers :func:`~diverspec.parallel.beside` forks after the graph inputs
+    are built, so they inherit them. Each process claims the lowest
+    unclaimed cell, in (run, split) order, and holds one cell's tape at a
+    time, so total RSS grows by up to that many tapes; workers send back
+    their cell records and, if they trained it, the last cell's result.
+    Results do not depend on the number of processes. A failing cell stops
+    the grid, and the error raised is that of the first failing cell in
+    (run, split) order. A worker that dies raises ``RuntimeError``. If this
+    process is killed outright, each worker stops after its current cell.
     """
     check_domains({"runs": runs})
     if not splits:

@@ -11,7 +11,7 @@ import pytest
 
 from diverspec import Graph, build_graph, random_graph
 from diverspec import autodiff as ad
-from diverspec import graph as graph_module
+from diverspec import parallel
 
 DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
 
@@ -73,8 +73,8 @@ def frobenius_sq(x: ad.Value) -> ad.Value:
 
 
 def set_usable_cpus(monkeypatch, count: int) -> None:
-    """Patch the CPU count every forking stage reads (``graph.usable_cpus``)."""
-    monkeypatch.setattr(graph_module, "usable_cpus", lambda: count)
+    """Patch the CPU count every forking and threaded stage reads (``parallel.usable_cpus``)."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
 
 
 def counting_forks(monkeypatch) -> list[int]:

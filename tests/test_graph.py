@@ -17,7 +17,8 @@ from diverspec import (
     normalized_operators,
 )
 from diverspec.errors import DataError
-from diverspec.graph import beside, share, with_labels
+from diverspec.graph import with_labels
+from diverspec.parallel import beside, share
 from tests.conftest import counting_forks, set_usable_cpus, toy_graph
 
 
@@ -177,13 +178,15 @@ def test_build_graph_adopts_a_read_only_array_it_can_own():
 
 def test_beside_returns_the_children_results_in_fork_order(monkeypatch):
     forks = counting_forks(monkeypatch)
-    assert beside(lambda: "here", os.getpid, 2) == ("here", forks)
+    set_usable_cpus(monkeypatch, 3)
+    assert beside(lambda: "here", os.getpid, 3) == ("here", forks)
     assert len(forks) == 2
     assert not multiprocessing.active_children()
 
 
 def test_beside_raises_the_first_childs_error_in_place_of_its_own(monkeypatch):
     forks = counting_forks(monkeypatch)
+    set_usable_cpus(monkeypatch, 3)
 
     def job():
         raise ValueError(f"child {os.getpid()}")
@@ -192,7 +195,7 @@ def test_beside_raises_the_first_childs_error_in_place_of_its_own(monkeypatch):
         raise KeyError("here")
 
     with pytest.raises(ValueError) as raised:
-        beside(here, job, 2)
+        beside(here, job, 3)
     assert str(raised.value) == f"child {forks[0]}"
     assert not multiprocessing.active_children()
 
@@ -200,6 +203,7 @@ def test_beside_raises_the_first_childs_error_in_place_of_its_own(monkeypatch):
 @pytest.mark.parametrize("dies", [0, 1])
 def test_beside_reports_a_child_that_exits_before_sending(monkeypatch, dies):
     forks = counting_forks(monkeypatch)  # a child's copy lists the children forked before it
+    set_usable_cpus(monkeypatch, 3)
 
     def job():
         if len(forks) == dies:
@@ -207,7 +211,7 @@ def test_beside_reports_a_child_that_exits_before_sending(monkeypatch, dies):
         return 1
 
     with pytest.raises(RuntimeError, match="exited with code 7"):
-        beside(lambda: 0, job, 2)
+        beside(lambda: 0, job, 3)
     assert len(forks) == 2
     assert not multiprocessing.active_children()
 
@@ -215,6 +219,7 @@ def test_beside_reports_a_child_that_exits_before_sending(monkeypatch, dies):
 def test_beside_with_no_children_forks_nothing(monkeypatch):
     # job runs once, in this process, before here; its error comes before here starts.
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("beside forked"))
+    set_usable_cpus(monkeypatch, 2)
     calls = []
 
     def here():
@@ -225,14 +230,14 @@ def test_beside_with_no_children_forks_nothing(monkeypatch):
         calls.append("job")
         return 4
 
-    assert beside(here, job, 0) == (3, [4])
+    assert beside(here, job, 1) == (3, [4])
     assert calls == ["job", "here"]
 
     def failing_job():
         raise ValueError("job")
 
     with pytest.raises(ValueError, match="^job$"):
-        beside(lambda: pytest.fail("here ran"), failing_job, 0)
+        beside(lambda: pytest.fail("here ran"), failing_job, 1)
     assert not multiprocessing.active_children()
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from diverspec import DsfConfig, init_positional, model, normalized_operators, random_graph
 from diverspec.model import _RWPE_BLOCK
+from tests.conftest import set_usable_cpus
 from tests.test_induced_edges import small_graphs
 
 W = _RWPE_BLOCK
@@ -106,7 +107,7 @@ def test_rwpe_joins_a_lone_last_column(monkeypatch, n):
     graph = random_graph(n, min(1.0, 4.0 / n), seed=11)
     f_p = min(n, 6)
     a_hat = normalized_operators(graph)[0]
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     operator = SweepOperator(a_hat)
     positional = init_positional(operator, DsfConfig(f_p=f_p))
     assert [width for _, width in sorted(operator.blocks)] == JOINED[n]
@@ -133,7 +134,7 @@ def test_rwpe_bytes_do_not_depend_on_the_thread_count_or_block_width(monkeypatch
             if n % width == 1:
                 starts.pop()
             for cpus in (1, 2, 7):
-                monkeypatch.setattr(model, "usable_cpus", lambda cpus=cpus: cpus)
+                set_usable_cpus(monkeypatch, cpus)
                 threads = min(cpus, len(starts))
                 operator = SweepOperator(a_hat, threads)
                 runs.append(init_positional(operator, DsfConfig(f_p=6)))
@@ -150,7 +151,7 @@ def test_rwpe_bytes_do_not_depend_on_the_thread_count_or_block_width(monkeypatch
 def test_rwpe_threads_are_joined_when_it_returns(monkeypatch):
     graph = random_graph(SPAN, 4.0 / SPAN, seed=11)
     a_hat = normalized_operators(graph)[0]
-    monkeypatch.setattr(model, "usable_cpus", lambda: 7)
+    set_usable_cpus(monkeypatch, 7)
     before = threading.active_count()
     positional = init_positional(SweepOperator(a_hat, 7, delay=0.3), DsfConfig(f_p=6))
     assert threading.active_count() == before
@@ -169,7 +170,7 @@ def test_rwpe_raises_a_helper_error_after_joining_every_thread(monkeypatch):
             raise Failure(start)
 
     operator = SweepOperator(normalized_operators(graph)[0], 3, delay=0.3, on_block=on_block)
-    monkeypatch.setattr(model, "usable_cpus", lambda: 3)
+    set_usable_cpus(monkeypatch, 3)
     before = threading.active_count()
     with pytest.raises(Failure, match=f"^{2 * W}$"):
         init_positional(operator, DsfConfig(f_p=6))
@@ -188,7 +189,7 @@ def test_rwpe_raises_the_lowest_failing_blocks_error(monkeypatch):
             raise Failure(start)
 
     operator = SweepOperator(normalized_operators(graph)[0], 3, on_block=on_block)
-    monkeypatch.setattr(model, "usable_cpus", lambda: 3)
+    set_usable_cpus(monkeypatch, 3)
     before = threading.active_count()
     with pytest.raises(Failure, match=f"^{W}$"):
         init_positional(operator, DsfConfig(f_p=6))
@@ -205,7 +206,7 @@ def test_rwpe_passes_on_an_interrupt_and_cancels_the_blocks_not_started(monkeypa
         time.sleep(0.05)
 
     operator = SweepOperator(normalized_operators(graph)[0], 2, on_block=on_block)
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    set_usable_cpus(monkeypatch, 2)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         init_positional(operator, DsfConfig(f_p=6))

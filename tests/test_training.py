@@ -31,7 +31,7 @@ from diverspec.errors import ConfigError, DataError, NumericalError, UsageError
 from diverspec.autodiff import backward, make_rng
 from diverspec.model import accuracy, forward, init_params, one_hot, total_loss
 from diverspec.datasets import random_graph
-from diverspec.graph import usable_cpus
+from diverspec.parallel import usable_cpus
 from tests.conftest import EQUAL_RWPE_ROWS, counting_forks, set_usable_cpus, toy_graph
 from tests.test_induced_edges import small_graphs
 from tests.test_positional import SweepOperator
@@ -128,7 +128,19 @@ def test_train_once_reports_accuracy_at_best_validation_epoch():
     assert result.best_epoch == int(np.argmax(history)) + 1  # ties keep the earliest
 
 
-def test_train_once_frozen_gamma_is_a_constant_predictor():
+def after_init(monkeypatch, hook) -> None:
+    """Make ``train_once`` call ``hook`` on its freshly initialized parameters."""
+    real_init_params = training.init_params
+
+    def init_params(*args, **kwargs):
+        params = real_init_params(*args, **kwargs)
+        hook(params)
+        return params
+
+    monkeypatch.setattr(training, "init_params", init_params)
+
+
+def test_train_once_frozen_gamma_is_a_constant_predictor(monkeypatch):
     g = two_block_graph(12, seed=7)
     split = make_splits(g, "dense", 1, seed=3)[0]
     cfg = small_config(dropout_p=0.0)
@@ -138,14 +150,15 @@ def test_train_once_frozen_gamma_is_a_constant_predictor():
         params.gamma.data[...] = 0.0
         params.gamma.requires_grad = False
 
-    result = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (2, 0, 0), init_hook=pin_gamma)
+    after_init(monkeypatch, pin_gamma)
+    result = train_once(g, graph_inputs(g, cfg), cfg, tc, split, (2, 0, 0))
     predicted = int(np.argmax(result.params["b_out"]))
     expected = float(np.mean(g.labels[split.test] == predicted))
     assert result.test_acc == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_once_aborts_on_divergence():
+def test_train_once_aborts_on_divergence(monkeypatch):
     # Huge-but-finite logits survive on their own (the log-sum-exp is shifted,
     # and Adam's overflowed second moment zeroes the step), so force the
     # forward pass itself to overflow: the head then produces +inf/-inf
@@ -160,8 +173,9 @@ def test_train_once_aborts_on_divergence():
         params.b_in.data[...] = 1e160
         params.w_out.data[...] = np.tile([[1e308, -1e308]], (cfg.d, 1))
 
+    after_init(monkeypatch, blow_up)
     with pytest.raises(NumericalError):
-        train_once(g, graph_inputs(g, cfg), cfg, tc, split, (0, 0, 0), init_hook=blow_up)
+        train_once(g, graph_inputs(g, cfg), cfg, tc, split, (0, 0, 0))
 
 
 def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
@@ -175,11 +189,11 @@ def test_train_once_aborts_on_non_finite_gradient(monkeypatch):
         captured[0][0].gamma.grad[0, 2] = np.nan
 
     monkeypatch.setattr(training, "backward", poisoned_backward)
+    after_init(monkeypatch, lambda params: captured.append((params, params.snapshot())))
     cfg = small_config()
     with pytest.raises(NumericalError, match="gamma at epoch 1"):
         train_once(
-            g, graph_inputs(g, cfg), cfg, TrainConfig(epochs=3, patience=3), split, (0, 0, 0),
-            init_hook=lambda params: captured.append((params, params.snapshot())),
+            g, graph_inputs(g, cfg), cfg, TrainConfig(epochs=3, patience=3), split, (0, 0, 0)
         )
     params, initial = captured[0]
     final = params.snapshot()
@@ -480,7 +494,6 @@ def assert_grid_forks_after_rwpe(monkeypatch, n, threads):
     monkeypatch.setattr(threading, "Thread", LoggingThread)
     monkeypatch.setattr(training, "init_positional", positional)
     set_usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
     forks = counting_forks(monkeypatch)
     grid = run_grid(g, small_config(), TrainConfig(epochs=2, patience=2), 1, splits, 5)
     assert started == [f"rwpe_{i}" for i in range(threads)] and len(forks) == 1
