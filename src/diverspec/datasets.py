@@ -13,18 +13,21 @@ malformed input with file names and line numbers; only an LF ends a line.
 
 ``edges.tsv`` is read whole, its bytes checked once, and parsed by one
 ``np.loadtxt`` call.
-``nodes.tsv`` is streamed in small chunks of lines, each written straight
-into the (N, F) feature table at its rows' ids, so an out-of-order file
-needs no reordering. A row of ``D.D`` tokens (a digit, a dot, a digit, as
-``save_dataset`` writes 0/1 features) is converted from its bytes with
-integer arithmetic and one exact division; any other row goes through
-``np.loadtxt``. The feature table is marked read-only and handed to
+``nodes.tsv`` is read in blocks of about ``_CHUNK_BYTES`` bytes, each cut at
+the end of a line, and every block's rows are written straight into the
+(N, F) feature table at their ids, so an out-of-order file needs no
+reordering. Only a row's id and label are checked one line at a time, as
+ASCII digits; its features are checked and parsed once per block. Rows of
+``D.D`` tokens (a digit, a dot, a digit, as ``save_dataset`` writes 0/1
+features) are converted from their bytes with integer arithmetic and one
+exact division; the block's other rows go through one ``np.loadtxt``. The
+feature table is marked read-only and handed to
 :func:`~diverspec.graph.build_graph`, which adopts it without a copy, so it
-stays the only allocation of file size. A file with bytes the stream does
-not take, or with any problem, is read again by a per-line checker, which
-gives the same arrays or raises the first problem in line order. No array
-is sized by a ``meta.json`` count before the files have proven it: the
-table is allocated once ``nodes.tsv`` is large enough to hold it.
+stays the only allocation of file size. A file with bytes the blocks do not
+take, or with any problem, is read again by a per-line checker, which gives
+the same arrays or raises the first problem in line order. No array is
+sized by a ``meta.json`` count before the files have proven it: the table
+is allocated once ``nodes.tsv`` is large enough to hold it.
 
 :func:`load_dataset` is the one loader of ``train`` and ``analyze``. It is
 :func:`read_structure` (the directory, ``meta.json`` and ``edges.tsv``)
@@ -41,8 +44,9 @@ import io
 import json
 import os
 from collections.abc import Iterator
+from itertools import compress
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,21 +55,23 @@ from .autodiff import make_rng
 from .graph import Graph, build_graph
 
 META_KEYS = ("name", "num_nodes", "num_features", "num_classes")
-# Bytes of a nodes.tsv whose features ``np.loadtxt`` parses exactly as
-# ``float`` does: decimals, spaces and the two separators. Features must be
-# finite, so a file spelling inf or nan takes the per-line path, which rejects it.
-# Other whitespace (\x0b, \x0c, \x1c-\x1f, a \r that does not end a line) and
-# ``_`` digit grouping parse differently, so such files take the per-line path.
-_PLAIN_NODE_BYTES = b"0123456789+-.eE \t\n,"
+# Bytes of a nodes.tsv feature field that ``np.loadtxt`` parses exactly as
+# ``float`` does: decimals, spaces and commas. Features must be finite, so a
+# field spelling inf or nan takes the per-line path, which rejects it. Other
+# whitespace (\x0b, \x0c, \x1c-\x1f, a \r that does not end a line), a
+# third tab and ``_`` digit grouping parse differently, so such files take the
+# per-line path.
+_PLAIN_NODE_BYTES = b"0123456789+-.eE ,"
 # A feature token "a.b" of two ASCII digits is read as (10a + b) / 10: one IEEE
 # division of two exact integers, which is the double nearest the decimal, so
-# it equals float("a.b") bit for bit. The bytes of "a.b," minus _ZERO_TOKEN are
-# (a, 0, b, 0), below _TOKEN_BOUND exactly when they are a digit, a dot, a
-# digit and a comma.
-_ZERO_TOKEN = np.frombuffer(b"0.0,", np.uint8)
-_TOKEN_BOUND = np.array([10, 1, 10, 1], np.uint8)
-# Feature bytes of nodes.tsv parsed at once: a chunk's temporaries, a few
-# times its bytes, stay small next to the table.
+# it equals float("a.b") bit for bit. A field from its tab on is F four-byte
+# tokens, a separator and "a.b". Their bytes minus "\t0.0" for the first token
+# and _ZERO_TOKEN for the others are (0, a, 0, b), below _TOKEN_BOUND exactly
+# when they are the separator, a digit, a dot and a digit.
+_ZERO_TOKEN = b",0.0"
+_TOKEN_BOUND = bytes([1, 10, 1, 10])
+# Bytes of nodes.tsv read per block: a block's temporaries, a few times its
+# bytes, stay small next to the table.
 _CHUNK_BYTES = 1 << 16
 # Bytes of an edges.tsv whose ids ``np.loadtxt`` parses exactly as ``int`` does.
 _PLAIN_EDGE_BYTES = b"0123456789\t\n"
@@ -146,8 +152,8 @@ def read_structure(directory: str | Path) -> tuple[DatasetMeta, np.ndarray | lis
 def read_labels(directory: str | Path, meta: DatasetMeta) -> np.ndarray:
     """The labels of ``nodes.tsv``, after every check :func:`load_dataset` makes of it.
 
-    Every feature is parsed into the one feature table and checked, finite
-    included, then the table is dropped.
+    This is the same block parse: every feature is parsed into the one
+    feature table and checked, finite included, then the table is dropped.
     """
     return _read_nodes(Path(directory) / "nodes.tsv", *meta)[1]
 
@@ -165,25 +171,6 @@ def load_dataset(directory: str | Path) -> Graph:
     features, labels = _read_nodes(Path(directory) / "nodes.tsv", *meta)
     features.flags.writeable = False  # fresh and unshared: build_graph adopts it
     return build_graph(edges, meta.num_nodes, features, labels, meta.num_classes)
-
-
-def _plain_lines(handle: BinaryIO, plain: bytes) -> Iterator[bytes]:
-    """The non-blank lines of ``handle`` without their LF or CRLF.
-
-    Raises ``ValueError`` at the first line with a byte outside ``plain``
-    once one ``\\r`` before the LF is stripped, and at a blank CRLF line,
-    which the per-line checkers reject.
-    """
-    for line in handle:
-        if line.endswith(b"\r\n"):
-            line = line[:-2]
-            if not line:
-                raise ValueError("blank CRLF line")
-        if line.translate(None, plain):
-            raise ValueError("not a plain line")
-        line = line.rstrip(b"\n")
-        if line:
-            yield line
 
 
 def _read_edges(edges_path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
@@ -239,101 +226,99 @@ def _read_nodes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels from ``nodes.tsv``.
 
-    The file is streamed line by line, opened in binary. Once its size could
-    hold n * F features of 2 bytes each, the (N, F) table and the labels are
-    allocated, and :func:`_place_rows` writes each line at its id's row, so
-    out-of-order rows need no reordering step and the table stays the only
-    allocation of file size. Each line must hold only ``_PLAIN_NODE_BYTES``,
-    three tab fields, an integer id and label and F finite features; the ids
-    must then be a permutation of 0..N-1 and the labels lie in range.
-    Anything else, an error from ``np.loadtxt`` included, re-reads the file
-    through :func:`_parse_node_lines`, which raises the first problem in line
-    order.
+    The file is read in blocks, opened in binary: ``_CHUNK_BYTES`` bytes,
+    completed to the end of their last line. Once its size could hold
+    n * F features of 2 bytes each, the (N, F) table and the labels are
+    allocated, and :func:`_place_block` writes each block's rows at their
+    ids, so out-of-order rows need no reordering step and the table stays
+    the only allocation of file size. Each row must hold an id and a label
+    of ASCII digits and F finite features; the ids must then be a
+    permutation of 0..N-1 and the labels lie in range. Anything else, an
+    error from ``np.loadtxt`` included, re-reads the file through
+    :func:`_parse_node_lines`, which raises the first problem in line order.
     """
     try:
         with open(nodes_path, "rb") as handle:
             if os.fstat(handle.fileno()).st_size >= 2 * n * num_features:
                 features = np.empty((n, num_features))
                 labels = np.empty(n, dtype=np.int64)
-                if (
-                    _place_rows(_node_rows(handle, num_features), features, labels)
-                    and ((labels >= 0) & (labels < num_classes)).all()
-                ):
+                placed = np.zeros(n, dtype=bool)
+                count = 0
+                while block := handle.read(_CHUNK_BYTES) + handle.readline():
+                    count += _place_block(block, features, labels, placed)
+                if count == n and placed.all() and (labels < num_classes).all():
                     return features, labels
     except (ValueError, OverflowError):
         pass
     return _parse_node_lines(nodes_path, n, num_features, num_classes)
 
 
-def _node_rows(handle: BinaryIO, num_features: int) -> Iterator[tuple[int, int, bytes]]:
-    """``(id, label, feature field)`` of each plain ``nodes.tsv`` line, the field still bytes."""
-    for line in _plain_lines(handle, _PLAIN_NODE_BYTES):
-        node, label, feats = line.split(b"\t")
-        if not feats or feats.count(b",") + 1 != num_features:
-            raise ValueError("wrong feature count")
-        yield int(node), int(label), feats
+def _place_block(block: bytes, features: np.ndarray, labels: np.ndarray, placed: np.ndarray) -> int:
+    """Write the rows of ``block``, whole lines of ``nodes.tsv``, at their ids; how many it held.
 
-
-def _place_rows(
-    rows: Iterator[tuple[int, int, bytes]], features: np.ndarray, labels: np.ndarray
-) -> bool:
-    """Write each row's features and label at its id; whether each id came exactly once.
-
-    Rows are taken in chunks of about ``_CHUNK_BYTES`` feature bytes.
-    Raises ``ValueError`` for an id outside the table or a feature field
-    :func:`_parse_features` rejects.
+    Each line's LF and two tabs are found with ``bytes.find``. One ``\\r``
+    before the LF, or at the end of the file, is stripped, and blank LF
+    lines are skipped. The id and
+    label bytes must be ASCII digits; the feature bytes, from the second tab
+    on, go to :func:`_parse_features`. Raises ``ValueError`` at a line the
+    per-line checker must judge, or an id outside the table.
     """
-    n = len(labels)
-    placed = np.zeros(n, dtype=bool)
-    count = 0
-    for chunk in _chunks(rows):
-        ids, chunk_labels, fields = zip(*chunk)
-        ids = np.array(ids, dtype=np.int64)
-        if ids.min() < 0 or ids.max() >= n:
-            raise ValueError("id outside the table")
-        placed[ids] = True
-        count += len(ids)
-        labels[ids] = chunk_labels
-        _parse_features(fields, features, ids)
-    return count == n and placed.all()
+    view = memoryview(block)
+    ids, row_labels, fields = [], [], []
+    start = 0
+    while start < len(block):
+        stop = block.find(b"\n", start)
+        if stop < 0:
+            stop = len(block)  # the file's last line, without its LF
+        if stop > start:
+            end = stop - block.endswith(b"\r", start, stop)
+            first = block.find(b"\t", start, end)
+            second = block.find(b"\t", first + 1, end)
+            node, label = block[start:first], block[first + 1:second]
+            if first < 0 or second < 0 or not (node.isdigit() and label.isdigit()):
+                raise ValueError("not a plain row")
+            ids.append(int(node))
+            row_labels.append(int(label))
+            fields.append(view[second:end])
+        start = stop + 1
+    ids = np.array(ids, dtype=np.int64)
+    if (ids >= len(labels)).any():
+        raise ValueError("id outside the table")
+    placed[ids] = True
+    labels[ids] = row_labels
+    _parse_features(fields, features, ids)
+    return len(ids)
 
 
-def _chunks(rows: Iterator[tuple[int, int, bytes]]) -> Iterator[list[tuple[int, int, bytes]]]:
-    """``rows`` in lists that each end once they hold ``_CHUNK_BYTES`` feature bytes."""
-    chunk, size = [], 0
-    for row in rows:
-        chunk.append(row)
-        size += len(row[2])
-        if size >= _CHUNK_BYTES:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
+def _parse_features(fields: list[memoryview], features: np.ndarray, ids: np.ndarray) -> None:
+    """Parse one block's feature fields, each from its second tab on, into ``features[ids]``.
 
-
-def _parse_features(fields: tuple[bytes, ...], features: np.ndarray, ids: np.ndarray) -> None:
-    """Parse the feature fields of one chunk into ``features[ids]``.
-
-    A field of F ``D.D`` tokens (an ASCII digit, a dot, a digit), 4F - 1
-    bytes long, is converted from its bytes; every other field goes through
-    one ``np.loadtxt``, whose values must be finite, or ``ValueError`` is
-    raised.
+    A field of the tab and F ``D.D`` tokens (an ASCII digit, a dot, a digit)
+    is 4F bytes long: F four-byte tokens, each a separator and a ``D.D``.
+    All such fields of the block are checked and converted from their bytes
+    at once. Every other field must hold F comma-separated values of
+    ``_PLAIN_NODE_BYTES`` and goes through one ``np.loadtxt``, whose values
+    must be finite, or ``ValueError`` is raised.
     """
     num_features = features.shape[1]
-    fits = [row for row, field in enumerate(fields) if len(field) == 4 * num_features - 1]
-    tenths = np.zeros(len(fields), dtype=bool)
-    if fits:
-        codes = np.frombuffer(b",".join([fields[row] for row in fits]) + b",", np.uint8)
-        offsets = codes.reshape(len(fits), -1) - np.tile(_ZERO_TOKEN, num_features)
-        layout = (offsets < np.tile(_TOKEN_BOUND, num_features)).all(axis=1)
-        tenths[fits] = layout
-        tokens = offsets[layout].reshape(-1, num_features, 4)
-        features[ids[tenths]] = (10 * tokens[:, :, 0] + tokens[:, :, 2]) / 10
-    if not tenths.all():
-        values = np.loadtxt(
-            (field for field, tenth in zip(fields, tenths) if not tenth),
-            delimiter=",", comments=None, ndmin=2,
+    tenths = np.array([len(field) == 4 * num_features for field in fields], dtype=bool)
+    if tenths.any():
+        codes = np.frombuffer(b"".join(compress(fields, tenths)), np.uint8)
+        offsets = codes.reshape(-1, 4 * num_features) - np.frombuffer(
+            b"\t0.0" + _ZERO_TOKEN * (num_features - 1), np.uint8
         )
+        layout = (offsets < np.frombuffer(_TOKEN_BOUND * num_features, np.uint8)).all(axis=1)
+        tenths[tenths] = layout
+        tokens = offsets[layout].reshape(-1, num_features, 4)
+        features[ids[tenths]] = (10 * tokens[:, :, 1] + tokens[:, :, 3]) / 10
+    if not tenths.all():
+        plain = [bytes(field[1:]) for field, tenth in zip(fields, tenths) if not tenth]
+        for field in plain:
+            if not field or field.count(b",") != num_features - 1 or field.translate(
+                None, _PLAIN_NODE_BYTES
+            ):
+                raise ValueError("not F plain features")
+        values = np.loadtxt(plain, delimiter=",", comments=None, ndmin=2)
         if not np.isfinite(values).all():
             raise ValueError("non-finite feature")
         features[ids[~tenths]] = values

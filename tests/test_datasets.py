@@ -249,8 +249,8 @@ def tenths(lines):
 
 
 def then(*edits):
-    """One edit that applies ``edits`` in order."""
-    return lambda lines: [edit(lines) for edit in edits]
+    """One edit that applies ``edits`` in order and returns what the last one returns."""
+    return lambda lines: [edit(lines) for edit in edits][-1]
 
 
 def reverse(lines):
@@ -261,8 +261,17 @@ def crlf(lines):
     lines[:] = [line + "\r" for line in lines]
 
 
-def set_features(row, field):
-    return lambda lines: lines.__setitem__(row, "\t".join(lines[row].split("\t")[:2] + [field]))
+def set_field(row, column, field):
+    def edit(lines):
+        fields = lines[row].split("\t")
+        fields[column] = field
+        lines[row] = "\t".join(fields)
+    return edit
+
+
+def ending(tail):
+    """An edit that writes ``tail`` in place of the last line's LF."""
+    return lambda lines: "\n".join(lines) + tail
 
 
 # Feature fields of 4F - 1 = 11 bytes (F = 3) that are not F "D.D" tokens:
@@ -301,12 +310,30 @@ NODE_EDITS = {
     "inf": lambda lines: edit_feature(lines, 3, 1, "inf"),
     "-inf": lambda lines: edit_feature(lines, 3, 1, "-inf"),
     "overflow": lambda lines: edit_feature(lines, 3, 1, "1e999"),
+    "no-final-lf": ending(""),
+    "cr-without-lf-at-the-end": ending("\r"),
+    "blank-line-between-rows": lambda lines: lines.insert(3, ""),
+    "id-plus": set_field(3, 0, "+3"),
+    "id-space": set_field(3, 0, " 3"),
+    "id-leading-zero": set_field(3, 0, "03"),
+    "id-underscore": set_field(10, 0, "1_0"),
+    "label-plus": set_field(3, 1, "+1"),
+    "label-space": set_field(3, 1, " 1"),
+    "label-leading-zero": set_field(3, 1, "01"),
+    "label-underscore": set_field(3, 1, "1_0"),
+    "third-tab": lambda lines: lines.__setitem__(2, lines[2] + "\t"),
+    "no-features": set_field(5, 2, ""),
     "tenths": tenths,
     "tenths-out-of-order": then(tenths, reverse),
     "tenths-crlf": then(tenths, crlf),
     "tenths-nan": then(tenths, lambda lines: edit_feature(lines, 4, 2, "nan")),
+    "tenths-no-final-lf": then(tenths, ending("")),
+    "tenths-cr-without-lf-at-the-end": then(tenths, ending("\r")),
+    "tenths-blank-line-between-rows": then(tenths, lambda lines: lines.insert(3, "")),
+    "tenths-third-tab": then(tenths, lambda lines: lines.__setitem__(2, lines[2].replace(",", "\t", 1))),
+    "tenths-no-features": then(tenths, set_field(5, 2, "")),
     **{
-        f"tenths-{name}{variant}": then(tenths, set_features(3, field), *extra)
+        f"tenths-{name}{variant}": then(tenths, set_field(3, 2, field), *extra)
         for name, field in NOT_TENTHS.items()
         for variant, extra in (("", ()), ("-out-of-order", (reverse,)), ("-crlf", (crlf,)))
     },
@@ -314,9 +341,12 @@ NODE_EDITS = {
 
 
 def rewrite_lines(path, edit):
+    """Rewrite ``path`` through ``edit``, which changes its lines in place or returns the new text."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    edit(lines)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    text = edit(lines)
+    if not isinstance(text, str):
+        text = "".join(line + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 @pytest.mark.parametrize("edit", NODE_EDITS)

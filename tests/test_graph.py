@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diverspec import (
     build_graph,
@@ -26,6 +28,31 @@ def test_build_graph_canonicalizes_edges():
     g = toy_graph([(1, 0), (0, 1), (2, 1), (1, 1)], labels=[0, 0, 1])
     assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert g.degrees.tolist() == [1, 2, 1]
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, pairs)``: endpoints drawn from a few ids, so pairs repeat in both orientations and as loops."""
+    n = draw(st.integers(1, 12) | st.integers(13, 10**6))
+    ids = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+    return n, draw(st.lists(st.tuples(ids, ids), max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+@example((1, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((5, []))
+def test_build_graph_edges_match_the_row_wise_unique(case):
+    n, pairs = case
+    graph = build_graph(pairs, n, np.zeros((n, 0)), np.zeros(n, dtype=np.int64), 1)
+    raw = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    raw = raw[raw[:, 0] != raw[:, 1]]
+    lo, hi = raw.min(axis=1), raw.max(axis=1)
+    reference = np.unique(np.stack([lo, hi], 1), axis=0)
+    assert graph.edges.dtype == np.int64 and graph.edges.shape == reference.shape
+    assert graph.edges.flags.c_contiguous and not graph.edges.flags.writeable
+    np.testing.assert_array_equal(graph.edges, reference)
 
 
 def test_build_graph_rejects_bad_endpoints():
